@@ -12,9 +12,9 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.core.biased import BiasedSample
-from repro.exceptions import DataValidationError, ParameterError
+from repro.exceptions import ParameterError
 from repro.obs import get_recorder
-from repro.sharding import resolve_shards, sharded_gather
+from repro.sharding import sharded_gather
 from repro.utils.streams import DataStream, as_stream
 from repro.utils.validation import RandomStateLike, check_random_state
 
@@ -80,27 +80,7 @@ class UniformSampler:
         mask = np.zeros(n, dtype=bool)
         mask[indices] = True
         with recorder.phase("draw"):
-            if resolve_shards(None) > 1 and hasattr(source, "chunk_sizes"):
-                points = sharded_gather(source, mask)
-            else:
-                parts = []
-                seen = 0
-                for start, chunk in source.iter_with_offsets():
-                    local = mask[start : start + chunk.shape[0]]
-                    seen += chunk.shape[0]
-                    if local.any():
-                        parts.append(chunk[local])
-                if seen != n:
-                    raise DataValidationError(
-                        f"stream yielded {seen} rows in the draw pass but "
-                        f"advertises n_points={n}; the selection mask would "
-                        "be misaligned with the surviving rows."
-                    )
-                points = (
-                    np.vstack(parts)
-                    if parts
-                    else np.empty((0, source.n_dims))
-                )
+            points = sharded_gather(source, mask)
         recorder.count("sample_size", indices.shape[0])
         return BiasedSample(
             points=points,

@@ -43,7 +43,7 @@ def chunk_moment_stats(chunk: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     shard workers can compute it remotely: the fold half
     (:meth:`_StreamingMoments.merge_stats`) is not FP-associative and
     must run on the coordinator in global chunk order to stay
-    byte-identical to the serial pass.
+    byte-identical for any shard count.
     """
     mean_b = chunk.mean(axis=0)
     m2_b = ((chunk - mean_b) ** 2).sum(axis=0)
@@ -58,18 +58,11 @@ class _StreamingMoments:
         self.mean: np.ndarray | None = None
         self.m2: np.ndarray | None = None
 
-    def update(self, chunk: np.ndarray) -> None:
-        if chunk.shape[0] == 0:
-            return
-        self.merge_stats(*chunk_moment_stats(chunk))
-
     def merge_stats(self, count: int, mean: np.ndarray, m2: np.ndarray) -> None:
         """Fold one chunk's ``(count, mean, m2)`` into the running state.
 
-        The exact operation sequence the serial ``update`` always
-        performed — sharded fits replay it with the same statistics in
-        the same (global chunk) order, so the fitted moments are
-        byte-identical.
+        The fit replays the per-chunk statistics in global chunk order,
+        so the fitted moments are byte-identical for any shard count.
         """
         if count == 0:
             return
@@ -112,6 +105,7 @@ class KernelDensityEstimator(DensityEstimator):
         Seed for the reservoir that picks the centers.
     n_jobs:
         Worker count for :meth:`evaluate`'s chunked block evaluation
+        and, when sharded (``S > 1``), for the fit scan's shard fan-out
         (``None`` defers to the ambient default / ``REPRO_N_JOBS``; see
         :mod:`repro.parallel`). Results are byte-identical for any
         value.
@@ -157,55 +151,20 @@ class KernelDensityEstimator(DensityEstimator):
     def fit(self, data=None, *, stream: DataStream | None = None):
         """Fit in a single pass: reservoir centers + streaming moments.
 
-        When the ambient shard count (``repro run --shards`` /
-        ``REPRO_SHARDS`` / :func:`repro.sharding.use_shards`) is above
-        one, the single pass is executed as a sharded fan-out instead —
-        byte-identical to the serial scan (DESIGN.md §13).
+        The pass is a :class:`~repro.sharding.ShardPlan` scan over the
+        ambient shard count (``repro run --shards`` / ``REPRO_SHARDS``
+        / :func:`repro.sharding.use_shards`, default ``1``). The
+        coordinator draws the data-free reservoir acceptance plan, the
+        scan fetches the planned rows and per-chunk moment statistics,
+        and :meth:`fit_from_partials` assembles them — byte-identical
+        for any shard count (DESIGN.md §13). At ``S = 1`` the scan runs
+        inline on the caller, and ``n_jobs`` reaches only
+        :meth:`evaluate`'s block fan-out.
         """
         source = self._as_stream(data, stream)
-        n_shards = resolve_shards(None)
-        if (
-            n_shards > 1
-            and len(source) > 0
-            and hasattr(source, "chunk_sizes")
-        ):
-            return self._fit_sharded(source, n_shards)
-        else:
-            rng = check_random_state(self.random_state)
-            reservoir = ReservoirSampler(self.n_kernels, random_state=rng)
-            moments = _StreamingMoments()
-            for chunk in source:
-                reservoir.extend(chunk)
-                moments.update(chunk)
-            if moments.count == 0:
-                raise ParameterError(
-                    "cannot fit a density estimator on no data."
-                )
-            self.n_points_ = moments.count
-            self.centers_ = reservoir.sample
-            self.n_dims_ = self.centers_.shape[1]
-            self.bandwidths_ = resolve_bandwidth(
-                self.bandwidth,
-                moments.std,
-                self.n_points_,
-                self.n_dims_,
-                self.kernel,
-                scale=float(np.abs(moments.mean).max()),
-            )
-            return self
-
-    def _fit_sharded(self, source: DataStream, n_shards: int):
-        """The fit pass as a shard fan-out (byte-identical to serial).
-
-        The coordinator draws the data-free reservoir acceptance plan
-        (consuming the generator exactly as the serial pass would, so
-        downstream draws are unaffected), shard workers fetch the
-        planned rows and per-chunk moment statistics, and the folded
-        partials are assembled by :meth:`fit_from_partials`.
-        """
         rng = check_random_state(self.random_state)
         reservoir = ReservoirSampler(self.n_kernels, random_state=rng)
-        plan = ShardPlan(source, n_shards)
+        plan = ShardPlan(source, resolve_shards(None))
         accept_plan = reservoir.plan(plan.n_rows)
         state = fit_shards(
             plan, accept_plan.wanted_indices(), n_jobs=self.n_jobs

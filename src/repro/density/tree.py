@@ -14,8 +14,8 @@ biased-sampling algebra needs (section 2.1).
 
 Tree *structure* is drawn once, on the coordinator, from the seeded
 generator; the counting scan is pure integer accumulation. Integer
-addition is exactly associative, so sharded counting scans merge
-byte-identically to the serial scan for any shard count (DESIGN.md
+addition is exactly associative, so the counting scan's shard
+partials merge byte-identically for any shard count (DESIGN.md
 §14) — unlike the FP moment folds of the KDE fit, no ordering
 discipline is needed.
 """
@@ -33,7 +33,6 @@ from repro.sharding import (
     resolve_shards,
     tree_count_shards,
 )
-from repro.utils.scaling import MinMaxScaler
 from repro.utils.streams import DataStream
 from repro.utils.validation import check_random_state
 
@@ -121,10 +120,10 @@ class TreeDensityEstimator(DensityEstimator):
     -----
     Fitting takes *two* passes when the bounding box is unknown (one to
     find the box, one to count); pass ``bounds=(mins, maxs)`` to fit in
-    a single pass like the paper's kernel estimator. When the ambient
-    shard count is above one, both scans run as sharded fan-outs whose
-    partials merge exactly: elementwise min/max for the box, integer
-    leaf-count addition for the occupancies.
+    a single pass like the paper's kernel estimator. Both scans run
+    over the ambient shard count (one by default), and their partials
+    merge exactly: elementwise min/max for the box, integer leaf-count
+    addition for the occupancies.
 
     Examples
     --------
@@ -183,58 +182,18 @@ class TreeDensityEstimator(DensityEstimator):
     def fit(self, data=None, *, stream: DataStream | None = None):
         """Fit in two scans: bounding box, then integer leaf counts.
 
-        When the ambient shard count (``repro run --shards`` /
-        ``REPRO_SHARDS`` / :func:`repro.sharding.use_shards`) is above
-        one, each scan is executed as a sharded fan-out instead —
-        byte-identical to the serial scans because both partial states
-        (box extrema, integer counts) merge exactly (DESIGN.md §14).
+        Both scans are :class:`~repro.sharding.ShardPlan` scans over
+        the ambient shard count (``repro run --shards`` /
+        ``REPRO_SHARDS`` / :func:`repro.sharding.use_shards`, default
+        ``1``). Their partials merge exactly — elementwise min/max for
+        the box, integer addition for the counts — so the fit is
+        byte-identical for any shard count (DESIGN.md §14). Tree
+        structure is drawn once, on the coordinator, between the two
+        scans. At ``S = 1`` both scans run inline on the caller; the
+        ambient ``n_jobs`` only sizes the shard fan-out when ``S > 1``.
         """
         source = self._as_stream(data, stream)
-        n_shards = resolve_shards(None)
-        if (
-            n_shards > 1
-            and len(source) > 0
-            and hasattr(source, "chunk_sizes")
-        ):
-            return self._fit_sharded(source, n_shards)
-        else:
-            if self.bounds is not None:
-                mins, maxs = self._explicit_bounds()
-            else:
-                scaler = MinMaxScaler()
-                for chunk in source:
-                    scaler.partial_fit(chunk)
-                if scaler.data_min_ is None:
-                    raise ParameterError(
-                        "cannot fit a density estimator on no data."
-                    )
-                mins, maxs = scaler.data_min_, scaler.data_max_
-            self._build_trees(mins, maxs)
-            counts = np.zeros(
-                (self.n_trees, self.n_leaves_), dtype=np.int64
-            )
-            n = 0
-            for chunk in source:
-                n += chunk.shape[0]
-                counts += self._chunk_leaf_counts(chunk)
-            if n == 0:
-                raise ParameterError(
-                    "cannot fit a density estimator on no data."
-                )
-            self._finalize(counts, n)
-            return self
-
-    def _fit_sharded(self, source: DataStream, n_shards: int):
-        """Both fit scans as shard fan-outs (byte-identical to serial).
-
-        The box partials fold with elementwise min/max and the count
-        partials with integer addition — both exactly associative, so
-        no ordering discipline beyond the deterministic left fold is
-        needed (contrast the KDE's coordinator-side Welford replay).
-        Tree structure is still drawn once, on the coordinator, between
-        the two scans.
-        """
-        plan = ShardPlan(source, n_shards)
+        plan = ShardPlan(source, resolve_shards(None))
         if self.bounds is not None:
             mins, maxs = self._explicit_bounds()
         else:
@@ -313,16 +272,6 @@ class TreeDensityEstimator(DensityEstimator):
         self.maxs_ = maxs
         self.n_dims_ = int(n_dims)
         get_recorder().count("tree_nodes_built", self.n_trees * n_internal)
-
-    def _chunk_leaf_counts(self, chunk: np.ndarray) -> np.ndarray:
-        """Integer leaf-occupancy counts of one chunk, shape ``(T, leaves)``."""
-        leaves = tree_leaf_indices(chunk, self.features_, self.thresholds_)
-        offsets = (np.arange(self.n_trees) * self.n_leaves_)[:, None]
-        flat = np.bincount(
-            (offsets + leaves).ravel(),
-            minlength=self.n_trees * self.n_leaves_,
-        )
-        return flat.reshape(self.n_trees, self.n_leaves_)
 
     def _finalize(self, counts: np.ndarray, n: int) -> None:
         """Freeze fitted state: counts plus the precomputed density table.

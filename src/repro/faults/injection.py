@@ -78,11 +78,11 @@ class FaultyStream(DataStream):
         self.chunk_size = inner.chunk_size
         self.n_dims = inner.n_dims
         self.passes = 0
-        self._chunk_lengths = self._layout(inner)
-        self.n_points = sum(
+        self._chunk_survivors = tuple(
             self._survivors(index, length)
-            for index, length in enumerate(self._chunk_lengths)
+            for index, length in enumerate(self._layout(inner))
         )
+        self.n_points = sum(self._chunk_survivors)
         if self.n_points == 0:
             raise DataValidationError(
                 "the fault plan leaves no surviving rows; lower the rates "
@@ -116,29 +116,51 @@ class FaultyStream(DataStream):
 
     # -- iteration -----------------------------------------------------------
 
-    def __iter__(self):
-        for _, chunk in self._iterate():
-            yield chunk
-
     def iter_with_offsets(self):
         """Yield (surviving-row offset, hardened chunk) pairs."""
-        yield from self._iterate()
+        out = 0
+        for offset, clean in super().iter_with_offsets():
+            yield offset, clean
+            out += clean.shape[0]
+        if out != self.n_points:
+            raise DataValidationError(
+                f"faulty stream yielded {out} surviving rows in pass "
+                f"{self.passes} but advertised n_points={self.n_points}; "
+                "the wrapped stream is dirty or changed between passes "
+                "(wrap a clean source so fault accounting stays exact)."
+            )
 
     def materialize(self) -> np.ndarray:
         """All surviving rows as one array (counts as one pass)."""
-        parts = [chunk for _, chunk in self._iterate()]
+        parts = [chunk for _, chunk in self.iter_with_offsets()]
         if not parts:
             return np.empty((0, self.n_dims))
         return np.vstack(parts)
 
-    def _iterate(self):
-        self.passes += 1
+    # -- shard support (see repro.sharding) ----------------------------------
+
+    def chunk_sizes(self) -> tuple[int, ...]:
+        """Surviving-row count of every chunk one pass would yield.
+
+        Bookkeeping, not a scan: fault decisions never depend on the
+        data, so the per-chunk survivor counts are fixed at
+        construction.
+        """
+        return self._chunk_survivors
+
+    def iter_chunk_range(self, lo: int, hi: int):
+        """Yield ``(offset, chunk)`` for chunk indices ``[lo, hi)``.
+
+        The per-chunk path of every pass: injected faults, retries and
+        policy application, keyed by the current pass. The pass
+        bookkeeping (``passes``, already bumped for this pass) is owned
+        by the caller — :meth:`iter_with_offsets`, or a coordinating
+        shard scan.
+        """
         pass_index = self.passes
-        recorder = get_recorder()
-        out = 0
-        for chunk_index, (raw_start, chunk) in enumerate(
-            self.inner.iter_with_offsets()
-        ):
+        out = sum(self._chunk_survivors[:lo])
+        raw = self.inner.iter_chunk_range(lo, hi)
+        for chunk_index, (raw_start, chunk) in enumerate(raw, start=lo):
             faulted = self.retry_policy.call(
                 self._reader(chunk, pass_index, chunk_index),
                 describe=f"chunk {chunk_index} of faulty stream",
@@ -152,13 +174,6 @@ class FaultyStream(DataStream):
             if clean.shape[0]:
                 yield out, clean
                 out += clean.shape[0]
-        if out != self.n_points:
-            raise DataValidationError(
-                f"faulty stream yielded {out} surviving rows in pass "
-                f"{pass_index} but advertised n_points={self.n_points}; "
-                "the wrapped stream is dirty or changed between passes "
-                "(wrap a clean source so fault accounting stays exact)."
-            )
 
     def _reader(self, chunk: np.ndarray, pass_index: int, chunk_index: int):
         """One chunk's read attempt: planned transient failures, then data."""

@@ -1,13 +1,15 @@
 """Sharded out-of-core fitting: plans, mergeable partials, fan-out.
 
-This package splits one dataset pass into ``S`` contiguous row-range
-shards (:class:`ShardPlan`), runs each shard through the existing
-:mod:`repro.parallel` backends (:func:`shard_map` and the scan helpers
-:func:`fit_shards` / :func:`eval_shards` / :func:`sharded_gather`),
-and folds the mergeable shard partials with a deterministic left fold
-(:func:`merge_partials`). Results are byte-identical to the serial
-pass for any shard count and any worker count — see DESIGN.md §13 for
-the merge contracts and the determinism argument.
+Every fit, evaluation and gather dataset scan runs through this
+package: it splits one pass into ``S`` contiguous row-range shards
+(:class:`ShardPlan`), runs each shard (:func:`shard_map` and the scan
+helpers :func:`fit_shards` / :func:`eval_shards` /
+:func:`sharded_gather`) — inline when ``S = 1``, through the existing
+:mod:`repro.parallel` backends otherwise — and folds the mergeable
+shard partials with a deterministic left fold (:func:`merge_partials`).
+Results are byte-identical for any shard count and any worker count —
+see DESIGN.md §13 for the merge contracts and the determinism
+argument.
 
 The ambient shard count is configured like the worker count:
 ``repro run --shards S``, :func:`use_shards`, or the ``REPRO_SHARDS``

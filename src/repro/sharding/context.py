@@ -69,8 +69,8 @@ def use_shards(shards: int | None) -> Iterator[None]:
     """Install ``shards`` as the ambient default for a ``with`` block.
 
     Everything inside the block that resolves ``shards=None`` — the
-    sharded branches of the estimator fit, the density-evaluation pass
-    and the gather passes — picks this value up. Built on a context
+    estimator fit scans, the density-evaluation pass and the gather
+    passes — picks this value up. Built on a context
     variable, so concurrent threads and tasks never observe each
     other's defaults. Results are byte-identical for any value (see
     :mod:`repro.sharding`).

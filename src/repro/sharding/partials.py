@@ -76,10 +76,10 @@ class NormalizerShard:
 
     Holds the per-chunk density slices of one row range, in stream
     order. The fold reassembles the full per-point density array
-    byte-identically to the serial pass, so the normaliser
+    byte-identically for any shard count, so the normaliser
     ``k = sum f^a`` and the Horvitz-Thompson inclusion probabilities
-    derived from it are exact — they are computed once, from the
-    reassembled array, by the same code the serial path runs.
+    derived from it are exact — they are computed once, on the
+    coordinator, from the reassembled array.
     """
 
     row_start: int

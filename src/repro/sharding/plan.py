@@ -1,11 +1,13 @@
 """Shard plans: splitting one stream pass into row-range shards.
 
 A :class:`ShardPlan` partitions the *chunk sequence* of a stream pass
-into ``S`` contiguous ranges. Splitting on chunk boundaries (never
-inside a chunk) is what keeps sharded execution byte-identical to the
-serial pass: every downstream consumer — moment accumulators, policy
-application, density evaluation — sees exactly the chunks a serial
-scan would have seen, in the same order, merely grouped by shard.
+into ``S`` contiguous ranges; every dataset scan of the fit, eval and
+gather passes runs over one, and the unsharded scan is ``S = 1``.
+Splitting on chunk boundaries (never inside a chunk) is what keeps the
+scans byte-identical for any ``S``: every downstream consumer — moment
+accumulators, policy application, density evaluation — sees exactly
+the chunks a plain iteration would have seen, in the same order,
+merely grouped by shard.
 
 A :class:`ShardView` is one shard's window onto the parent stream. It
 is deliberately *not* a ``DataStream`` subclass: a view is not a
@@ -82,34 +84,25 @@ class ShardPlan:
     Parameters
     ----------
     stream:
-        Any stream exposing the shard-support API (``chunk_sizes()``
-        and ``iter_chunk_range()``): the in-memory ``DataStream`` and
-        both file streams qualify.
+        A :class:`~repro.utils.streams.DataStream`; ``chunk_sizes()``
+        and ``iter_chunk_range()`` are part of its contract.
     n_shards:
-        Number of row-range shards. More shards than chunks simply
-        leaves the surplus shards empty (they dispatch no work).
+        Number of row-range shards; ``1`` is the unsharded scan. More
+        shards than chunks simply leaves the surplus shards empty
+        (they dispatch no work).
     """
 
     def __init__(self, stream, n_shards: int) -> None:
         n_shards = int(n_shards)
         if n_shards < 1:
             raise ParameterError(f"n_shards must be >= 1; got {n_shards}.")
-        sizes = getattr(stream, "chunk_sizes", None)
-        if sizes is None:
-            raise ParameterError(
-                f"{type(stream).__name__} does not expose chunk_sizes(); "
-                "it cannot be sharded."
-            )
         self.stream = stream
         self.n_shards = n_shards
-        self.chunk_sizes: tuple[int, ...] = tuple(int(s) for s in sizes())
+        self.chunk_sizes: tuple[int, ...] = tuple(
+            int(s) for s in stream.chunk_sizes()
+        )
         self.n_rows = sum(self.chunk_sizes)
         self.specs: tuple[ShardSpec, ...] = self._split()
-
-    @classmethod
-    def for_stream(cls, stream, n_shards: int) -> "ShardPlan":
-        """Build a plan for ``stream`` (alias of the constructor)."""
-        return cls(stream, n_shards)
 
     def _split(self) -> tuple[ShardSpec, ...]:
         n_chunks = len(self.chunk_sizes)
@@ -135,9 +128,15 @@ class ShardPlan:
         return tuple(specs)
 
     def views(self) -> list[ShardView]:
-        """One :class:`ShardView` per non-empty shard, in plan order."""
-        return [
+        """One :class:`ShardView` per non-empty shard, in plan order.
+
+        A stream with no chunks still gets the first (empty) shard's
+        view, so every scan yields one partial to fold and an empty
+        input reaches the caller's own no-data check.
+        """
+        views = [
             ShardView(parent=self.stream, spec=spec)
             for spec in self.specs
             if spec.n_chunks
         ]
+        return views or [ShardView(parent=self.stream, spec=self.specs[0])]

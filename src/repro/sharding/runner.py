@@ -1,16 +1,19 @@
 """Shard fan-out execution: dispatch, pass bookkeeping, folding.
 
-One *logical* dataset pass is executed as ``S`` shard tasks fanned out
-through the existing :mod:`repro.parallel` backends. The coordinator
-owns the pass bookkeeping (one ``passes`` bump and one ``data_passes``
-count per logical scan, exactly like a serial scan); shard workers own
-only the per-chunk effects (``points_seen``, ``stream_chunk_rows``,
-fault-policy counters), which the parallel harness records on worker
-recorders and merges back in submission — i.e. shard — order. The
-shard partials themselves are folded with a deterministic left fold
+Every dataset scan of the fit, evaluation and gather passes runs here:
+one *logical* pass is executed as the ``S`` shard tasks of a
+:class:`~repro.sharding.plan.ShardPlan`, and the unsharded run is
+simply ``S = 1`` — its one task runs inline on the coordinator, with no
+dispatch. With ``S > 1`` the tasks fan out through the existing
+:mod:`repro.parallel` backends. The coordinator owns the pass
+bookkeeping (one ``passes`` bump and one ``data_passes`` count per
+logical scan); shard workers own only the per-chunk effects
+(``points_seen``, ``stream_chunk_rows``, fault-policy counters), which
+the parallel harness records on worker recorders and merges back in
+submission — i.e. shard — order. The shard partials themselves are
+folded with a deterministic left fold
 (:func:`repro.sharding.partials.merge_partials`), which is what makes
-every sharded scan byte-identical to its serial counterpart for any
-``S`` and any ``n_jobs``.
+every scan byte-identical for any ``S`` and any ``n_jobs``.
 
 Workers here are deliberately generator-free: all randomness stays on
 the coordinator (reservoir acceptance is pre-planned by
@@ -51,13 +54,12 @@ __all__ = [
     "tree_count_shards",
 ]
 
-#: Span labels for the three sharded scan kinds. They are module
-#: constants passed *by parameter* into :func:`shard_map` so every
-#: sharded scan opens its span under the same label while each call
-#: site stays free of a literal phase string: the sharded branch of an
-#: audited entry then attributes its one scan to the same phase as the
-#: serial branch it mirrors, which is what the declared
-#: ``__n_passes__`` tables describe.
+#: Span labels for the three scan kinds' fan-outs. They are module
+#: constants passed *by parameter* into :func:`shard_map`, so every
+#: fan-out opens its span under the same label while each call site
+#: stays free of a literal phase string: an audited entry's scan is
+#: then attributed to the phase the entry itself opened, which is what
+#: the declared ``__n_passes__`` tables describe.
 SHARD_FIT_PHASE = "shard_fit"
 SHARD_EVAL_PHASE = "shard_eval"
 SHARD_GATHER_PHASE = "shard_gather"
@@ -87,19 +89,6 @@ class _GatherTask:
     mask: np.ndarray
 
 
-def _begin_scan(plan: ShardPlan) -> None:
-    """Coordinator-side bookkeeping for one logical sharded scan.
-
-    Mirrors what one serial iteration of the stream would record at
-    pass granularity; per-chunk effects land on the worker recorders
-    via ``iter_chunk_range`` instead.
-    """
-    plan.stream.passes += 1
-    recorder = get_recorder()
-    recorder.count("data_passes")
-    recorder.count("shard_rows", plan.n_rows)
-
-
 def shard_map(worker, tasks, *, n_jobs=None, phase=SHARD_FIT_PHASE):
     """Fan shard ``tasks`` out to ``worker`` under a ``phase`` span.
 
@@ -107,10 +96,37 @@ def shard_map(worker, tasks, *, n_jobs=None, phase=SHARD_FIT_PHASE):
     the tasks partition the chunk sequence, so the dispatch costs one
     dataset pass in total regardless of ``S`` or ``n_jobs``. Results
     come back in task (shard) order.
+
+    A single task — every ``S = 1`` scan — runs inline on the
+    coordinator: no dispatch, no pickling, no ``worker_task`` span and
+    no ``use_n_jobs(1)`` wrapper, so the worker's own fan-out (the
+    KDE's block evaluation) still honours ``n_jobs``.
     """
+    tasks = list(tasks)
+    if len(tasks) == 1:
+        return [worker(tasks[0])]
+    with get_recorder().phase(phase):
+        return parallel_map_chunks(worker, tasks, n_jobs=n_jobs)
+
+
+def _begin_scan(plan: ShardPlan, tasks, *, fit: bool = False) -> None:
+    """Coordinator-side bookkeeping for one logical scan of ``plan``.
+
+    Pass bookkeeping mirrors one plain iteration of the stream. The
+    shard bookkeeping counters (``shard_rows``, plus ``shards_fitted``
+    for the estimator-fitting scans) describe a fan-out, so they fire
+    only when the plan has more than one shard — and one shard yields
+    one partial, which ``merge_partials`` folds without counting
+    ``shard_merges``. An ``S = 1`` scan thus records exactly the
+    counters of a serial loop.
+    """
+    plan.stream.passes += 1
     recorder = get_recorder()
-    with recorder.phase(phase):
-        return parallel_map_chunks(worker, list(tasks), n_jobs=n_jobs)
+    recorder.count("data_passes")
+    if plan.n_shards > 1:
+        recorder.count("shard_rows", plan.n_rows)
+        if fit:
+            recorder.count("shards_fitted", len(tasks))
 
 
 def _fit_shard_worker(task: _FitTask) -> ShardFitState:
@@ -136,21 +152,19 @@ def _fit_shard_worker(task: _FitTask) -> ShardFitState:
 
 
 def fit_shards(plan: ShardPlan, wanted_indices, *, n_jobs=None) -> ShardFitState:
-    """Run one sharded fit scan and fold the shard partials.
+    """Run one KDE fit scan and fold the shard partials.
 
     ``wanted_indices`` are the sorted absolute row indices the
     reservoir acceptance plan needs fetched; each shard receives only
     the slice that falls inside its row range.
     """
-    _begin_scan(plan)
-    views = plan.views()
     wanted = np.asarray(wanted_indices, dtype=np.int64)
     tasks = []
-    for view in views:
+    for view in plan.views():
         lo = int(np.searchsorted(wanted, view.spec.row_start))
         hi = int(np.searchsorted(wanted, view.spec.row_stop))
         tasks.append(_FitTask(view=view, wanted=wanted[lo:hi]))
-    get_recorder().count("shards_fitted", len(tasks))
+    _begin_scan(plan, tasks, fit=True)
     partials = shard_map(
         _fit_shard_worker, tasks, n_jobs=n_jobs, phase=SHARD_FIT_PHASE
     )
@@ -180,7 +194,7 @@ class _TreeCountTask:
 
 def _bounds_shard_worker(task: _BoundsTask) -> BoundsShard:
     """Per-shard bounding box. Min/max is exact, so pre-reducing across
-    the shard's chunks is byte-identical to the serial scaler chain."""
+    the shard's chunks gives the same box for any shard count."""
     shard = BoundsShard()
     for _offset, chunk in task.view.chunks():
         shard.observe_chunk(chunk)
@@ -188,47 +202,59 @@ def _bounds_shard_worker(task: _BoundsTask) -> BoundsShard:
 
 
 def bounds_shards(plan: ShardPlan, *, n_jobs=None) -> BoundsShard:
-    """Run one sharded bounding-box scan and fold the shard partials."""
-    _begin_scan(plan)
+    """Run one bounding-box scan and fold the shard partials."""
     tasks = [_BoundsTask(view=view) for view in plan.views()]
+    _begin_scan(plan, tasks)
     partials = shard_map(
         _bounds_shard_worker, tasks, n_jobs=n_jobs, phase=SHARD_FIT_PHASE
     )
     return merge_partials(partials)
 
 
-def _tree_count_worker(task: _TreeCountTask) -> TreeCountShard:
-    """Per-shard integer leaf-occupancy counts (exactly mergeable)."""
+def _chunk_leaf_counts(chunk, features, thresholds) -> np.ndarray:
+    """Integer leaf-occupancy counts of one chunk, shape ``(T, leaves)``.
+
+    A function of its own so the ``(T, rows)`` leaf-index array — the
+    counting scan's largest temporary — is freed before the next chunk
+    is routed.
+    """
     from repro.density.tree import tree_leaf_indices
 
-    n_trees = task.features.shape[0]
-    n_leaves = task.features.shape[1] + 1
+    n_trees = features.shape[0]
+    n_leaves = features.shape[1] + 1
+    leaves = tree_leaf_indices(chunk, features, thresholds)
     offsets = (np.arange(n_trees) * n_leaves)[:, None]
+    flat = np.bincount(
+        (offsets + leaves).ravel(), minlength=n_trees * n_leaves
+    )
+    return flat.reshape(n_trees, n_leaves)
+
+
+def _tree_count_worker(task: _TreeCountTask) -> TreeCountShard:
+    """Per-shard integer leaf-occupancy counts (exactly mergeable)."""
     shard = TreeCountShard()
     for _offset, chunk in task.view.chunks():
-        leaves = tree_leaf_indices(chunk, task.features, task.thresholds)
-        flat = np.bincount(
-            (offsets + leaves).ravel(), minlength=n_trees * n_leaves
+        shard.add_counts(
+            _chunk_leaf_counts(chunk, task.features, task.thresholds),
+            chunk.shape[0],
         )
-        shard.add_counts(flat.reshape(n_trees, n_leaves), chunk.shape[0])
     return shard
 
 
 def tree_count_shards(
     plan: ShardPlan, features, thresholds, *, n_jobs=None
 ) -> TreeCountShard:
-    """Run one sharded tree-counting scan and fold the shard partials.
+    """Run one tree-counting scan and fold the shard partials.
 
     ``features`` / ``thresholds`` are the coordinator-built forest
     (all randomness stayed there); each shard counts its own row range
     and the integer tables fold exactly.
     """
-    _begin_scan(plan)
     tasks = [
         _TreeCountTask(view=view, features=features, thresholds=thresholds)
         for view in plan.views()
     ]
-    get_recorder().count("shards_fitted", len(tasks))
+    _begin_scan(plan, tasks, fit=True)
     partials = shard_map(
         _tree_count_worker, tasks, n_jobs=n_jobs, phase=SHARD_FIT_PHASE
     )
@@ -244,14 +270,14 @@ def _eval_shard_worker(task: _EvalTask) -> NormalizerShard:
 
 
 def eval_shards(plan: ShardPlan, evaluate, *, n_jobs=None) -> NormalizerShard:
-    """Run one sharded evaluation scan and fold the shard partials.
+    """Run one evaluation scan and fold the shard partials.
 
     ``evaluate`` maps a chunk to its per-row values (typically a bound
     ``estimator.evaluate``); the folded result reassembles the full
-    per-point array byte-identically to a serial pass.
+    per-point array in stream order.
     """
-    _begin_scan(plan)
     tasks = [_EvalTask(view=view, evaluate=evaluate) for view in plan.views()]
+    _begin_scan(plan, tasks)
     partials = shard_map(
         _eval_shard_worker, tasks, n_jobs=n_jobs, phase=SHARD_EVAL_PHASE
     )
@@ -271,15 +297,14 @@ def _gather_shard_worker(task: _GatherTask) -> GatherShard:
 
 
 def sharded_gather(source, mask, *, n_shards=None, n_jobs=None) -> np.ndarray:
-    """Sharded masked row gather, byte-identical to the serial loop.
+    """Masked row gather in one scan, sharded over the ambient ``S``.
 
     The mask is precomputed by the coordinator (all randomness stays
-    there); each shard slices its own window. Raises the same
-    :class:`DataValidationError` as the serial gather when the scanned
-    row count disagrees with the mask length.
+    there); each shard slices its own window. Raises
+    :class:`DataValidationError` when the scanned row count disagrees
+    with the mask length.
     """
     plan = ShardPlan(source, resolve_shards(n_shards))
-    _begin_scan(plan)
     mask = np.asarray(mask)
     tasks = [
         _GatherTask(
@@ -290,6 +315,7 @@ def sharded_gather(source, mask, *, n_shards=None, n_jobs=None) -> np.ndarray:
         )
         for view in plan.views()
     ]
+    _begin_scan(plan, tasks)
     partials = shard_map(
         _gather_shard_worker, tasks, n_jobs=n_jobs, phase=SHARD_GATHER_PHASE
     )

@@ -5,7 +5,8 @@ pass-based access pattern; these classes make it literal for datasets
 that live in files, so the one-pass estimators and two-pass samplers
 run out-of-core unchanged. Both expose the same iteration contract
 (``__iter__`` yields chunks, ``iter_with_offsets`` adds row offsets,
-``passes`` counts traversals) and the same hardening contract as the
+``passes`` counts traversals, ``chunk_sizes`` / ``iter_chunk_range``
+serve shard scans) and the same hardening contract as the
 in-memory stream:
 
 * every chunk is validated per pass and routed through the stream's
@@ -121,35 +122,9 @@ class NpyFileStream(DataStream):
             describe=f"read of rows [{start}, {stop}) from {self.path!r}",
         )
 
-    def _iterate(self):
-        self.passes += 1
-        recorder = get_recorder()
-        recorder.count("data_passes")
-        out = 0
-        for start in range(0, self._n_raw, self.chunk_size):
-            clean = self.fault_policy.apply(
-                self._read_chunk(start),
-                origin=self.path,
-                pass_index=self.passes,
-                start=start,
-            )
-            recorder.count("points_seen", clean.shape[0])
-            if clean.shape[0]:
-                recorder.observe("stream_chunk_rows", clean.shape[0])
-                yield out, clean
-                out += clean.shape[0]
-
-    def __iter__(self):
-        for _, chunk in self._iterate():
-            yield chunk
-
-    def iter_with_offsets(self):
-        """Yield (surviving-row offset, hardened chunk) per chunk."""
-        yield from self._iterate()
-
     def materialize(self) -> np.ndarray:
         """All surviving rows as one array (counts as one pass)."""
-        parts = [chunk for _, chunk in self._iterate()]
+        parts = [chunk for _, chunk in self.iter_with_offsets()]
         if not parts:
             return np.empty((0, self.n_dims))
         return np.vstack(parts)
@@ -176,11 +151,11 @@ class NpyFileStream(DataStream):
     def iter_chunk_range(self, lo: int, hi: int):
         """Yield ``(offset, chunk)`` for raw chunk indices ``[lo, hi)``.
 
-        Byte-identical to the corresponding slice of
-        :meth:`iter_with_offsets` — same policy application, same
-        surviving-row offsets, same per-chunk recorder effects — but
-        the pass bookkeeping (``passes``, ``data_passes``) is owned by
-        the coordinating shard scan (see :mod:`repro.sharding`).
+        The per-chunk read path of every pass: policy application,
+        surviving-row offsets and per-chunk recorder effects. The pass
+        bookkeeping (``passes``, ``data_passes``) is owned by the
+        caller — :meth:`iter_with_offsets`, or a coordinating shard
+        scan (see :mod:`repro.sharding`).
         """
         recorder = get_recorder()
         sizes = self.chunk_sizes()
@@ -342,35 +317,9 @@ class CsvFileStream(DataStream):
                 ]
             )
 
-    def _iterate(self):
-        self.passes += 1
-        recorder = get_recorder()
-        recorder.count("data_passes")
-        out = 0
-        for start, chunk in self._raw_chunks():
-            clean = self.fault_policy.apply(
-                chunk,
-                origin=self.path,
-                pass_index=self.passes,
-                start=start,
-            )
-            recorder.count("points_seen", clean.shape[0])
-            if clean.shape[0]:
-                recorder.observe("stream_chunk_rows", clean.shape[0])
-                yield out, clean
-                out += clean.shape[0]
-
-    def __iter__(self):
-        for _, chunk in self._iterate():
-            yield chunk
-
-    def iter_with_offsets(self):
-        """Yield (surviving-row offset, hardened chunk) per chunk."""
-        yield from self._iterate()
-
     def materialize(self) -> np.ndarray:
         """All surviving rows as one array (counts as one pass)."""
-        parts = [chunk for _, chunk in self._iterate()]
+        parts = [chunk for _, chunk in self.iter_with_offsets()]
         if not parts:
             return np.empty((0, self.n_dims))
         return np.vstack(parts)
@@ -397,12 +346,12 @@ class CsvFileStream(DataStream):
     def iter_chunk_range(self, lo: int, hi: int):
         """Yield ``(offset, chunk)`` for raw chunk indices ``[lo, hi)``.
 
-        Byte-identical to the corresponding slice of
-        :meth:`iter_with_offsets`; the pass bookkeeping is owned by the
-        coordinating shard scan (see :mod:`repro.sharding`). Text files
-        have no row index, so reaching chunk ``lo`` still reads the
-        file prefix — sharding a CSV is correctness-first; convert to
-        ``.npy`` for seek-free shard reads.
+        The per-chunk parse-and-harden path of every pass; the pass
+        bookkeeping is owned by the caller — :meth:`iter_with_offsets`,
+        or a coordinating shard scan (see :mod:`repro.sharding`). Text
+        files have no row index, so reaching chunk ``lo`` still reads
+        the file prefix — sharding a CSV is correctness-first; convert
+        to ``.npy`` for seek-free shard reads.
         """
         recorder = get_recorder()
         sizes = self.chunk_sizes()

@@ -57,7 +57,14 @@ class DataStream:
     The class models a dataset that is too large to process at once: code
     written against it performs sequential passes only. For this
     reproduction the backing store is an in-memory array, but any
-    out-of-core source exposing the same iteration contract would work.
+    out-of-core source exposing the same contract would work. The
+    contract is ``__iter__`` / :meth:`iter_with_offsets` /
+    :meth:`materialize` (each one counted pass), ``n_points`` /
+    ``n_dims`` / ``passes``, and the shard-support pair
+    :meth:`chunk_sizes` / :meth:`iter_chunk_range`: every fit, eval
+    and gather scan is a :class:`repro.sharding.ShardPlan` scan built
+    on those two, so a subclass that changes how chunks are produced
+    must override both.
     """
 
     def __init__(
@@ -106,28 +113,22 @@ class DataStream:
         return np.ascontiguousarray(clean)
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        self.passes += 1
-        recorder = get_recorder()
-        recorder.count("data_passes")
-        for start in range(0, self.n_points, self.chunk_size):
-            chunk = self._data[start : start + self.chunk_size]
-            recorder.count("points_seen", chunk.shape[0])
-            recorder.observe("stream_chunk_rows", chunk.shape[0])
+        for _, chunk in self.iter_with_offsets():
             yield chunk
 
     def __len__(self) -> int:
         return self.n_points
 
     def iter_with_offsets(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Like ``__iter__`` but also yields the row offset of each chunk."""
+        """Like ``__iter__`` but also yields the row offset of each chunk.
+
+        One counted pass (``passes`` and ``data_passes``) over every
+        chunk, read through :meth:`iter_chunk_range` — the per-chunk
+        path shard scans use, so both see the same chunks.
+        """
         self.passes += 1
-        recorder = get_recorder()
-        recorder.count("data_passes")
-        for start in range(0, self.n_points, self.chunk_size):
-            chunk = self._data[start : start + self.chunk_size]
-            recorder.count("points_seen", chunk.shape[0])
-            recorder.observe("stream_chunk_rows", chunk.shape[0])
-            yield start, chunk
+        get_recorder().count("data_passes")
+        yield from self.iter_chunk_range(0, len(self.chunk_sizes()))
 
     def materialize(self) -> np.ndarray:
         """Return the full dataset as one array (counts as one pass)."""
@@ -157,13 +158,12 @@ class DataStream:
     ) -> Iterator[tuple[int, np.ndarray]]:
         """Yield ``(offset, chunk)`` for chunk indices ``[lo, hi)``.
 
-        The offsets and chunk contents are byte-identical to the
-        corresponding slice of :meth:`iter_with_offsets`. Per-chunk
-        effects (``points_seen``, the ``stream_chunk_rows`` histogram)
-        are recorded exactly as a full pass would record them, but the
-        pass itself is owned by the coordinating shard scan: neither
-        ``passes`` nor ``data_passes`` is bumped here (see
-        :mod:`repro.sharding`).
+        The per-chunk read path of every pass: records the per-chunk
+        effects (``points_seen``, the ``stream_chunk_rows`` histogram).
+        The pass itself is owned by the caller —
+        :meth:`iter_with_offsets`, or a coordinating shard scan (see
+        :mod:`repro.sharding`) — so neither ``passes`` nor
+        ``data_passes`` is bumped here.
         """
         recorder = get_recorder()
         for start in range(

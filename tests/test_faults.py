@@ -38,6 +38,7 @@ from repro.faults import (
     use_fault_policy,
 )
 from repro.obs import Recorder, RunManifest, use_recorder
+from repro.sharding import use_shards
 from repro.utils.streams import DataStream
 
 pytestmark = pytest.mark.chaos
@@ -348,6 +349,50 @@ class TestFaultyStream:
         out = stream.materialize()
         assert out.shape[0] == stream.n_points
         assert (np.abs(out) <= 1e6).all()
+
+    def test_sharded_scans_byte_identical_to_unsharded(self):
+        data = np.random.default_rng(0).normal(size=(5000, 2))
+
+        def build():
+            return FaultyStream(
+                DataStream(data, chunk_size=500),
+                FaultPlan(
+                    seed=1, nan_row_rate=0.02, io_error_rate=0.3, io_failures=1
+                ),
+                fault_policy="quarantine",
+            )
+
+        # Shard plans split on the survivor counts, not the raw layout.
+        stream = build()
+        assert stream.chunk_sizes() == tuple(c.shape[0] for c in build())
+        assert sum(stream.chunk_sizes()) == stream.n_points < data.shape[0]
+
+        def run(shards):
+            recorder = Recorder()
+            sampler = DensityBiasedSampler(
+                sample_size=200, exponent=0.5, random_state=0
+            )
+            with use_recorder(recorder), use_shards(shards):
+                result = sampler.sample(stream=build())
+            counters = {
+                name: value
+                for name, value in recorder.counters.items()
+                if not name.startswith("shard")
+            }
+            return result, counters
+
+        base, base_counters = run(1)
+        got, got_counters = run(3)
+        np.testing.assert_array_equal(base.points, got.points)
+        np.testing.assert_array_equal(base.indices, got.indices)
+        np.testing.assert_array_equal(base.probabilities, got.probabilities)
+        assert base_counters == got_counters
+        assert base_counters["io_errors_injected"] > 0
+        assert (
+            base_counters["rows_quarantined"]
+            == base_counters["fault_rows_injected"]
+            > 0
+        )
 
     def test_plan_leaving_no_survivors_rejected(self):
         data = np.ones((10, 2))

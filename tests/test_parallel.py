@@ -192,6 +192,29 @@ class TestNJobsEquivalence:
         assert serial.expected_size == parallel.expected_size
         assert serial_counters == parallel_counters
 
+    def test_biased_sampler_n_jobs_reaches_block_fan_out(
+        self, blob_data, clean_env
+    ):
+        # Unsharded, the density pass runs inline; the sampler's n_jobs
+        # still reaches the KDE's block fan-out (one 8000-row chunk is
+        # four 2000-row blocks for 1000 kernels).
+        recorder = Recorder()
+        with use_recorder(recorder):
+            DensityBiasedSampler(
+                sample_size=100,
+                estimator=KernelDensityEstimator(random_state=0),
+                random_state=0,
+                n_jobs=2,
+            ).sample(blob_data)
+        workers = set()
+        stack = list(recorder.spans)
+        while stack:
+            span = stack.pop()
+            if span.name == "worker_task":
+                workers.add(span.attrs["worker"])
+            stack.extend(span.children)
+        assert workers == {0, 1}
+
     @pytest.mark.parametrize("n_jobs", [2, 4])
     def test_onepass_sampler(self, blob_data, n_jobs):
         def run(jobs):

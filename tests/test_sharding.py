@@ -1,9 +1,11 @@
 """Tests for sharded out-of-core fitting (repro.sharding).
 
-The headline contract: a sharded fit is *byte-identical* to the serial
-fit — samples, weights, density values and merged counters all exact —
-for any shard count, any worker count, any stream type and any fault
-policy. DESIGN.md §13 explains why; these tests pin it.
+The headline contract: every fit, evaluation and gather scan runs as a
+ShardPlan scan, and its result is *byte-identical* for any shard count
+— samples, weights, density values and merged counters all exact — for
+any worker count, stream type and fault policy. The unsharded run is
+S=1, so it is in turn checked against references computed here, from
+the whole array. DESIGN.md §13 explains why; these tests pin it.
 """
 
 import os
@@ -17,6 +19,8 @@ from repro.core.biased import DensityBiasedSampler
 from repro.core.onepass import OnePassBiasedSampler
 from repro.core.uniform import UniformSampler
 from repro.density.kde import KernelDensityEstimator
+from repro.density.reservoir import ReservoirSampler
+from repro.density.tree import TreeDensityEstimator
 from repro.exceptions import ParameterError
 from repro.obs import Recorder, use_recorder
 from repro.parallel import use_n_jobs
@@ -125,10 +129,6 @@ class TestShardPlan:
         assert all(isinstance(view, ShardView) for view in views)
         assert sum(spec.n_chunks == 0 for spec in plan.specs) == 5
 
-    def test_rejects_unshardable_stream(self):
-        with pytest.raises(ParameterError, match="chunk_sizes"):
-            ShardPlan(object(), 2)
-
     def test_rejects_non_positive_shards(self, array):
         with pytest.raises(ParameterError, match="n_shards"):
             ShardPlan(DataStream(array), 0)
@@ -214,6 +214,22 @@ class TestShardedEquivalence:
         np.testing.assert_array_equal(base.probabilities, got.probabilities)
         np.testing.assert_array_equal(base.weights, got.weights)
         assert _counters_sans_shard(rec0) == _counters_sans_shard(rec1)
+        # S=1 against the whole array: the gathered rows are X[mask],
+        # and an unsharded manifest carries no shard bookkeeping.
+        np.testing.assert_array_equal(base.points, array[base.indices])
+        assert rec0.counters == _counters_sans_shard(rec0)
+
+    def test_density_pass_matches_whole_array_evaluation(self, array):
+        sampler = SAMPLERS["density"]()
+        with use_shards(1):
+            result = sampler.sample(stream=DataStream(array, chunk_size=89))
+        densities = sampler.estimator_.evaluate(array)
+        np.testing.assert_array_equal(
+            result.densities, densities[result.indices]
+        )
+        np.testing.assert_array_equal(
+            sampler.probabilities_, sampler.compute_probabilities(densities)
+        )
 
     @pytest.mark.parametrize("kind", ["npy", "csv"])
     def test_samplers_byte_identical_on_files(
@@ -242,6 +258,11 @@ class TestShardedEquivalence:
                 ).fit(DataStream(array, chunk_size=89))
 
         base, got = fit(1), fit(shards)
+        # S=1 against a plain reservoir loop over the same chunks.
+        reference = ReservoirSampler(64, random_state=3)
+        for start in range(0, len(array), 89):
+            reference.extend(array[start : start + 89])
+        np.testing.assert_array_equal(base.centers_, reference.sample)
         np.testing.assert_array_equal(base.centers_, got.centers_)
         np.testing.assert_array_equal(base.bandwidths_, got.bandwidths_)
         assert base.n_points_ == got.n_points_
@@ -269,6 +290,25 @@ class TestShardedEquivalence:
         assert counters["shard_merges"] > 0
         # Three sharded scans (fit, eval, gather) over 611 rows each.
         assert counters["shard_rows"] == 3 * len(array)
+
+
+class TestEmptyInput:
+    @pytest.mark.parametrize("backend", ["kde", "tree"])
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_empty_file_keeps_located_error(self, tmp_path, backend, shards):
+        path = os.path.join(tmp_path, "empty.npy")
+        np.save(path, np.empty((0, 2)))
+        stream = NpyFileStream(path)
+        assert stream.chunk_sizes() == ()
+        estimator = (
+            KernelDensityEstimator(random_state=0)
+            if backend == "kde"
+            else TreeDensityEstimator(random_state=0)
+        )
+        with use_shards(shards), pytest.raises(
+            ParameterError, match="cannot fit a density estimator on no data"
+        ):
+            estimator.fit(stream=stream)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +374,6 @@ class TestShardedEquivalenceProperty:
 
 class TestFitFromPartials:
     def test_partials_fold_matches_direct_fit(self, array):
-        from repro.density.reservoir import ReservoirSampler
         from repro.sharding import fit_shards
 
         stream = DataStream(array, chunk_size=89)
@@ -352,7 +391,6 @@ class TestFitFromPartials:
         np.testing.assert_array_equal(kde.bandwidths_, serial.bandwidths_)
 
     def test_row_count_mismatch_raises(self, array):
-        from repro.density.reservoir import ReservoirSampler
         from repro.sharding import fit_shards
 
         stream = DataStream(array, chunk_size=89)

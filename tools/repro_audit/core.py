@@ -39,7 +39,7 @@ runs flow-sensitive contract checks on top of it:
 * ``RA010`` — RNG consumption-order prover: every generator draw
   reachable from a ``fit``/``draw``/``plan``/``sample`` entry point
   executes on the coordinator, never under order-nondeterministic
-  iteration, and serial/sharded branch pairs draw identically.
+  iteration.
 * ``RA011`` — must-release lifecycle audit: every shm/tempfile/file
   handle/memmap acquire is released on all CFG paths (exception edges
   included, via :func:`tools.astkit.build_cfg`) or ownership-transferred

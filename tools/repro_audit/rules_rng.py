@@ -4,7 +4,7 @@ Byte-identity across ``n_jobs``/``--shards`` rests on one discipline:
 every draw from the fitted generator happens on the *coordinator*, in
 *stream order*. The runtime tests check this for the configurations CI
 runs; this rule proves the shape statically, for all configurations,
-with three checks over the inventory of generator draw sites (calls on
+with two checks over the inventory of generator draw sites (calls on
 ``rng``/``_rng``/``random_state``-named receivers and ``np.random``
 globals, the same lexicon as RA002):
 
@@ -19,23 +19,6 @@ globals, the same lexicon as RA002):
    ``set(...)``, unsorted ``os.listdir``/``scandir``/``iterdir``/
    ``glob``, ``as_completed``) consumes the generator in a different
    order every run even serially.
-3. **branch-pair equivalence** — an ``if``/``else`` whose test mentions
-   shards (``n_shards > 1`` …) must consume the rng identically on both
-   sides, or serial and sharded runs diverge at the first draw after
-   the branch. Each branch's *draw signature* — the set of normalised
-   call shapes (``draw:rng.random``, ``seed:check_random_state``)
-   collected from the branch body and everything statically reachable
-   from it — must match. Signatures are shape *sets*, not sequences:
-   static analysis cannot order draws across calls, so two branches
-   drawing the same shapes in different counts pass — the runtime
-   determinism canary (CI) covers that residue. A branch ending in
-   ``return`` with no ``else`` is paired against the statements that
-   follow the ``if`` (the fallthrough serial path).
-
-Dynamically-typed calls (``folded.merge(part)``) are not traversed, so
-a combiner's draws do not leak into a branch signature — matching the
-runtime fact that sharded fits fold partials without consuming the fit
-generator.
 """
 
 from __future__ import annotations
@@ -44,12 +27,7 @@ import ast
 from typing import Iterator
 
 from tools.repro_audit.core import AuditRule, Finding, register
-from tools.repro_audit.graph import (
-    CallGraph,
-    CallTarget,
-    FuncNode,
-    attr_chain,
-)
+from tools.repro_audit.graph import CallGraph, CallTarget, FuncNode, attr_chain
 from tools.repro_audit.rules_parallel import (
     CONTEXT_INSTALLERS,
     HARNESS_PREFIX,
@@ -70,29 +48,22 @@ _NONDET_TAILS = frozenset(
 
 
 def draw_descriptor(call: ast.Call) -> str | None:
-    """Normalised shape of an RNG call, or None.
+    """Normalised shape of a generator draw, or None.
 
     Receiver names are canonicalised (any generator-named receiver
-    becomes ``rng``; ``self`` is dropped) so the same draw reached
-    inline in one branch and through a helper in the other compares
-    equal: ``self._rng.random(...)`` and ``rng.random(...)`` are both
-    ``draw:rng.random``.
+    becomes ``rng``; ``self`` is dropped): ``self._rng.random(...)``
+    and ``rng.random(...)`` are both ``rng.random``. Generator
+    factories (``default_rng``, ``check_random_state``) are not draws.
     """
     chain = attr_chain(call.func)
-    if not chain:
+    if not chain or chain[-1] in RNG_FACTORIES:
         return None
-    if chain[-1] in RNG_FACTORIES:
-        return f"seed:{chain[-1]}"
     prefix = chain[:-1]
     if "random" in prefix:
-        return f"draw:np.random.{chain[-1]}"
+        return f"np.random.{chain[-1]}"
     if any(part in RNG_RECEIVERS for part in prefix):
-        return f"draw:rng.{chain[-1]}"
+        return f"rng.{chain[-1]}"
     return None
-
-
-def _is_draw(descriptor: str | None) -> bool:
-    return descriptor is not None and descriptor.startswith("draw:")
 
 
 def _shallow_walk(root: ast.AST) -> Iterator[ast.AST]:
@@ -126,15 +97,13 @@ class RngOrderAudit(AuditRule):
     summary = (
         "all generator draws reachable from fit/draw/plan/sample entry "
         "points execute on the coordinator, under order-deterministic "
-        "iteration, with serial/sharded branch pairs consuming the rng "
-        "identically"
+        "iteration"
     )
 
     def check(self, graph: CallGraph) -> Iterator[Finding]:
         entry_reached = self._entry_reached(graph)
         yield from self._check_coordinator_only(graph, entry_reached)
         yield from self._check_iteration_order(entry_reached)
-        yield from self._check_branch_pairs(graph)
 
     # ------------------------------------------------------------------
     # Check 1: entry-reachable draws never run on a worker
@@ -201,7 +170,7 @@ class RngOrderAudit(AuditRule):
                 continue
             for call in graph.calls_of(func):
                 descriptor = draw_descriptor(call)
-                if not _is_draw(descriptor):
+                if descriptor is None:
                     continue
                 key = (func.module.display_path, call.lineno)
                 if key in seen:
@@ -210,7 +179,7 @@ class RngOrderAudit(AuditRule):
                 yield self.finding(
                     func.module,
                     call,
-                    f"generator draw ({descriptor[5:]}) in "
+                    f"generator draw ({descriptor}) in "
                     f"{func.qualname} is reachable from "
                     f"{entry_trace[0]} AND from a parallel worker — "
                     "worker-side draw order is scheduling-dependent, so "
@@ -262,7 +231,7 @@ class RngOrderAudit(AuditRule):
                 if not isinstance(sub, ast.Call):
                     continue
                 descriptor = draw_descriptor(sub)
-                if not _is_draw(descriptor):
+                if descriptor is None:
                     continue
                 key = (func.module.display_path, sub.lineno)
                 if key in seen:
@@ -271,120 +240,10 @@ class RngOrderAudit(AuditRule):
                 yield self.finding(
                     func.module,
                     sub,
-                    f"generator draw ({descriptor[5:]}) inside an "
+                    f"generator draw ({descriptor}) inside an "
                     f"order-nondeterministic loop in {func.qualname}: "
                     f"{why} — the rng consumption order differs run to "
                     "run even serially",
                     anchor=f"{func.qualname}:nondet-iteration-draw",
                     trace=trace + (func.frame(sub.lineno),),
                 )
-
-    # ------------------------------------------------------------------
-    # Check 3: serial-vs-sharded branch pairs draw identically
-
-    def _check_branch_pairs(self, graph: CallGraph) -> Iterator[Finding]:
-        for func in graph.iter_functions():
-            if func.module.module.startswith(HARNESS_PREFIX):
-                continue
-            yield from self._branch_pairs_in(graph, func, func.node.body)
-
-    def _branch_pairs_in(
-        self, graph: CallGraph, func: FuncNode, body: list[ast.stmt]
-    ) -> Iterator[Finding]:
-        for position, stmt in enumerate(body):
-            for nested in self._nested_bodies(stmt):
-                yield from self._branch_pairs_in(graph, func, nested)
-            if not isinstance(stmt, ast.If):
-                continue
-            if not self._mentions_shards(stmt.test):
-                continue
-            taken = list(stmt.body)
-            fallthrough = list(stmt.orelse)
-            if not fallthrough:
-                # ``if sharded: return ...`` followed by the serial
-                # path: pair the branch against the trailing
-                # statements, which only run when the test is false.
-                if not taken or not isinstance(taken[-1], (ast.Return, ast.Raise)):
-                    continue
-                fallthrough = body[position + 1:]
-            if not fallthrough:
-                continue
-            taken_sig = self._draw_signature(graph, func, taken)
-            fall_sig = self._draw_signature(graph, func, fallthrough)
-            if taken_sig == fall_sig:
-                continue
-            only_taken = sorted(taken_sig - fall_sig)
-            only_fall = sorted(fall_sig - taken_sig)
-            detail = []
-            if only_taken:
-                detail.append(
-                    f"only the sharded branch: {', '.join(only_taken)}"
-                )
-            if only_fall:
-                detail.append(
-                    f"only the serial branch: {', '.join(only_fall)}"
-                )
-            yield self.finding(
-                func.module,
-                stmt,
-                f"serial/sharded branch pair in {func.qualname} consumes "
-                f"the rng differently ({'; '.join(detail)}) — the first "
-                "draw after this branch diverges between --shards "
-                "configurations",
-                anchor=f"{func.qualname}:branch-draw-mismatch",
-                trace=(func.frame(stmt.lineno),),
-            )
-
-    @staticmethod
-    def _nested_bodies(stmt: ast.stmt) -> list[list[ast.stmt]]:
-        bodies: list[list[ast.stmt]] = []
-        for attr in ("body", "orelse", "finalbody"):
-            sub = getattr(stmt, attr, None)
-            if isinstance(sub, list) and sub and isinstance(sub[0], ast.stmt):
-                bodies.append(sub)
-        for handler in getattr(stmt, "handlers", []):
-            bodies.append(handler.body)
-        for case in getattr(stmt, "cases", []):
-            bodies.append(case.body)
-        return bodies
-
-    @staticmethod
-    def _mentions_shards(test: ast.expr) -> bool:
-        for node in ast.walk(test):
-            name = None
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            if name is not None and "shard" in name.lower():
-                return True
-        return False
-
-    def _draw_signature(
-        self, graph: CallGraph, func: FuncNode, body: list[ast.stmt]
-    ) -> frozenset[str]:
-        """Normalised draw/seed shapes a branch can execute.
-
-        Union of the branch's inline calls and every call in functions
-        statically reachable from the branch (resolved in the enclosing
-        function's context). Unresolvable dynamic calls contribute
-        nothing — a documented under-approximation.
-        """
-        signature: set[str] = set()
-        env = graph.local_types(func, func.cls)
-        targets: list[tuple[CallTarget, tuple[str, ...]]] = []
-        for stmt in body:
-            for node in _shallow_walk(stmt):
-                if not isinstance(node, ast.Call):
-                    continue
-                descriptor = draw_descriptor(node)
-                if descriptor is not None:
-                    signature.add(descriptor)
-                for target in graph.resolve_call(node, func, func.cls, env):
-                    targets.append((target, ()))
-        for target, _ in graph.reachable(targets).values():
-            for call in graph.calls_of(target.func):
-                descriptor = draw_descriptor(call)
-                if descriptor is not None:
-                    signature.add(descriptor)
-        return frozenset(signature)
