@@ -30,6 +30,12 @@ N_SPEEDUP = 200_000
 #: ``N_SPEEDUP`` evaluation points.
 DENSITY_SPEEDUP_FLOOR = 5.0
 
+#: Ceiling on the tree backend's median fit time at ``N_SPEEDUP`` rows,
+#: as a multiple of one evaluation of the same rows. The fit is two
+#: scans that route rows through the same overlay tables evaluation
+#: uses, so it should cost about two evaluations.
+TREE_FIT_EVAL_CEILING = 3.0
+
 
 @pytest.fixture(scope="module")
 def dataset():
@@ -112,6 +118,35 @@ def test_tree_evaluate_200k(benchmark, speedup_case):
     benchmark.extra_info["kde_median_seconds"] = kde_median
     benchmark.extra_info["speedup_vs_kde"] = kde_median / tree_median
     assert kde_median / tree_median >= DENSITY_SPEEDUP_FLOOR
+
+
+def test_tree_fit_200k(benchmark, speedup_case):
+    """Tree-backend fit at n=200k: the gate entry that pins the fit's
+    cost at most ``TREE_FIT_EVAL_CEILING`` evaluations of the same rows.
+
+    The evaluation reference is re-timed in the same process (median of
+    three warm rounds), so the ratio compares the same machine state;
+    both are recorded in the JSON via ``extra_info``.
+    """
+    data, _kde, tree = speedup_case
+    tree.evaluate(data[:2_048])
+    eval_rounds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        tree.evaluate(data)
+        eval_rounds.append(time.perf_counter() - start)
+    eval_median = statistics.median(eval_rounds)
+    fitted = benchmark.pedantic(
+        lambda: TreeDensityEstimator(random_state=0).fit(data),
+        warmup_rounds=1,
+        rounds=5,
+        iterations=1,
+    )
+    assert fitted.counts_.tobytes() == tree.counts_.tobytes()
+    fit_median = benchmark.stats.stats.median
+    benchmark.extra_info["eval_median_seconds"] = eval_median
+    benchmark.extra_info["fit_over_eval"] = fit_median / eval_median
+    assert fit_median / eval_median <= TREE_FIT_EVAL_CEILING
 
 
 def test_biased_sampling_end_to_end(benchmark, dataset, fitted_kde):

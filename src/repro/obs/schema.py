@@ -141,7 +141,7 @@ COUNTER_SCHEMA: dict[str, CounterSpec] = {
     "tree_lookups": CounterSpec(
         name="tree_lookups",
         incremented_by="`TreeDensityEstimator._evaluate`",
-        meaning="tree descents performed (query rows × trees)",
+        meaning="evaluation routes performed (query rows × trees)",
     ),
     "shards_fitted": CounterSpec(
         name="shards_fitted",

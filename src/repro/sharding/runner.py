@@ -183,13 +183,15 @@ class _TreeCountTask:
     """One shard of a tree leaf-counting scan.
 
     Carries the coordinator-built forest structure (heap-order split
-    attributes and thresholds) so workers can route rows without any
-    generator state of their own.
+    attributes and thresholds) and its overlay routing tables (``None``
+    above the cell cap) as plain arrays, so workers route rows without
+    any generator or estimator state of their own.
     """
 
     view: ShardView
     features: np.ndarray
     thresholds: np.ndarray
+    tables: object
 
 
 def _bounds_shard_worker(task: _BoundsTask) -> BoundsShard:
@@ -211,47 +213,39 @@ def bounds_shards(plan: ShardPlan, *, n_jobs=None) -> BoundsShard:
     return merge_partials(partials)
 
 
-def _chunk_leaf_counts(chunk, features, thresholds) -> np.ndarray:
-    """Integer leaf-occupancy counts of one chunk, shape ``(T, leaves)``.
-
-    A function of its own so the ``(T, rows)`` leaf-index array — the
-    counting scan's largest temporary — is freed before the next chunk
-    is routed.
-    """
-    from repro.density.tree import tree_leaf_indices
-
-    n_trees = features.shape[0]
-    n_leaves = features.shape[1] + 1
-    leaves = tree_leaf_indices(chunk, features, thresholds)
-    offsets = (np.arange(n_trees) * n_leaves)[:, None]
-    flat = np.bincount(
-        (offsets + leaves).ravel(), minlength=n_trees * n_leaves
-    )
-    return flat.reshape(n_trees, n_leaves)
-
-
 def _tree_count_worker(task: _TreeCountTask) -> TreeCountShard:
     """Per-shard integer leaf-occupancy counts (exactly mergeable)."""
+    from repro.density.tree import forest_leaf_counts
+
     shard = TreeCountShard()
     for _offset, chunk in task.view.chunks():
         shard.add_counts(
-            _chunk_leaf_counts(chunk, task.features, task.thresholds),
+            forest_leaf_counts(
+                chunk, task.features, task.thresholds, task.tables
+            ),
             chunk.shape[0],
         )
     return shard
 
 
 def tree_count_shards(
-    plan: ShardPlan, features, thresholds, *, n_jobs=None
+    plan: ShardPlan, features, thresholds, tables=None, *, n_jobs=None
 ) -> TreeCountShard:
     """Run one tree-counting scan and fold the shard partials.
 
     ``features`` / ``thresholds`` are the coordinator-built forest
-    (all randomness stayed there); each shard counts its own row range
-    and the integer tables fold exactly.
+    (all randomness stayed there) and ``tables`` its
+    :class:`~repro.density.tree.OverlayTables` (``None`` routes by
+    descent); each shard counts its own row range and the integer
+    tables fold exactly.
     """
     tasks = [
-        _TreeCountTask(view=view, features=features, thresholds=thresholds)
+        _TreeCountTask(
+            view=view,
+            features=features,
+            thresholds=thresholds,
+            tables=tables,
+        )
         for view in plan.views()
     ]
     _begin_scan(plan, tasks, fit=True)

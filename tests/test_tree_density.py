@@ -118,28 +118,72 @@ def _fit_eval(points, queries, n_jobs, shards):
         return estimator, estimator.evaluate(queries)
 
 
+def _assert_same_bytes(estimator, values, baseline, densities):
+    for name in ("features_", "thresholds_", "counts_", "rate_"):
+        assert (
+            getattr(estimator, name).tobytes()
+            == getattr(baseline, name).tobytes()
+        ), name
+    assert values.tobytes() == densities.tobytes()
+
+
+def _descent_counts(estimator, data):
+    """Leaf counts routed by the level-by-level descent, per tree."""
+    leaves = tree_leaf_indices(
+        data, estimator.features_, estimator.thresholds_
+    )
+    return np.stack(
+        [
+            np.bincount(leaves[t], minlength=estimator.n_leaves_)
+            for t in range(estimator.n_trees)
+        ]
+    )
+
+
+def _byte_case(n_dims):
+    rng = np.random.default_rng(3)
+    points = rng.normal(size=(8_000, n_dims))
+    queries = rng.normal(size=(500, n_dims))
+    baseline, densities = _fit_eval(points, queries, 1, 1)
+    return points, queries, baseline, densities
+
+
 class TestByteEquivalence:
     """Same bytes for every (n_jobs, shards) execution shape."""
 
     @pytest.fixture(scope="class")
     def case(self):
-        rng = np.random.default_rng(3)
-        points = rng.normal(size=(8_000, 3))
-        queries = rng.normal(size=(500, 3))
-        baseline, densities = _fit_eval(points, queries, 1, 1)
-        return points, queries, baseline, densities
+        # d=3 at the default forest size is above the overlay cell cap,
+        # so this case pins the descent fallback.
+        return _byte_case(3)
+
+    @pytest.fixture(scope="class")
+    def planar_case(self):
+        # d=2 routes fit and eval through the overlay tables.
+        return _byte_case(2)
 
     @pytest.mark.parametrize("n_jobs", [1, 2, 4])
     @pytest.mark.parametrize("shards", [1, 3])
     def test_fit_and_eval_bytes(self, case, n_jobs, shards):
         points, queries, baseline, densities = case
         estimator, values = _fit_eval(points, queries, n_jobs, shards)
-        assert (
-            estimator.thresholds_.tobytes()
-            == baseline.thresholds_.tobytes()
+        _assert_same_bytes(estimator, values, baseline, densities)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("planar", [True, False], ids=["d2", "d3"])
+    def test_fit_and_eval_bytes_backends(
+        self, case, planar_case, planar, backend, monkeypatch
+    ):
+        # Under the process backend each shard's counting task reaches
+        # its worker pickled: the overlay tables at d=2, the bare
+        # forest (descent fallback) at d=3.
+        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", backend)
+        points, queries, baseline, densities = (
+            planar_case if planar else case
         )
-        assert estimator.counts_.tobytes() == baseline.counts_.tobytes()
-        assert values.tobytes() == densities.tobytes()
+        estimator, values = _fit_eval(points, queries, 2, 3)
+        assert (estimator._tables is not None) == planar
+        _assert_same_bytes(estimator, values, baseline, densities)
 
     def test_seed_determinism(self, case):
         points, queries, baseline, _ = case
@@ -169,6 +213,18 @@ class TestFitting:
             TreeDensityEstimator(random_state=0).fit(
                 np.empty((0, 2))
             )
+
+    @pytest.mark.parametrize(
+        "bounds, located",
+        [
+            (([0.0, 0.0], [np.inf, 1.0]), r"maxs\[0\] is inf"),
+            (([0.0, np.nan], [1.0, 1.0]), r"mins\[1\] is nan"),
+        ],
+    )
+    def test_non_finite_bounds_raise_located_error(self, bounds, located):
+        data = np.random.default_rng(0).random((100, 2))
+        with pytest.raises(ParameterError, match=located):
+            TreeDensityEstimator(bounds=bounds, random_state=0).fit(data)
 
     def test_unfitted_raises(self):
         with pytest.raises(NotFittedError):
@@ -227,8 +283,70 @@ class TestLeafRouting:
                 assert leaves[t, i] == node - n_internal
 
 
+def _normal_case(n_dims, max_depth=8):
+    def build():
+        data = np.random.default_rng(20 + n_dims).normal(
+            size=(6_000, n_dims)
+        )
+        return {"max_depth": max_depth}, data
+
+    return build
+
+
+def _rows_on_thresholds():
+    # With explicit bounds the forest does not depend on the data, so
+    # the fit on rows placed exactly on a probe fit's split thresholds
+    # draws the same trees; ties must go left in the table route too.
+    bounds = ([0.0, 0.0], [1.0, 1.0])
+    rng = np.random.default_rng(21)
+    probe = TreeDensityEstimator(bounds=bounds, random_state=0).fit(
+        rng.random((100, 2))
+    )
+    data = rng.random((4_000, 2))
+    for t in range(8):
+        for j in range(2):
+            on_dim = probe.features_[t] == j
+            rows = rng.choice(data.shape[0], on_dim.sum(), replace=False)
+            data[rows, j] = probe.thresholds_[t][on_dim]
+    return {"bounds": bounds}, data
+
+
+def _rows_outside_bounds():
+    # Bounds narrower than the data: rows outside the box clamp to the
+    # edge leaves on both routes.
+    data = np.random.default_rng(22).normal(scale=2.0, size=(5_000, 2))
+    return {"bounds": ([-1.0, -0.5], [1.0, 0.5])}, data
+
+
+def _constant_column():
+    rng = np.random.default_rng(23)
+    return {}, np.column_stack([rng.normal(size=3_000), np.full(3_000, 3.5)])
+
+
+#: Fits whose overlay-routed counts must equal a descent-routed count.
+_COUNT_CASES = {
+    "d1": _normal_case(1),
+    "d2": _normal_case(2),
+    # d=3 needs a shallower forest to stay under the cell cap.
+    "d3": _normal_case(3, max_depth=6),
+    "on-thresholds": _rows_on_thresholds,
+    "outside-bounds": _rows_outside_bounds,
+    "constant-column": _constant_column,
+}
+
+
 class TestOverlayTables:
     """The O(1) lookup tables route bit-identically to the descent."""
+
+    @pytest.mark.parametrize("case", sorted(_COUNT_CASES))
+    def test_counts_match_descent(self, case):
+        kwargs, data = _COUNT_CASES[case]()
+        est = TreeDensityEstimator(random_state=0, **kwargs).fit(
+            stream=DataStream(data, chunk_size=1024)
+        )
+        assert est._tables is not None
+        expected = _descent_counts(est, data)
+        assert est.counts_.tobytes() == expected.tobytes()
 
     def test_table_route_matches_descent_bytes(self):
         rng = np.random.default_rng(11)
@@ -252,12 +370,14 @@ class TestOverlayTables:
 
     def test_high_dim_falls_back_to_descent(self):
         # At d=4 the per-dim threshold cross product blows past the
-        # cell cap; the overlay is skipped and eval uses the descent.
+        # cell cap; the overlay is skipped and both the counting scan
+        # and eval use the descent.
         rng = np.random.default_rng(12)
-        est = TreeDensityEstimator(random_state=0).fit(
-            rng.normal(size=(2_000, 4))
-        )
+        data = rng.normal(size=(2_000, 4))
+        est = TreeDensityEstimator(random_state=0).fit(data)
         assert est._tables is None
+        expected = _descent_counts(est, data)
+        assert est.counts_.tobytes() == expected.tobytes()
         values = est.evaluate(rng.normal(size=(100, 4)))
         assert np.isfinite(values).all()
         assert (values >= 0.0).all()
