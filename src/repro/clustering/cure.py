@@ -13,14 +13,29 @@ representatives, ``alpha = 0.3``, one partition.
 Implementation notes
 --------------------
 Cluster-to-cluster distance is the minimum Euclidean distance between
-representative sets. A global representative pool (one array, with an
-owner id and a liveness flag per row) lets every merge compute the
-distances from the new cluster to *all* live clusters in one vectorised
-sweep; per-cluster nearest neighbours live in an indexed min-heap, so
-each merge costs one pool sweep plus heap updates. CURE's optional
-outlier elimination (drop slow-growing singleton clusters part-way
-through the hierarchy) is included and enabled by default, as the noise
-experiments rely on it.
+representative sets. Every pair distance comes from
+:func:`~repro.utils.geometry.pair_sq_distances`, which sums the squared
+coordinate differences of its two points and nothing else, so a
+distance is a pure, symmetric function of the two clusters: it has the
+same bits whichever side computes it, in whatever batch. The Gram
+expansion of ``sq_distances_to`` has neither property (its bits depend
+on the shape of the BLAS call, and it cancels catastrophically far from
+the origin), which is why no cache could be exact on top of it.
+
+Start-up computes the singletons' distances in one pass over the lower
+triangle, in row blocks of about :data:`_STARTUP_BLOCK_PAIRS` pairs. A
+global representative pool (one array, with an owner id per row) lets
+every merge compute the distances from the new cluster to *all* live
+clusters in one vectorised sweep. Up to :data:`_DIST_CACHE_CAP` points,
+both passes also write a condensed lower-triangle cache of
+cluster-cluster distances indexed by slot (a merged cluster takes the
+slot of the cluster popped from the heap). A cluster whose nearest
+neighbour was merged away then finds its new one by reading one cache
+row; above the cap it re-sweeps the pool instead, with the same bits.
+Per-cluster nearest neighbours live in an indexed min-heap, and ties go
+to the smallest cluster id. CURE's optional outlier elimination (drop
+slow-growing singleton clusters part-way through the hierarchy) is
+included and enabled by default, as the noise experiments rely on it.
 """
 
 from __future__ import annotations
@@ -32,7 +47,7 @@ import numpy as np
 from repro.clustering.base import Clusterer, ClusteringResult
 from repro.exceptions import ParameterError
 from repro.obs import get_recorder
-from repro.utils.geometry import sq_distances_to
+from repro.utils.geometry import pair_sq_distances
 from repro.utils.heaps import IndexedMinHeap
 from repro.utils.validation import check_array, check_fraction
 
@@ -40,6 +55,14 @@ __all__ = [
     "select_scattered_points",
     "CureClustering",
 ]
+
+#: Largest input (in points) whose cluster-cluster distances are cached:
+#: n(n-1)/2 float64 values, 16.8 MB at 2048. Larger inputs rescan by
+#: sweeping the representative pool.
+_DIST_CACHE_CAP = 2048
+
+#: Pairs per row block of the start-up pass.
+_STARTUP_BLOCK_PAIRS = 1 << 16
 
 
 @dataclass
@@ -63,11 +86,11 @@ def select_scattered_points(
     if m <= n_reps:
         return points.copy()
     chosen = np.empty(n_reps, dtype=np.int64)
-    min_d = sq_distances_to(points, mean[None, :]).ravel()
+    min_d = pair_sq_distances(points, mean[None, :]).ravel()
     for i in range(n_reps):
         pick = int(min_d.argmax())
         chosen[i] = pick
-        d_new = sq_distances_to(points, points[pick][None, :]).ravel()
+        d_new = pair_sq_distances(points, points[pick][None, :]).ravel()
         np.minimum(min_d, d_new, out=min_d)
     return points[chosen]
 
@@ -94,6 +117,15 @@ class CureClustering(Clusterer):
     random_state:
         Reserved for API uniformity; the algorithm itself is
         deterministic.
+
+    Attributes
+    ----------
+    n_distance_sweeps_:
+        Vectorised distance passes of the last fit: one per start-up
+        row block, one per merge, plus one per nearest-neighbour rescan
+        when the input exceeds the distance-cache cap. A work count,
+        not a runtime proxy: below the cap it grows with the merges and
+        start-up blocks only, not with the rescans.
 
     Examples
     --------
@@ -184,30 +216,98 @@ class CureClustering(Clusterer):
         self._owner[:n] = np.arange(n)
         self._alive_rows = n
         self._pool_used = n
-        # Nearest-neighbour state, dense and id-indexed (ids never
-        # exceed 2n: n singletons + at most n-1 merge products).
+        # Cluster state, dense and id-indexed (ids never exceed 2n:
+        # n singletons + at most n-1 merge products). Ids are handed out
+        # in increasing order, so flatnonzero(_alive) lists live clusters
+        # oldest first and the newest last.
+        self._alive = np.zeros(2 * n + 2, dtype=bool)
+        self._alive[:n] = True
+        self._slot = np.zeros(2 * n + 2, dtype=np.int64)
+        self._slot[:n] = np.arange(n)
         self._closest_id = np.full(2 * n + 2, -1, dtype=np.int64)
         self._closest_dist = np.full(2 * n + 2, np.inf)
         self._heap = IndexedMinHeap()
+        # Condensed lower triangle over slots: pair (i, j), i > j, lives
+        # at _tri[i] + j. A slot's own index lands on another pair or on
+        # the spare last entry, and readers mask it.
+        self._tri = np.arange(n + 1, dtype=np.int64) * np.arange(-1, n) // 2
+        self._cache = (
+            np.empty(self._tri[n] + 1) if n <= _DIST_CACHE_CAP else None
+        )
         for i in range(n):
             self._clusters[i] = _Cluster(
                 members=[i], mean=pts[i].copy(), reps=pts[i : i + 1].copy(),
                 rep_rows=[i],
             )
-        self._recompute_all_closest()
+        nearest, dist = self._startup_pass(pts)
+        self._closest_id[:n] = nearest
+        self._closest_dist[:n] = dist
+        for cid in range(n):
+            self._heap.push(cid, float(dist[cid]))
+
+    def _startup_pass(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each singleton's nearest neighbour and distance, in one blocked pass.
+
+        Computes the lower triangle only, filling the distance cache when
+        there is one. Row ``i`` of the triangle holds ``i``'s neighbours
+        with smaller ids and column ``i`` those with larger ids; ties go
+        to the smaller id, as in :meth:`_rescan`.
+        """
+        n = pts.shape[0]
+        row_best = np.full(n, np.inf)
+        row_arg = np.zeros(n, dtype=np.int64)
+        col_best = np.full(n, np.inf)
+        col_arg = np.zeros(n, dtype=np.int64)
+        step = max(1, _STARTUP_BLOCK_PAIRS // n)
+        for r0 in range(1, n, step):
+            r1 = min(n, r0 + step)
+            self.n_distance_sweeps_ += 1
+            get_recorder().count("distance_evals", (r1 - r0) * r1)
+            block = np.sqrt(pair_sq_distances(pts[r0:r1], pts[:r1]))
+            upper = np.arange(r1) >= np.arange(r0, r1)[:, None]
+            if self._cache is not None:
+                self._cache[self._tri[r0] : self._tri[r1]] = block[~upper]
+            block[upper] = np.inf
+            arg = block.argmin(axis=1)
+            row_arg[r0:r1] = arg
+            row_best[r0:r1] = block[np.arange(r1 - r0), arg]
+            # Earlier blocks hold smaller row ids, so only a strictly
+            # smaller column minimum replaces theirs.
+            arg = block.argmin(axis=0)
+            best = block[arg, np.arange(r1)]
+            better = np.flatnonzero(best < col_best[:r1])
+            col_best[better] = best[better]
+            col_arg[better] = arg[better] + r0
+        lower = row_best <= col_best
+        return np.where(lower, row_arg, col_arg), np.where(lower, row_best, col_best)
 
     def _recompute_all_closest(self) -> None:
         """Set every cluster's nearest neighbour from scratch."""
-        # Clear and refill the heap.
-        while len(self._heap):
-            self._heap.pop()
-        for cid, cluster in self._clusters.items():
-            dists = self._dists_to_all(cluster)
-            dists[cid] = np.inf
-            best = int(dists.argmin())
-            self._closest_id[cid] = best
-            self._closest_dist[cid] = float(dists[best])
-            self._heap.push(cid, float(dists[best]))
+        self._heap = IndexedMinHeap()
+        live = np.flatnonzero(self._alive)
+        for cid in live:
+            self._rescan(int(cid), live)
+
+    def _rescan(self, cid: int, live: np.ndarray) -> None:
+        """Point ``cid`` at its nearest cluster among the ascending ``live`` ids.
+
+        Reads one cache row when there is a cache, else sweeps the pool;
+        both give the same bits. Ties go to the smallest id.
+        """
+        if self._cache is not None:
+            row = self._cache[self._cache_index(self._slot[cid], live)]
+        else:
+            row = self._dists_to_all(self._clusters[cid])[live]
+        row[live == cid] = np.inf
+        pos = int(row.argmin())
+        self._closest_id[cid] = live[pos]
+        self._closest_dist[cid] = row[pos]
+        self._heap.push(cid, float(row[pos]))
+
+    def _cache_index(self, slot: int, ids: np.ndarray) -> np.ndarray:
+        """Cache positions of the pairs (``slot``, slot of each of ``ids``)."""
+        slots = self._slot[ids]
+        return self._tri[np.maximum(slots, slot)] + np.minimum(slots, slot)
 
     # -- distance machinery --------------------------------------------------------
 
@@ -226,8 +326,8 @@ class CureClustering(Clusterer):
         get_recorder().count(
             "distance_evals", live_reps.shape[0] * cluster.reps.shape[0]
         )
-        # (n_live_reps, n_cluster_reps) squared distances -> per-rep min.
-        d = sq_distances_to(live_reps, cluster.reps).min(axis=1)
+        # (n_cluster_reps, n_live_reps) squared distances -> per-live-rep min.
+        d = pair_sq_distances(cluster.reps, live_reps).min(axis=0)
         out = np.full(self._next_id + 1, np.inf)
         np.minimum.at(out, live_owners, d)
         return np.sqrt(out)
@@ -291,36 +391,34 @@ class CureClustering(Clusterer):
         w = _Cluster(members=members, mean=mean, reps=reps)
         w.rep_rows = self._add_reps(w_id, reps)
         self._clusters[w_id] = w
+        self._alive[[u_id, v_id]] = False
+        self._alive[w_id] = True
+        self._slot[w_id] = self._slot[u_id]
 
         dists = self._dists_to_all(w)
-        self._rewire_after_change(w_id, w, dists, removed=(u_id, v_id))
+        self._rewire_after_change(w_id, dists, u_id, v_id)
 
     def _rewire_after_change(
-        self,
-        w_id: int,
-        w: _Cluster,
-        dists: np.ndarray,
-        removed: tuple[int, ...],
+        self, w_id: int, dists: np.ndarray, u_id: int, v_id: int
     ) -> None:
-        """Fix nearest-neighbour pointers after ``w`` replaced ``removed``.
+        """Fix nearest-neighbour pointers after ``w`` replaced ``u`` and ``v``.
 
         The scan over live clusters is vectorised: per-cluster state is
         read from dense id-indexed arrays, the three update cases are
         computed as masks, and only the (few) clusters that actually
         change touch the heap or need a rescan.
         """
-        ids = np.fromiter(
-            (cid for cid in self._clusters if cid != w_id),
-            dtype=np.int64,
-            count=len(self._clusters) - 1,
-        )
+        live = np.flatnonzero(self._alive)
+        ids = live[:-1]  # every live id but w_id, the newest
         if ids.size == 0:
             return
         d_xw = dists[ids]
+        if self._cache is not None:
+            self._cache[self._cache_index(self._slot[w_id], ids)] = d_xw
         closest = self._closest_id[ids]
         closest_dist = self._closest_dist[ids]
 
-        orphaned = np.isin(closest, removed)
+        orphaned = (closest == u_id) | (closest == v_id)
         adopt = (orphaned & (d_xw <= closest_dist)) | (
             ~orphaned & (d_xw < closest_dist)
         )
@@ -334,13 +432,7 @@ class CureClustering(Clusterer):
         for cid in ids[rescan]:
             # The old parent vanished and the merged cluster is farther
             # than it was: only a full rescan finds the new nearest.
-            cid = int(cid)
-            x_d = self._dists_to_all(self._clusters[cid])
-            x_d[cid] = np.inf
-            nearest = int(x_d.argmin())
-            self._closest_id[cid] = nearest
-            self._closest_dist[cid] = float(x_d[nearest])
-            self._heap.push(cid, float(x_d[nearest]))
+            self._rescan(int(cid), live)
 
         best_pos = int(d_xw.argmin())
         self._closest_id[w_id] = int(ids[best_pos])
@@ -360,10 +452,8 @@ class CureClustering(Clusterer):
             # Everything is tiny (e.g. pure-noise input); keep the data.
             return
         for cid in doomed:
-            cluster = self._clusters.pop(cid)
-            self._kill_reps(cluster)
-            if cid in self._heap:
-                self._heap.remove(cid)
+            self._kill_reps(self._clusters.pop(cid))
+        self._alive[doomed] = False
         self._recompute_all_closest()
 
     # -- result ------------------------------------------------------------------------
@@ -383,6 +473,7 @@ class CureClustering(Clusterer):
             sizes[new_id] = len(cluster.members)
         # Free the fit-time state.
         del self._pts, self._pool, self._owner, self._clusters, self._heap
+        del self._alive, self._slot, self._tri, self._cache
         del self._closest_id, self._closest_dist
         return ClusteringResult(
             labels=labels,

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats
-
 from repro.exceptions import ParameterError
 
 __all__ = [
@@ -145,6 +143,9 @@ def cluster_inclusion_probability(
         )
     if not 0.0 <= eta <= 1.0:
         raise ParameterError(f"eta must be in [0, 1]; got {eta}.")
+    # Imported here: scipy.stats is slow to import and only this needs it.
+    from scipy import stats
+
     threshold = math.floor(eta * cluster_size)
     # P(X > threshold) with X ~ Binomial(|u|, q).
     return float(stats.binom.sf(threshold, cluster_size, inclusion_prob))

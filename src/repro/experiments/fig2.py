@@ -70,8 +70,10 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         "size; biased sampling adds a near-constant overhead (density fit "
         "+ two passes) which is offset because half the sample size gives "
         "the same quality (Figure 3). cure_distance_sweeps counts "
-        "vectorised representative-pool scans — the hardware-independent "
-        "view of the same growth."
+        "vectorised distance passes: start-up blocks plus one "
+        "representative-pool scan per merge (plus one per rescan above "
+        "CURE's distance-cache cap), so it grows with the merges, not "
+        "with the runtime."
     )
     return result
 
@@ -90,8 +92,8 @@ def _time_biased(
             ).sample(points)
         clusterer = CureClustering(n_clusters=10)
         clusterer.fit(sample.points)
-    # Distance sweeps are the hardware-independent work measure: each is
-    # one vectorised representative-pool scan (see CureClustering).
+    # Distance sweeps count vectorised distance passes (start-up blocks
+    # and merge scans; see CureClustering.n_distance_sweeps_).
     return (
         total.elapsed,
         sampling.elapsed,

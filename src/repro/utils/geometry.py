@@ -13,6 +13,7 @@ import numpy as np
 
 __all__ = [
     "ball_volume",
+    "pair_sq_distances",
     "pairwise_sq_distances",
     "sq_distances_to",
 ]
@@ -57,3 +58,24 @@ def sq_distances_to(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
     dists = p_norms[:, None] + t_norms[None, :] - 2.0 * (points @ targets.T)
     np.maximum(dists, 0.0, out=dists)
     return dists
+
+
+def pair_sq_distances(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Squared distances from ``points`` to ``targets``, one pair at a time.
+
+    Returns shape ``(len(points), len(targets))``. Sums ``(p_j - t_j)^2`` one coordinate at a time into a single
+    ``(len(points), len(targets))`` buffer. Every entry is the same
+    sequence of rounded operations on its own two rows, so it does not
+    depend on the shape of the call, swapping the arguments gives the
+    transpose bit for bit, and duplicate rows give exactly 0. The Gram
+    expansion in :func:`sq_distances_to` is faster for wide ``d`` but
+    has neither property, and it cancels catastrophically for points
+    far from the origin.
+    """
+    out = np.zeros((points.shape[0], targets.shape[0]))
+    buf = np.empty_like(out)
+    for j in range(points.shape[1]):
+        np.subtract(points[:, j, None], targets[None, :, j], out=buf)
+        np.multiply(buf, buf, out=buf)
+        out += buf
+    return out

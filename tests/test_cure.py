@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.clustering import AgglomerativeClustering, CureClustering
+from repro.clustering import cure
 from repro.clustering.cure import select_scattered_points
 from repro.exceptions import ParameterError
+from repro.utils.geometry import pair_sq_distances
 
 
 @pytest.fixture
@@ -148,3 +150,95 @@ class TestClustering:
         agg = AgglomerativeClustering(n_clusters=2, linkage="single").fit(pts)
         agreement = (cure.labels == agg.labels).mean()
         assert agreement in (0.0, 1.0) or agreement > 0.95  # up to relabel
+
+
+def _result_bytes(result):
+    return (
+        result.labels.tobytes(),
+        result.centers.tobytes(),
+        [reps.tobytes() for reps in result.representatives],
+        result.sizes.tobytes(),
+    )
+
+
+class TestDistanceCache:
+    """The cached rescans against the pool-sweep fallback above the cap."""
+
+    @staticmethod
+    def _points(kind, d):
+        rng = np.random.default_rng(d)
+        pts = np.vstack(
+            [rng.normal(rng.random(d), 0.05, size=(30, d)) for _ in range(3)]
+        )
+        if kind == "duplicates":
+            return np.repeat(pts[:30], 3, axis=0)
+        if kind == "grid":  # tie-heavy
+            return np.round(pts * 8) / 8
+        return pts
+
+    @pytest.mark.parametrize("remove_outliers", [True, False])
+    @pytest.mark.parametrize("kind", ["blobs", "duplicates", "grid"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_cache_equals_sweep(self, monkeypatch, d, kind, remove_outliers):
+        pts = self._points(kind, d)
+        model = dict(n_clusters=4, n_representatives=5,
+                     remove_outliers=remove_outliers)
+        cached = CureClustering(**model).fit(pts)
+        monkeypatch.setattr(cure, "_DIST_CACHE_CAP", 0)
+        swept = CureClustering(**model).fit(pts)
+        assert _result_bytes(cached) == _result_bytes(swept)
+
+    @pytest.mark.parametrize("block_pairs", [1, 50, 1 << 16])
+    def test_startup_pass_matches_brute_force(self, monkeypatch, block_pairs):
+        """Nearest neighbours (ties: smallest id) and cache across blocks."""
+        monkeypatch.setattr(cure, "_STARTUP_BLOCK_PAIRS", block_pairs)
+        pts = np.round(np.random.default_rng(7).random((60, 2)) * 3) / 3
+        n = pts.shape[0]
+        full = np.sqrt(pair_sq_distances(pts, pts))
+        np.fill_diagonal(full, np.inf)
+        model = CureClustering()
+        model._init_state(pts)
+        np.testing.assert_array_equal(model._closest_id[:n], full.argmin(axis=1))
+        np.testing.assert_array_equal(model._closest_dist[:n], full.min(axis=1))
+        rows, cols = np.tril_indices(n, k=-1)
+        np.testing.assert_array_equal(model._cache[:-1], full[rows, cols])
+
+    def test_sweep_count_pinned(self, monkeypatch):
+        """Below the cap: one sweep per start-up block and per merge only."""
+        monkeypatch.setattr(cure, "_STARTUP_BLOCK_PAIRS", 1000)
+        n = 200
+        pts = np.random.default_rng(0).random((n, 2))
+        model = CureClustering(n_clusters=5, remove_outliers=False)
+        model.fit(pts)
+        rows_per_block = 1000 // n
+        blocks = -(-(n - 1) // rows_per_block)
+        assert model.n_distance_sweeps_ == (n - 5) + blocks
+        monkeypatch.setattr(cure, "_DIST_CACHE_CAP", 0)
+        model.fit(pts)
+        assert model.n_distance_sweeps_ > (n - 5) + blocks  # rescans sweep
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e6, 1e8])
+    def test_two_blobs_far_from_origin(self, offset):
+        """Blobs 1e-3 apart stay separable at any common offset."""
+        rng = np.random.default_rng(0)
+        pts = np.vstack(
+            [
+                rng.normal(0.0, 1e-5, size=(60, 2)),
+                rng.normal(0.0, 1e-5, size=(60, 2)) + [1e-3, 0.0],
+            ]
+        ) + offset
+        result = CureClustering(n_clusters=2, remove_outliers=False).fit(pts)
+        assert result.sizes.tolist() == [60, 60]
+        assert len(set(result.labels[:60])) == 1
+        assert len(set(result.labels[60:])) == 1
+
+    @pytest.mark.parametrize("cap", [0, 2048])
+    @pytest.mark.parametrize("n_clusters", [1, 2, 5])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_inputs(self, monkeypatch, cap, n_clusters, n):
+        monkeypatch.setattr(cure, "_DIST_CACHE_CAP", cap)
+        pts = np.random.default_rng(n).random((n, 2))
+        result = CureClustering(n_clusters=n_clusters).fit(pts)
+        assert result.n_clusters == min(n, n_clusters)
+        assert (result.labels >= 0).all()
+        assert result.sizes.sum() == n

@@ -2,9 +2,9 @@
 
 The optimised implementation maintains nearest-neighbour pointers
 incrementally through merges; the reference recomputes every
-cluster-to-cluster distance from scratch each round. On identical
-inputs (and with outlier elimination off) the two must produce the
-same partition.
+cluster-to-cluster distance from scratch each round. Both use the
+exact per-pair distance, so on identical inputs (and with outlier
+elimination off) the two must produce the same labels.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 
 from repro.clustering import CureClustering
 from repro.clustering.cure import select_scattered_points
-from repro.utils.geometry import sq_distances_to
+from repro.utils.geometry import pair_sq_distances
 
 pytestmark = pytest.mark.slow
 
@@ -28,7 +28,7 @@ def _reference_cure(pts, n_clusters, n_reps, alpha):
         for i in range(len(clusters)):
             for j in range(i + 1, len(clusters)):
                 d = np.sqrt(
-                    sq_distances_to(
+                    pair_sq_distances(
                         clusters[i]["reps"], clusters[j]["reps"]
                     ).min()
                 )
@@ -65,6 +65,7 @@ def test_optimised_matches_reference(seed, n_clusters):
         remove_outliers=False,
     ).fit(pts)
     slow_labels = _reference_cure(pts, n_clusters, n_reps=4, alpha=0.3)
+    np.testing.assert_array_equal(fast.labels, slow_labels)
     # Same partition up to label permutation: compare co-membership.
     fast_co = fast.labels[:, None] == fast.labels[None, :]
     slow_co = slow_labels[:, None] == slow_labels[None, :]

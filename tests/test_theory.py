@@ -1,5 +1,10 @@
 """Tests for the sample-size theory (section 2 / Theorem 1)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -102,3 +107,17 @@ class TestInclusionProbability:
     def test_extremes(self):
         assert theory.cluster_inclusion_probability(100, 1.0, 0.5) == 1.0
         assert theory.cluster_inclusion_probability(100, 0.0, 0.5) == 0.0
+
+
+def test_import_repro_does_not_load_scipy_stats():
+    """``scipy.stats`` is slow to import; only the binomial tail needs it."""
+    code = "import sys, repro; print('scipy.stats' in sys.modules)"
+    src = str(Path(theory.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert out.stdout.strip() == "False"
