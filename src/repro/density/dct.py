@@ -11,7 +11,6 @@ changes and more on sharp cluster edges.
 from __future__ import annotations
 
 import numpy as np
-from scipy import fft as scipy_fft
 
 from repro.density.base import DensityEstimator
 from repro.exceptions import ParameterError
@@ -62,6 +61,9 @@ class DctDensityEstimator(DensityEstimator):
         self.n_kept_: int | None = None
 
     def fit(self, data=None, *, stream: DataStream | None = None):
+        # Imported here: scipy.fft is slow to import and only this needs it.
+        from scipy import fft as scipy_fft
+
         source = self._as_stream(data, stream)
         scaler = MinMaxScaler()
         for chunk in source:

@@ -11,6 +11,13 @@ integrates to ``n`` over the data domain:
 
 where ``m`` is the number of kernels, ``c_i`` the centers and ``h_j`` the
 per-attribute bandwidths.
+
+Evaluation is blocked over row tiles. For kernels with compact support
+(every kernel but the Gaussian) the rows are visited in grid-cell
+order, and each tile computes only the centres its bounding box can
+reach; the skipped pairs are exactly ``+0.0`` in the full sum too, so
+the output is byte-identical to computing every (row, centre) pair
+(DESIGN.md, the ``"kde"`` backend).
 """
 
 from __future__ import annotations
@@ -34,6 +41,10 @@ __all__ = ["KernelDensityEstimator", "chunk_moment_stats"]
 #: sum: three ``(tile, m)`` float64 buffers of this many elements stay
 #: around 1.5 MB total, inside a typical per-core L2 working set.
 _EVAL_TILE_ELEMENTS = 65536
+
+#: A row tile with more than this fraction of the ``m`` centres as
+#: candidates evaluates all ``m`` columns, without gather or scatter.
+_DENSE_FRACTION = 0.5
 
 
 def chunk_moment_stats(chunk: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -254,6 +265,20 @@ class KernelDensityEstimator(DensityEstimator):
     # -- evaluation --------------------------------------------------------------
 
     def _evaluate(self, points: np.ndarray) -> np.ndarray:
+        if points.shape[0] < 2 or not np.isfinite(self.kernel.support):
+            return self._evaluate_chunked(points)
+        # Visit the rows in grid-cell order, cells one kernel support
+        # wide, so every row tile is spatially compact and its
+        # candidate-centre set small. Each row's value is row-local, so
+        # the permutation leaves every output byte unchanged.
+        with np.errstate(over="ignore", invalid="ignore"):
+            cells = np.floor(points / (self.bandwidths_ * self.kernel.support))
+        order = np.lexsort(cells.T)
+        out = np.empty(points.shape[0], dtype=np.float64)
+        out[order] = self._evaluate_chunked(points[order])
+        return out
+
+    def _evaluate_chunked(self, points: np.ndarray) -> np.ndarray:
         # Chunk queries so the (chunk, n_centers) work array stays small.
         chunk_rows = max(1, int(2_000_000 / max(1, self.centers_.shape[0])))
         if points.shape[0] <= chunk_rows:
@@ -275,11 +300,51 @@ class KernelDensityEstimator(DensityEstimator):
             offset += values.shape[0]
         return out
 
+    def _can_prune(self) -> bool:
+        """Whether skipped columns are provably ``+0.0`` in the dense sum.
+
+        Needs a compact support and widths ``h > 0`` (so the division
+        rounds monotonically). Every registered profile is at most 1,
+        so a row's running product over the first ``j`` attributes is
+        at most ``prod 1/h``; while those partial products stay finite,
+        a zero factor keeps the product ``+0.0`` instead of meeting an
+        ``inf`` and turning into NaN.
+        """
+        if not np.isfinite(self.kernel.support):
+            return False
+        with np.errstate(divide="ignore", over="ignore"):
+            bound = np.cumprod(1.0 / self.bandwidths_)
+        return bool(np.all(self.bandwidths_ > 0) and np.all(np.isfinite(bound)))
+
+    def _candidates(self, rows: np.ndarray) -> np.ndarray:
+        """Centres that may be non-zero for some row of the tile ``rows``.
+
+        A centre is kept when, in every attribute, the tile's bounding
+        box reaches within the support. The test uses the dense path's
+        own subtract-then-divide: both round monotonically, so
+        ``lo <= x <= hi`` gives ``fl((lo-c)/h) <= fl((x-c)/h) <=
+        fl((hi-c)/h)``, and every pair the dense path can find non-zero
+        is kept — no margin needed. NaN coordinates are left out of the
+        box (their pairs are zero anyway); infinities only widen it.
+        """
+        support = self.kernel.support
+        lo = np.fmin.reduce(rows, axis=0)
+        hi = np.fmax.reduce(rows, axis=0)
+        keep = np.ones(self.centers_.shape[0], dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(self.n_dims_):
+                h = self.bandwidths_[j]
+                column = self.centers_[:, j]
+                keep &= (lo[j] - column) / h <= support
+                keep &= (hi[j] - column) / h >= -support
+        return np.flatnonzero(keep)
+
     def _evaluate_block(self, block: np.ndarray) -> np.ndarray:
         m = self.centers_.shape[0]
         rows = int(block.shape[0])
         recorder = get_recorder()
-        # One kernel evaluation = one (query point, center) pair.
+        # One kernel evaluation = one logical (query point, center)
+        # pair, whether computed or skipped as provably zero.
         recorder.count("kernel_evals", rows * m)
         # Row-tile size: keep the three (tile, m) scratch arrays inside
         # the L2 working set. Tiling over rows only preserves the exact
@@ -292,30 +357,54 @@ class KernelDensityEstimator(DensityEstimator):
         weights = np.empty((tile, m))
         densities = np.empty(rows)
         scale = self.n_points_ / m
+        prune = self._can_prune()
+        pairs = 0
         with recorder.phase("kde_eval_block") as span:
-            span.set(rows=rows, centers=m)
             for start in range(0, rows, tile):
                 stop = min(rows, start + tile)
                 r = stop - start
-                uu, pp, ww = u[:r], prof[:r], weights[:r]
+                tile_rows = block[start:stop]
+                # With a compact support, compute only the tile's
+                # candidate columns — unless they are more than half of
+                # m, where skipping the rest saves little next to the
+                # gather and scatter.
+                cand = self._candidates(tile_rows) if prune else None
+                if cand is not None and cand.size > _DENSE_FRACTION * m:
+                    cand = None
+                centers = self.centers_ if cand is None else self.centers_[cand]
+                k = centers.shape[0]
+                pairs += r * k
+                # (r, k) views over the front of each scratch buffer;
+                # with k = m they are exactly the buffers' first r rows.
+                uu, pp, ww = (
+                    buf.reshape(-1)[: r * k].reshape(r, k)
+                    for buf in (u, prof, weights)
+                )
                 ww.fill(1.0)
                 # Accumulate the product over dimensions one attribute
-                # at a time to avoid materialising a (rows, m, d)
+                # at a time to avoid materialising a (rows, k, d)
                 # tensor; all three scratch buffers are reused across
-                # tiles, so the loop allocates nothing per tile.
+                # tiles, so the loop allocates nothing per tile beyond
+                # the candidate gather.
                 for j in range(self.n_dims_):
                     h = self.bandwidths_[j]
-                    np.subtract(
-                        block[start:stop, j, None],
-                        self.centers_[None, :, j],
-                        out=uu,
-                    )
+                    np.subtract(tile_rows[:, j, None], centers[None, :, j], out=uu)
                     uu /= h
                     self.kernel.profile(uu, out=pp)
                     pp /= h
                     ww *= pp
+                if cand is not None:
+                    # Rebuild the dense path's (r, m) row block in u's
+                    # (now dead) rows: every skipped pair is exactly
+                    # +0.0 there too, so the pairwise row sum below sees
+                    # the same inputs and returns the same bits.
+                    dense = u[:r]
+                    dense.fill(0.0)
+                    dense[:, cand] = ww
+                    ww = dense
                 np.sum(ww, axis=1, out=densities[start:stop])
                 densities[start:stop] *= scale
+            span.set(rows=rows, centers=m, pairs=pairs)
         if recorder.enabled:
             recorder.observe("kde_eval_chunk_seconds", span.elapsed)
             if span.elapsed > 0:
@@ -323,9 +412,3 @@ class KernelDensityEstimator(DensityEstimator):
                     "kde_eval_rows_per_second", rows / span.elapsed
                 )
         return densities
-
-    def ball_mass(self, centers, radius, *, n_mc: int = 256, random_state=None):
-        """See :meth:`DensityEstimator.ball_mass` (Monte-Carlo over the ball)."""
-        return super().ball_mass(
-            centers, radius, n_mc=n_mc, random_state=random_state
-        )

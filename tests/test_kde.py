@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.datasets import make_fig5_dataset
 from repro.density import KernelDensityEstimator
 from repro.exceptions import NotFittedError, ParameterError
+from repro.obs import Recorder, use_recorder
 from repro.utils.streams import DataStream
 
 
@@ -113,6 +115,39 @@ class TestEvaluation:
             n_kernels=100, kernel="gaussian", random_state=0
         ).fit(bimodal_data)
         assert kde.evaluate([[0.0, 0.0]])[0] > 0
+
+
+def _computed_pairs(spans) -> int:
+    """Summed ``pairs`` attribute over every ``kde_eval_block`` span."""
+    total = 0
+    for span in spans:
+        if span.name == "kde_eval_block":
+            total += span.attrs["pairs"]
+        total += _computed_pairs(span.children)
+    return total
+
+
+class TestCompactSupportPruning:
+    """Evaluation computes only the pairs a compact support can reach;
+    ``kernel_evals`` keeps counting every logical (row, centre) pair."""
+
+    @pytest.fixture(scope="class")
+    def fig5(self):
+        return make_fig5_dataset(n_points=20_000, random_state=0).points
+
+    @pytest.mark.parametrize("kernel", ["epanechnikov", "gaussian"])
+    def test_pairs_computed(self, fig5, kernel):
+        kde = KernelDensityEstimator(kernel=kernel, random_state=0).fit(fig5)
+        recorder = Recorder()
+        with use_recorder(recorder):
+            kde.evaluate(fig5)
+        logical = fig5.shape[0] * kde.n_kernels
+        assert recorder.counters["kernel_evals"] == logical
+        pairs = _computed_pairs(recorder.spans)
+        if kernel == "gaussian":
+            assert pairs == logical
+        else:
+            assert pairs <= 0.25 * logical
 
 
 class TestBallMass:

@@ -1,13 +1,17 @@
 """Property tests: the blocked KDE hot path is bit-for-bit stable.
 
-``KernelDensityEstimator._evaluate_block`` was rewritten as a
-cache-blocked loop over row tiles with reusable scratch buffers and
-``out=``-capable kernel profiles. These tests pin the *pre-blocking*
-implementation — the straightforward allocating formulation it
-replaced — as an in-test oracle and require byte identity across
-random tile sizes, query dtypes, shapes and kernels. Any reassociation
-of the arithmetic (a changed operation order, a fused multiply, a
-different reduction) shows up here as a one-ulp diff.
+``KernelDensityEstimator._evaluate_block`` is a cache-blocked loop over
+row tiles with reusable scratch buffers and ``out=``-capable kernel
+profiles; for compact-support kernels it computes only each tile's
+candidate centres and scatters them into a zero-filled dense row block.
+These tests pin the *pre-blocking* implementation — the straightforward
+allocating formulation, every (row, centre) pair computed — as an
+in-test oracle and require byte identity across random tile sizes,
+query dtypes, shapes and kernels, on both the all-columns and the
+pruned route, at the support's edge and for non-finite queries. Any
+reassociation of the arithmetic (a changed operation order, a fused
+multiply, a different reduction) or a dropped non-zero pair shows up
+here as a diff.
 """
 
 import numpy as np
@@ -17,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.density import KernelDensityEstimator, get_kernel
 from repro.density import kde as kde_module
+from repro.obs import Recorder, use_recorder
 
 KERNEL_NAMES = (
     "epanechnikov",
@@ -25,6 +30,7 @@ KERNEL_NAMES = (
     "triangular",
     "biweight",
 )
+BOUNDED_KERNELS = tuple(name for name in KERNEL_NAMES if name != "gaussian")
 
 
 def _reference_profile(name: str, u: np.ndarray) -> np.ndarray:
@@ -54,6 +60,35 @@ def _reference_evaluate_block(estimator, block, name):
         u = (block[:, j, None] - estimator.centers_[None, :, j]) / h
         weights *= _reference_profile(name, u) / h
     return (estimator.n_points_ / m) * weights.sum(axis=1)
+
+
+def _evaluate_traced(estimator, block, tile_elements=None):
+    """``_evaluate_block`` under a recorder: (densities, pairs computed)."""
+    original = kde_module._EVAL_TILE_ELEMENTS
+    if tile_elements is not None:
+        kde_module._EVAL_TILE_ELEMENTS = tile_elements
+    recorder = Recorder()
+    try:
+        with use_recorder(recorder):
+            values = estimator._evaluate_block(block)
+    finally:
+        kde_module._EVAL_TILE_ELEMENTS = original
+    (span,) = recorder.spans
+    return values, span.attrs["pairs"]
+
+
+def _clustered_estimator(kernel, m, d, seed):
+    """Centres in four tight blobs far apart, with small bandwidths, so
+    a tile of queries near one blob has at most ``ceil(m / 4)``
+    candidates and takes the pruned route."""
+    rng = np.random.default_rng(seed)
+    offsets = np.array([[0.0], [10.0], [-10.0], [20.0]]) * np.ones(d)
+    centers = offsets[np.arange(m) % 4] + rng.normal(scale=0.3, size=(m, d))
+    estimator = KernelDensityEstimator(kernel=kernel)
+    estimator.fit_from_centers(
+        centers, n_points=10_000, bandwidths=rng.uniform(0.01, 0.5, size=d)
+    )
+    return estimator
 
 
 def _make_estimator(kernel, m, d, seed):
@@ -131,3 +166,144 @@ def test_chunked_parallel_evaluate_is_byte_stable(n_jobs):
         n_kernels=400, random_state=0, n_jobs=n_jobs
     ).fit(data)
     assert estimator.evaluate(queries).tobytes() == baseline.tobytes()
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    rows=st.integers(1, 200),
+    m=st.integers(4, 64),
+    d=st.integers(1, 4),
+    kernel=st.sampled_from(BOUNDED_KERNELS),
+    tile_elements=st.integers(1, 4_096),
+    dtype=st.sampled_from(("float64", "float32")),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_pruned_evaluate_matches_oracle(
+    rows, m, d, kernel, tile_elements, dtype, seed
+):
+    """Clustered queries and small bandwidths: the candidate route runs
+    (fewer pairs computed than rows x m) and the bytes still match."""
+    estimator = _clustered_estimator(kernel, m, d, seed)
+    rng = np.random.default_rng(seed + 1)
+    block = rng.normal(scale=0.5, size=(rows, d)).astype(dtype)
+    expected = _reference_evaluate_block(estimator, block, kernel)
+    actual, pairs = _evaluate_traced(estimator, block, tile_elements)
+    assert pairs < rows * m
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(deadline=None, max_examples=80)
+@given(
+    kernel=st.sampled_from(KERNEL_NAMES),
+    d=st.integers(1, 3),
+    injected=st.sampled_from(("nan", "inf", "-inf", "mixed")),
+    tile_elements=st.integers(1, 4_096),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_non_finite_query_rows_match_oracle(
+    kernel, d, injected, tile_elements, seed
+):
+    """NaN rows drop out of a tile's bounding box and ±inf rows widen
+    it; either way every row keeps the dense path's bytes."""
+    estimator = _clustered_estimator(kernel, 40, d, seed)
+    rng = np.random.default_rng(seed + 1)
+    block = rng.normal(scale=0.5, size=(120, d))
+    values = {"nan": [np.nan], "inf": [np.inf], "-inf": [-np.inf]}.get(
+        injected, [np.nan, np.inf, -np.inf]
+    )
+    hit = rng.random(block.shape) < 0.1
+    hit[::7] = True  # whole non-finite rows as well as single attributes
+    block[hit] = rng.choice(values, size=int(hit.sum()))
+    expected = _reference_evaluate_block(estimator, block, kernel)
+    actual, pairs = _evaluate_traced(estimator, block, tile_elements)
+    assert actual.tobytes() == expected.tobytes()
+    if injected == "nan" and kernel != "gaussian":
+        assert pairs < block.shape[0] * 40
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kernel", BOUNDED_KERNELS)
+def test_centres_on_the_support_edge_match_oracle(kernel, d):
+    """Centres at ``c = x ± h`` with ``fl((x - c) / h) == ±1`` exactly
+    (the uniform kernel is non-zero there), and one ulp further out."""
+    rng = np.random.default_rng(d)
+    h = rng.uniform(0.05, 0.5, size=d)
+    x = rng.normal(size=(400, d))
+    sign = rng.choice([-1.0, 1.0], size=x.shape)
+    centers = x - sign * h
+    u = (x - centers) / h
+    on_edge = np.all(np.abs(u) == 1.0, axis=1)
+    assert on_edge.sum() >= 10
+    x, centers = x[on_edge], centers[on_edge]
+    past = np.nextafter(centers, centers - np.sign(x - centers))
+    estimator = KernelDensityEstimator(kernel=kernel).fit_from_centers(
+        np.vstack([centers, past]), n_points=1_000, bandwidths=h
+    )
+    m = estimator.centers_.shape[0]
+    expected = _reference_evaluate_block(estimator, x, kernel)
+    # One row per tile: each tile's box is the row itself, so the
+    # candidate test sits exactly on the edge.
+    for tile_elements in (m, kde_module._EVAL_TILE_ELEMENTS):
+        actual, pairs = _evaluate_traced(estimator, x, tile_elements)
+        assert actual.tobytes() == expected.tobytes()
+        if tile_elements == m:
+            assert pairs < x.shape[0] * m
+    if kernel == "uniform":
+        assert np.all(expected > 0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kernel", BOUNDED_KERNELS)
+def test_tiny_bandwidth_overflow_guard(kernel, d):
+    """With ``h = 1e-300`` a dense row product can overflow to inf and
+    then meet a zero factor (NaN). Beyond one attribute the partial
+    products of ``1/h`` are infinite, so every column is computed."""
+    rng = np.random.default_rng(d)
+    centers = rng.normal(size=(30, d))
+    h = np.full(d, 1e-300)
+    estimator = KernelDensityEstimator(kernel=kernel).fit_from_centers(
+        centers, n_points=1_000, bandwidths=h
+    )
+    block = np.vstack([
+        centers,
+        centers + 0.5e-300,
+        # In support in the first attributes only.
+        np.hstack([centers[:, :-1], centers[:, -1:] + 1.0]),
+        rng.normal(size=(20, d)),
+    ])
+    expected = _reference_evaluate_block(estimator, block, kernel)
+    # One row per tile, so a tile's box stays within one row's support.
+    actual, pairs = _evaluate_traced(estimator, block, tile_elements=30)
+    assert actual.tobytes() == expected.tobytes()
+    if d == 1:
+        assert pairs < block.shape[0] * 30
+    else:
+        assert pairs == block.shape[0] * 30
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_full_evaluate_matches_oracle(n_jobs):
+    """The whole ``evaluate`` — spatial row order, chunk fan-out, pruned
+    blocks and the scatter back to caller order — against the oracle."""
+    rng = np.random.default_rng(7)
+    m, d = 2_000, 2
+    estimator = _clustered_estimator("epanechnikov", m, d, 7)
+    estimator.n_jobs = n_jobs
+    queries = estimator.centers_[rng.integers(0, m, size=3_500)]
+    queries = queries + rng.normal(scale=0.3, size=queries.shape)
+    queries[::97] = np.nan
+    queries[::89, 0] = np.inf
+    queries[::83, 1] = -np.inf
+    # The oracle is row-local, so it may run in row slices.
+    expected = np.concatenate([
+        _reference_evaluate_block(estimator, queries[i : i + 500], "epanechnikov")
+        for i in range(0, queries.shape[0], 500)
+    ])
+    recorder = Recorder()
+    with use_recorder(recorder):
+        actual = estimator.evaluate(queries)
+    assert actual.tobytes() == expected.tobytes()
+    assert recorder.counters["kernel_evals"] == queries.shape[0] * m

@@ -109,9 +109,10 @@ class TestInclusionProbability:
         assert theory.cluster_inclusion_probability(100, 0.0, 0.5) == 0.0
 
 
-def test_import_repro_does_not_load_scipy_stats():
-    """``scipy.stats`` is slow to import; only the binomial tail needs it."""
-    code = "import sys, repro; print('scipy.stats' in sys.modules)"
+def _loaded_by_import_repro(module: str) -> str:
+    """``"True"`` if a fresh ``import repro`` pulls ``module`` into
+    sys.modules, else ``"False"``."""
+    code = f"import sys, repro; print({module!r} in sys.modules)"
     src = str(Path(theory.__file__).resolve().parents[2])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]
@@ -120,4 +121,14 @@ def test_import_repro_does_not_load_scipy_stats():
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True, env=env,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_repro_does_not_load_scipy_stats():
+    """``scipy.stats`` is slow to import; only the binomial tail needs it."""
+    assert _loaded_by_import_repro("scipy.stats") == "False"
+
+
+def test_import_repro_does_not_load_scipy_fft():
+    """``scipy.fft`` is only needed by the DCT estimator's fit."""
+    assert _loaded_by_import_repro("scipy.fft") == "False"
