@@ -5,9 +5,10 @@ Two claims are guarded here:
 * the Algorithm-L reservoir (geometric skips, chunk-vectorised fill)
   beats a per-row Algorithm-R loop by an order of magnitude on a
   200k-row stream;
-* chunked density evaluation through ``parallel_map_chunks`` is
-  byte-identical to the serial path for any worker count, and — on
-  machines that actually have the cores — faster at ``n_jobs=4``.
+* the eval scan — the scan runner fanning the serial KDE evaluate out
+  over stream chunks — is byte-identical to the serial scan for any
+  worker count, and — on machines that actually have the cores —
+  faster at ``n_jobs=4``.
 
 The speedup assertions are gated on ``os.cpu_count()``: a single-core
 container can demonstrate the determinism contract but not the
@@ -23,6 +24,9 @@ import pytest
 
 from repro.density import KernelDensityEstimator
 from repro.density.reservoir import ReservoirSampler
+from repro.parallel import use_n_jobs
+from repro.sharding import ShardPlan, eval_shards
+from repro.utils.streams import DataStream
 
 N_ROWS = 200_000
 CHUNK = 8_192
@@ -93,27 +97,26 @@ def fitted_kde(stream_chunks):
     return KernelDensityEstimator(n_kernels=1000, random_state=0).fit(data)
 
 
+def _eval_scan(kde, queries, n_jobs):
+    """One unsharded eval scan of ``queries`` in ``CHUNK``-row chunks."""
+    plan = ShardPlan(DataStream(queries, chunk_size=CHUNK), 1)
+    densities = np.empty(queries.shape[0])
+    with use_n_jobs(n_jobs):
+        eval_shards(plan, kde.evaluate).fill(densities)
+    return densities
+
+
 def test_kde_parallel_matches_serial(fitted_kde, stream_chunks):
     """Determinism contract: identical densities for any n_jobs."""
     queries = np.vstack(stream_chunks[:8])
-    serial = KernelDensityEstimator(n_kernels=1000, random_state=0)
-    serial.__dict__.update(fitted_kde.__dict__)
-    serial.n_jobs = 1
-    parallel = KernelDensityEstimator(n_kernels=1000, random_state=0)
-    parallel.__dict__.update(fitted_kde.__dict__)
-    parallel.n_jobs = 4
     np.testing.assert_array_equal(
-        serial.evaluate(queries), parallel.evaluate(queries)
+        _eval_scan(fitted_kde, queries, 1), _eval_scan(fitted_kde, queries, 4)
     )
 
 
 def test_kde_evaluate_parallel_4_jobs(benchmark, fitted_kde, stream_chunks):
     queries = np.vstack(stream_chunks[:8])
-    fitted_kde.n_jobs = 4
-    try:
-        result = benchmark(lambda: fitted_kde.evaluate(queries))
-    finally:
-        fitted_kde.n_jobs = None
+    result = benchmark(lambda: _eval_scan(fitted_kde, queries, 4))
     assert result.shape == (queries.shape[0],)
 
 
@@ -126,14 +129,10 @@ def test_kde_parallel_speedup(fitted_kde, stream_chunks):
     queries = np.vstack(stream_chunks[:8])
 
     def timed(n_jobs):
-        fitted_kde.n_jobs = n_jobs
-        try:
-            fitted_kde.evaluate(queries)  # warm-up
-            start = time.perf_counter()
-            fitted_kde.evaluate(queries)
-            return time.perf_counter() - start
-        finally:
-            fitted_kde.n_jobs = None
+        _eval_scan(fitted_kde, queries, n_jobs)  # warm-up
+        start = time.perf_counter()
+        _eval_scan(fitted_kde, queries, n_jobs)
+        return time.perf_counter() - start
 
     serial_time = timed(1)
     parallel_time = timed(4)

@@ -23,7 +23,6 @@ The exponent steers the bias (section 2.2):
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +32,6 @@ from repro.density.backends import make_density_estimator
 from repro.density.base import DensityEstimator
 from repro.exceptions import DataValidationError, ParameterError
 from repro.obs import get_recorder
-from repro.parallel import use_n_jobs
 from repro.sharding import (
     ShardPlan,
     eval_shards,
@@ -147,15 +145,6 @@ class DensityBiasedSampler:
     random_state:
         Seed/generator for the Bernoulli draws (and the default
         estimator's reservoir).
-    n_jobs:
-        Worker count for the density-evaluation pass (``None`` defers
-        to the ambient default / ``REPRO_N_JOBS``; see
-        :mod:`repro.parallel`). Unsharded (one shard, the default) the
-        pass runs inline and ``n_jobs`` reaches only the estimator's
-        own block fan-out (the KDE's); with ``S > 1`` shards it sizes
-        the shard fan-out. All random draws stay on the single
-        main-process generator, so results are byte-identical for any
-        value.
 
     Examples
     --------
@@ -189,7 +178,6 @@ class DensityBiasedSampler:
         density_floor_fraction: float = 0.05,
         exact_size: bool = False,
         random_state: RandomStateLike = None,
-        n_jobs: int | None = None,
     ) -> None:
         if sample_size < 1:
             raise ParameterError(f"sample_size must be >= 1; got {sample_size}.")
@@ -201,7 +189,6 @@ class DensityBiasedSampler:
         )
         self.exact_size = bool(exact_size)
         self.random_state = random_state
-        self.n_jobs = n_jobs
         # Populated by sample() for inspection / tests.
         self.estimator_: DensityEstimator | None = None
         self.normalizer_: float | None = None
@@ -256,17 +243,14 @@ class DensityBiasedSampler:
         """Pass 2: density of every dataset point, in stream order.
 
         One :class:`~repro.sharding.ShardPlan` scan over the ambient
-        shard count: each shard evaluates its own chunk range, and the
-        folded slices fill the preallocated per-point array, so the
-        normaliser and every probability derived from it are exact and
+        shard count: each shard evaluates its own chunk range (fanned
+        out over the ambient worker count at ``S = 1``), and the folded
+        slices fill the preallocated per-point array, so the normaliser
+        and every probability derived from it are exact and
         byte-identical for any shard or worker count (DESIGN.md §13).
         """
         plan = ShardPlan(source, resolve_shards(None))
-        # Unsharded, the scan runs inline: this sampler's n_jobs reaches
-        # the estimator's own fan-out only as the ambient default.
-        jobs = nullcontext() if self.n_jobs is None else use_n_jobs(self.n_jobs)
-        with jobs:
-            shard = eval_shards(plan, estimator.evaluate, n_jobs=self.n_jobs)
+        shard = eval_shards(plan, estimator.evaluate)
         if shard.row_start != 0 or shard.seen != len(source):
             raise DataValidationError(
                 f"stream yielded {shard.seen} rows in the density pass but "
@@ -284,10 +268,13 @@ class DensityBiasedSampler:
         Implements ``min(1, (b/k) * f^a)`` with the negative-exponent
         density floor. Exposed publicly so diagnostics and the
         theoretical tests can inspect the probability assignment.
+        Raises :class:`ParameterError` when ``k`` is not finite.
         """
         biased = self._biased_weights(densities)
         k = biased.sum()
         self.normalizer_ = float(k)
+        where = "DensityBiasedSampler.compute_probabilities (eval_density)"
+        self._check_normalizer(k, biased, densities, where)
         if k <= 0:
             raise ParameterError(
                 "density-biased weights sum to zero; the estimator assigns "
@@ -302,8 +289,26 @@ class DensityBiasedSampler:
             return np.ones_like(densities)
         if a > 0:
             return densities**a
-        floor = self.density_floor_fraction * max(densities.mean(), 1e-300)
-        return np.maximum(densities, floor) ** a
+        return np.maximum(densities, self._density_floor(densities)) ** a
+
+    def _density_floor(self, densities: np.ndarray) -> float:
+        """The negative-exponent floor: a fraction of the mean density."""
+        if self.exponent >= 0:
+            return 0.0
+        return self.density_floor_fraction * max(densities.mean(), 1e-300)
+
+    def _check_normalizer(self, k, weights, densities, where: str) -> None:
+        """Raise a located :class:`ParameterError` unless ``k`` is finite:
+        an infinite or NaN ``k`` would silently yield an empty sample."""
+        if not np.isfinite(k):
+            raise ParameterError(
+                f"{where}: the normaliser k = {float(k)} is not finite; "
+                f"{int((~np.isfinite(weights)).sum())} of {weights.size} "
+                f"weights f^a are non-finite (a={self.exponent}, density "
+                f"floor {self._density_floor(densities):.3g}). Raise "
+                "density_floor_fraction, use a milder exponent or rescale "
+                "the data."
+            )
 
     # -- draws -------------------------------------------------------------------
 

@@ -23,16 +23,11 @@ from repro.density.base import DensityEstimator
 from repro.density.reservoir import reservoir_sample
 from repro.exceptions import DataValidationError, ParameterError
 from repro.obs import get_recorder
-from repro.parallel import parallel_map_chunks
+from repro.sharding import evaluate_chunks
 from repro.utils.streams import DataStream, as_stream
 from repro.utils.validation import RandomStateLike, check_random_state
 
 __all__ = ["OnePassBiasedSampler"]
-
-#: Chunks buffered per parallel fan-out in the draw scan. Bounds the
-#: draw phase's working set at O(chunk) while still amortising dispatch
-#: overhead across several chunks per round trip.
-_DRAW_WINDOW_CHUNKS = 8
 
 
 class OnePassBiasedSampler(DensityBiasedSampler):
@@ -43,10 +38,10 @@ class OnePassBiasedSampler(DensityBiasedSampler):
     entirely when a kernel estimator's centers can be reused as the
     pilot, which is the paper's one-pass configuration).
 
-    Memory: O(b + chunk) — the draw scan buffers at most
-    ``_DRAW_WINDOW_CHUNKS`` chunks per parallel fan-out and keeps only
-    the accepted rows (expected ``b`` of them); the stream itself is
-    never materialised.
+    Memory: O(b + chunk) — the draw scan's evaluation buffers at most
+    :data:`~repro.sharding.runner.EVAL_WINDOW_CHUNKS` chunks per
+    parallel fan-out and the scan keeps only the accepted rows
+    (expected ``b`` of them); the stream itself is never materialised.
 
     Parameters are those of :class:`DensityBiasedSampler` plus:
 
@@ -61,13 +56,10 @@ class OnePassBiasedSampler(DensityBiasedSampler):
     __n_passes__ = {"fit_density": 1, "estimate_normalizer": 1, "draw": 1}
 
     #: Per-phase peak-allocation bounds of sample() (audited by RA005).
-    #: ``draw_window`` is the draw scan's traced sub-phase: each fan-out
-    #: carries the estimator's O(m) state into its workers.
     __space__ = {
         "fit_density": "O(m)",
         "estimate_normalizer": "O(b + m)",
         "draw": "O(b + chunk)",
-        "draw_window": "O(m)",
     }
 
     def __init__(
@@ -78,7 +70,6 @@ class OnePassBiasedSampler(DensityBiasedSampler):
         density_floor_fraction: float = 0.05,
         pilot_size: int = 1000,
         random_state: RandomStateLike = None,
-        n_jobs: int | None = None,
     ) -> None:
         super().__init__(
             sample_size=sample_size,
@@ -87,7 +78,6 @@ class OnePassBiasedSampler(DensityBiasedSampler):
             density_floor_fraction=density_floor_fraction,
             exact_size=False,
             random_state=random_state,
-            n_jobs=n_jobs,
         )
         if pilot_size < 1:
             raise ParameterError(f"pilot_size must be >= 1; got {pilot_size}.")
@@ -111,30 +101,29 @@ class OnePassBiasedSampler(DensityBiasedSampler):
         sampled_probs: list[np.ndarray] = []
         sampled_dens: list[np.ndarray] = []
         expected = 0.0
+        covered = 0
         scale = self.sample_size / k_hat
-        out = (sampled_points, sampled_idx, sampled_probs, sampled_dens)
         with recorder.phase("draw"):
-            # Fan the deterministic density evaluations out to workers a
-            # bounded window of chunks at a time, so the scan never
+            # The scan runner fans the deterministic density evaluations
+            # out a bounded window of chunks at a time, so the scan never
             # materialises the stream (RA005: draw stays O(b + chunk)).
             # The Bernoulli draws stay on the single main-process
             # generator, consumed in stream order, so the sample is
-            # byte-identical for any n_jobs and any window size.
-            window: list[tuple[int, np.ndarray]] = []
-            covered = 0
-            for start, chunk in source.iter_with_offsets():
+            # byte-identical for any n_jobs.
+            for start, chunk, densities in evaluate_chunks(
+                source.iter_with_offsets(), estimator.evaluate
+            ):
                 covered += chunk.shape[0]
-                window.append((start, chunk))
-                if len(window) >= _DRAW_WINDOW_CHUNKS:
-                    expected += self._draw_window(
-                        window, estimator, rng, floor, scale, out
-                    )
-                    window.clear()
-            if window:
-                expected += self._draw_window(
-                    window, estimator, rng, floor, scale, out
-                )
-                window.clear()
+                weights = self._floored_power(densities, floor)
+                probs = np.minimum(1.0, scale * weights)
+                expected += float(probs.sum())
+                keep = rng.random(chunk.shape[0]) < probs
+                if keep.any():
+                    recorder.observe("draw_batch_rows", int(keep.sum()))
+                    sampled_points.append(chunk[keep])
+                    sampled_idx.append(start + np.nonzero(keep)[0])
+                    sampled_probs.append(probs[keep])
+                    sampled_dens.append(densities[keep])
             if covered != len(source):
                 raise DataValidationError(
                     f"stream yielded {covered} rows in the draw scan but "
@@ -163,49 +152,6 @@ class OnePassBiasedSampler(DensityBiasedSampler):
             densities=densities,
         )
 
-    def _draw_window(
-        self,
-        window: list[tuple[int, np.ndarray]],
-        estimator: DensityEstimator,
-        rng: np.random.Generator,
-        floor: float,
-        scale: float,
-        out: tuple[
-            list[np.ndarray],
-            list[np.ndarray],
-            list[np.ndarray],
-            list[np.ndarray],
-        ],
-    ) -> float:
-        """Accept/reject one buffered window; returns its expected mass."""
-        sampled_points, sampled_idx, sampled_probs, sampled_dens = out
-        recorder = get_recorder()
-        with recorder.phase("draw_window") as span:
-            window_densities = parallel_map_chunks(
-                estimator.evaluate,
-                [chunk for _, chunk in window],
-                n_jobs=self.n_jobs,
-            )
-            expected = 0.0
-            rows = 0
-            accepted = 0
-            for (start, chunk), densities in zip(window, window_densities):
-                rows += int(chunk.shape[0])
-                weights = self._floored_power(densities, floor)
-                probs = np.minimum(1.0, scale * weights)
-                expected += float(probs.sum())
-                keep = rng.random(chunk.shape[0]) < probs
-                if keep.any():
-                    accepted += int(keep.sum())
-                    sampled_points.append(chunk[keep])
-                    sampled_idx.append(start + np.nonzero(keep)[0])
-                    sampled_probs.append(probs[keep])
-                    sampled_dens.append(densities[keep])
-            span.set(chunks=len(window), rows=rows, accepted=accepted)
-        if accepted:
-            recorder.observe("draw_batch_rows", accepted)
-        return expected
-
     # -- normaliser estimation ---------------------------------------------------
 
     def _estimate_normalizer(
@@ -232,11 +178,11 @@ class OnePassBiasedSampler(DensityBiasedSampler):
             densities = np.maximum(
                 densities - _self_kernel_density(estimator), 0.0
             )
-        floor = 0.0
-        if self.exponent < 0:
-            floor = self.density_floor_fraction * max(densities.mean(), 1e-300)
+        floor = self._density_floor(densities)
         weights = self._floored_power(densities, floor)
         k_hat = float(len(source) * weights.mean())
+        where = "OnePassBiasedSampler._estimate_normalizer (estimate_normalizer)"
+        self._check_normalizer(k_hat, weights, densities, where)
         if k_hat <= 0:
             raise ParameterError(
                 "estimated normaliser is zero; pilot densities are all zero."

@@ -30,7 +30,6 @@ from repro.density.kernels import get_kernel
 from repro.density.reservoir import ReservoirSampler
 from repro.exceptions import ParameterError
 from repro.obs import get_recorder
-from repro.parallel import parallel_map_chunks
 from repro.sharding import ShardPlan, fit_shards, merge_partials, resolve_shards
 from repro.utils.streams import DataStream
 from repro.utils.validation import check_random_state
@@ -114,12 +113,6 @@ class KernelDensityEstimator(DensityEstimator):
         per-attribute vector of widths.
     random_state:
         Seed for the reservoir that picks the centers.
-    n_jobs:
-        Worker count for :meth:`evaluate`'s chunked block evaluation
-        and, when sharded (``S > 1``), for the fit scan's shard fan-out
-        (``None`` defers to the ambient default / ``REPRO_N_JOBS``; see
-        :mod:`repro.parallel`). Results are byte-identical for any
-        value.
 
     Examples
     --------
@@ -142,7 +135,6 @@ class KernelDensityEstimator(DensityEstimator):
         kernel: str = "epanechnikov",
         bandwidth="scott",
         random_state=None,
-        n_jobs: int | None = None,
     ) -> None:
         if n_kernels < 1:
             raise ParameterError(f"n_kernels must be >= 1; got {n_kernels}.")
@@ -150,7 +142,6 @@ class KernelDensityEstimator(DensityEstimator):
         self.kernel = get_kernel(kernel)
         self.bandwidth = bandwidth
         self.random_state = random_state
-        self.n_jobs = n_jobs
         # Fitted state
         self.centers_: np.ndarray | None = None
         self.bandwidths_: np.ndarray | None = None
@@ -169,17 +160,14 @@ class KernelDensityEstimator(DensityEstimator):
         scan fetches the planned rows and per-chunk moment statistics,
         and :meth:`fit_from_partials` assembles them — byte-identical
         for any shard count (DESIGN.md §13). At ``S = 1`` the scan runs
-        inline on the caller, and ``n_jobs`` reaches only
-        :meth:`evaluate`'s block fan-out.
+        inline on the caller.
         """
         source = self._as_stream(data, stream)
         rng = check_random_state(self.random_state)
         reservoir = ReservoirSampler(self.n_kernels, random_state=rng)
         plan = ShardPlan(source, resolve_shards(None))
         accept_plan = reservoir.plan(plan.n_rows)
-        state = fit_shards(
-            plan, accept_plan.wanted_indices(), n_jobs=self.n_jobs
-        )
+        state = fit_shards(plan, accept_plan.wanted_indices())
         get_recorder().count("reservoir_accepts", accept_plan.accepts)
         return self.fit_from_partials([state], accept_plan)
 
@@ -266,7 +254,7 @@ class KernelDensityEstimator(DensityEstimator):
 
     def _evaluate(self, points: np.ndarray) -> np.ndarray:
         if points.shape[0] < 2 or not np.isfinite(self.kernel.support):
-            return self._evaluate_chunked(points)
+            return self._evaluate_block(points)
         # Visit the rows in grid-cell order, cells one kernel support
         # wide, so every row tile is spatially compact and its
         # candidate-centre set small. Each row's value is row-local, so
@@ -275,29 +263,7 @@ class KernelDensityEstimator(DensityEstimator):
             cells = np.floor(points / (self.bandwidths_ * self.kernel.support))
         order = np.lexsort(cells.T)
         out = np.empty(points.shape[0], dtype=np.float64)
-        out[order] = self._evaluate_chunked(points[order])
-        return out
-
-    def _evaluate_chunked(self, points: np.ndarray) -> np.ndarray:
-        # Chunk queries so the (chunk, n_centers) work array stays small.
-        chunk_rows = max(1, int(2_000_000 / max(1, self.centers_.shape[0])))
-        if points.shape[0] <= chunk_rows:
-            return self._evaluate_block(points)
-        blocks = [
-            points[start : start + chunk_rows]
-            for start in range(0, points.shape[0], chunk_rows)
-        ]
-        # Each block is deterministic, so the ordered slice-fill is
-        # byte-identical to the serial loop for any n_jobs. The output
-        # length is known up front — fill a preallocated array instead
-        # of concatenating the block results (RA006).
-        out = np.empty(points.shape[0], dtype=np.float64)
-        offset = 0
-        for values in parallel_map_chunks(
-            self._evaluate_block, blocks, n_jobs=self.n_jobs
-        ):
-            out[offset : offset + values.shape[0]] = values
-            offset += values.shape[0]
+        out[order] = self._evaluate_block(points[order])
         return out
 
     def _can_prune(self) -> bool:

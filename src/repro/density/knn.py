@@ -59,6 +59,7 @@ class KnnDensityEstimator(DensityEstimator):
         self.k = int(k)
         self.random_state = random_state
         self.tree_: cKDTree | None = None
+        self.radius_floor_: float | None = None
         self.sample_size_: int | None = None
         self.n_points_: int | None = None
         self.n_dims_: int | None = None
@@ -78,6 +79,14 @@ class KnnDensityEstimator(DensityEstimator):
         self.n_dims_ = sample.shape[1]
         self.sample_size_ = sample.shape[0]
         self.tree_ = cKDTree(sample)
+        # Radius for a query on >= k coincident sample points: the
+        # smallest gap between distinct sample points, fixed at fit time
+        # so a row's density never depends on the rows evaluated with it.
+        distinct = np.unique(sample, axis=0)
+        self.radius_floor_ = 1e-12
+        if distinct.shape[0] > 1:
+            gaps = cKDTree(distinct).query(distinct, k=2)[0]
+            self.radius_floor_ = float(gaps[:, 1].min())
         return self
 
     def _evaluate(self, points: np.ndarray) -> np.ndarray:
@@ -87,10 +96,6 @@ class KnnDensityEstimator(DensityEstimator):
             r_k = dists[:, -1]
         else:
             r_k = np.atleast_1d(dists)
-        # Guard against r_k == 0 (query point coincides with >= k sample
-        # points); substitute the smallest positive distance seen.
-        positive = r_k[r_k > 0]
-        floor = positive.min() if positive.size else 1e-12
-        r_k = np.where(r_k > 0, r_k, floor)
+        r_k = np.where(r_k > 0, r_k, self.radius_floor_)
         volumes = np.array([ball_volume(r, self.n_dims_) for r in r_k])
         return self.n_points_ * k / (self.sample_size_ * volumes)

@@ -241,8 +241,8 @@ HISTOGRAM_SCHEMA: dict[str, HistogramSpec] = {
             10000.0,
         ),
         unit="rows",
-        observed_by="`OnePassBiasedSampler._draw_window`",
-        meaning="rows accepted per buffered draw window (deterministic)",
+        observed_by="`OnePassBiasedSampler.sample` (draw scan)",
+        meaning="rows accepted per stream chunk (deterministic)",
     ),
 }
 

@@ -30,6 +30,7 @@ from repro.density.kde import KernelDensityEstimator
 from repro.exceptions import ParameterError
 from repro.obs import get_recorder
 from repro.outliers.base import OutlierDetector, OutlierResult, resolve_p
+from repro.sharding import evaluate_chunks
 from repro.utils.geometry import ball_volume, sq_distances_to
 from repro.utils.streams import DataStream, as_stream
 from repro.utils.validation import check_positive
@@ -165,8 +166,9 @@ class ApproximateOutlierDetector(OutlierDetector):
         estimator = self._resolve_estimator(source)
         p = resolve_p(self.p, self.fraction, len(source))
         count = 0
-        for chunk in source:
-            expected = self._expected_neighbors(chunk, estimator)
+        for _start, _chunk, expected in self._expected_neighbors(
+            source.iter_with_offsets(), estimator
+        ):
             count += int((expected <= p + 1).sum())
         return count
 
@@ -183,15 +185,22 @@ class ApproximateOutlierDetector(OutlierDetector):
         self.estimator_ = estimator
         return estimator
 
-    def _expected_neighbors(
-        self, points: np.ndarray, estimator: DensityEstimator
-    ) -> np.ndarray:
-        """``N'(O, k)`` for each point, by the configured screen."""
+    def _expected_neighbors(self, chunks, estimator: DensityEstimator):
+        """``(offset, chunk, N'(O, k))`` per chunk, in stream order.
+
+        The volume screen fans out through :func:`evaluate_chunks`; the
+        Monte-Carlo screen may draw from a shared generator, so it stays
+        serial.
+        """
         if self.screen == "volume":
-            volume = ball_volume(self.k, points.shape[1])
-            return estimator.evaluate(points) * volume
-        return estimator.ball_mass(
-            points, self.k, n_mc=self.n_mc, random_state=self.random_state
+            volume = ball_volume(self.k, estimator.n_dims_)
+            evaluated = evaluate_chunks(chunks, estimator.evaluate)
+            return ((at, chunk, f * volume) for at, chunk, f in evaluated)
+        return (
+            (at, chunk, estimator.ball_mass(
+                chunk, self.k, n_mc=self.n_mc, random_state=self.random_state
+            ))
+            for at, chunk in chunks
         )
 
     def _screen(
@@ -213,8 +222,9 @@ class ApproximateOutlierDetector(OutlierDetector):
         below: dict[int, np.ndarray] = {}
         # Max-heap (via negation) of the `quota` sparsest points seen.
         sparsest: list[tuple[float, int, np.ndarray]] = []
-        for start, chunk in source.iter_with_offsets():
-            expected = self._expected_neighbors(chunk, estimator)
+        for start, chunk, expected in self._expected_neighbors(
+            source.iter_with_offsets(), estimator
+        ):
             for keep_local in np.nonzero(expected <= threshold)[0]:
                 below[start + int(keep_local)] = chunk[keep_local]
             if quota:

@@ -5,14 +5,20 @@ mine a small sample — and this package makes the per-pass work scale
 with the machine. It has two layers:
 
 * :mod:`repro.parallel.backend` — serial / thread / process execution
-  backends, worker-count resolution (explicit ``n_jobs`` argument →
-  :func:`use_n_jobs` ambient default → ``REPRO_N_JOBS`` environment
-  variable → serial), and backend-kind selection
-  (``REPRO_PARALLEL_BACKEND``, default threads).
+  backends, worker-count resolution (:func:`use_n_jobs` ambient
+  default → ``REPRO_N_JOBS`` environment variable → serial), and
+  backend-kind selection (``REPRO_PARALLEL_BACKEND``, default threads).
 * :mod:`repro.parallel.map` — :func:`parallel_map_chunks`, the
   order-preserving chunk fan-out that merges every worker's
   :class:`repro.obs.Recorder` counters back into the caller's ambient
   recorder.
+
+Callers fan out through :mod:`repro.sharding`: shard scans go through
+:func:`~repro.sharding.shard_map`, and every per-chunk density
+evaluation through :func:`~repro.sharding.evaluate_chunks`, the one
+place it is parallelised; estimators and samplers take no ``n_jobs``.
+Only the nested-loop outlier detector, which maps blocks of an
+in-memory array, calls :func:`parallel_map_chunks` with its own.
 
 The determinism contract: results are byte-identical for any
 ``n_jobs``. Parallel passes only run deterministic per-chunk work

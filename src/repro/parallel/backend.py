@@ -9,8 +9,8 @@ worker count and kind and hand it an ordered list of tasks.
 
 Worker-count resolution is layered so one knob reaches every hot path:
 
-1. an explicit ``n_jobs`` argument on the estimator / sampler /
-   detector wins;
+1. an explicit ``n_jobs`` argument to :func:`resolve_n_jobs` (the
+   nested-loop detector's own ``n_jobs=``) wins;
 2. otherwise the ambient default installed by :func:`use_n_jobs`
    (what ``repro run --n-jobs`` and the pipelines set) applies;
 3. otherwise the ``REPRO_N_JOBS`` environment variable;
@@ -106,8 +106,8 @@ def use_n_jobs(n_jobs: int | None) -> Iterator[None]:
     """Install ``n_jobs`` as the ambient default for a ``with`` block.
 
     Everything inside the block that resolves ``n_jobs=None`` — the
-    default of every estimator, sampler and detector — picks this value
-    up, which is how one ``--n-jobs`` flag reaches each hot path of an
+    scan runner's fan-outs and the nested-loop detector's default —
+    picks this value up, which is how one ``--n-jobs`` flag reaches each hot path of an
     experiment without threading a parameter through every constructor.
     Built on a context variable, so concurrent threads and tasks never
     observe each other's defaults; worker tasks run under

@@ -23,9 +23,10 @@ Two contracts make parallelism invisible to the rest of the system:
   matter how many workers ran, and worker counts are never lost to the
   thread-local context.
 
-Tasks additionally run under ``use_n_jobs(1)``, so an estimator that
-would itself fan out (e.g. a KDE whose ``evaluate`` chunks its queries)
-stays serial inside a worker — parallelism never nests by accident.
+Tasks additionally run under ``use_n_jobs(1)``, so a task that would
+itself fan out (a shard worker's
+:func:`~repro.sharding.evaluate_chunks`) stays serial inside a worker —
+parallelism never nests by accident.
 The caller's ambient fault policy is likewise captured at fan-out and
 installed in every worker (context variables do not cross process
 boundaries on their own), so any stream a task wraps is hardened the

@@ -7,9 +7,10 @@ helpers :func:`fit_shards` / :func:`eval_shards` /
 :func:`sharded_gather`) — inline when ``S = 1``, through the existing
 :mod:`repro.parallel` backends otherwise — and folds the mergeable
 shard partials with a deterministic left fold (:func:`merge_partials`).
-Results are byte-identical for any shard count and any worker count —
-see DESIGN.md §13 for the merge contracts and the determinism
-argument.
+It is also the one place density evaluation fans out
+(:func:`evaluate_chunks`). Results are byte-identical for any shard
+count and any worker count — see DESIGN.md §13 for the merge contracts
+and the determinism argument.
 
 The ambient shard count is configured like the worker count:
 ``repro run --shards S``, :func:`use_shards`, or the ``REPRO_SHARDS``
@@ -32,6 +33,7 @@ from repro.sharding.runner import (
     SHARD_GATHER_PHASE,
     bounds_shards,
     eval_shards,
+    evaluate_chunks,
     fit_shards,
     shard_map,
     sharded_gather,
@@ -53,6 +55,7 @@ __all__ = [
     "TreeCountShard",
     "bounds_shards",
     "eval_shards",
+    "evaluate_chunks",
     "fit_shards",
     "merge_partials",
     "resolve_shards",

@@ -15,6 +15,9 @@ folded with a deterministic left fold
 (:func:`repro.sharding.partials.merge_partials`), which is what makes
 every scan byte-identical for any ``S`` and any ``n_jobs``.
 
+Density evaluation fans out here only, in :func:`evaluate_chunks`;
+estimators evaluate serially.
+
 Workers here are deliberately generator-free: all randomness stays on
 the coordinator (reservoir acceptance is pre-planned by
 :meth:`repro.density.reservoir.ReservoirSampler.plan`, Bernoulli draws
@@ -25,12 +28,13 @@ cannot depend on worker scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from repro.exceptions import DataValidationError
 from repro.obs import get_recorder
-from repro.parallel import parallel_map_chunks
+from repro.parallel import parallel_map_chunks, resolve_n_jobs
 from repro.sharding.context import resolve_shards
 from repro.sharding.partials import (
     BoundsShard,
@@ -46,8 +50,10 @@ __all__ = [
     "SHARD_EVAL_PHASE",
     "SHARD_FIT_PHASE",
     "SHARD_GATHER_PHASE",
+    "EVAL_WINDOW_CHUNKS",
     "bounds_shards",
     "eval_shards",
+    "evaluate_chunks",
     "fit_shards",
     "shard_map",
     "sharded_gather",
@@ -63,6 +69,11 @@ __all__ = [
 SHARD_FIT_PHASE = "shard_fit"
 SHARD_EVAL_PHASE = "shard_eval"
 SHARD_GATHER_PHASE = "shard_gather"
+
+#: Chunks buffered per fan-out of :func:`evaluate_chunks`. Bounds a
+#: streamed evaluation's working set at a few chunks while amortising
+#: dispatch over several chunks per round trip.
+EVAL_WINDOW_CHUNKS = 8
 
 
 @dataclass(frozen=True)
@@ -89,24 +100,60 @@ class _GatherTask:
     mask: np.ndarray
 
 
-def shard_map(worker, tasks, *, n_jobs=None, phase=SHARD_FIT_PHASE):
+def shard_map(worker, tasks, *, phase=SHARD_FIT_PHASE):
     """Fan shard ``tasks`` out to ``worker`` under a ``phase`` span.
 
     A shard fan-out reads each row of the plan's stream exactly once:
     the tasks partition the chunk sequence, so the dispatch costs one
     dataset pass in total regardless of ``S`` or ``n_jobs``. Results
-    come back in task (shard) order.
+    come back in task (shard) order. The worker count is the ambient
+    one (:func:`repro.parallel.resolve_n_jobs`), and every task runs
+    under ``use_n_jobs(1)``.
 
     A single task — every ``S = 1`` scan — runs inline on the
     coordinator: no dispatch, no pickling, no ``worker_task`` span and
-    no ``use_n_jobs(1)`` wrapper, so the worker's own fan-out (the
-    KDE's block evaluation) still honours ``n_jobs``.
+    no ``use_n_jobs(1)`` wrapper, so an eval scan's
+    :func:`evaluate_chunks` still fans out over the ambient count.
     """
     tasks = list(tasks)
     if len(tasks) == 1:
         return [worker(tasks[0])]
     with get_recorder().phase(phase):
-        return parallel_map_chunks(worker, tasks, n_jobs=n_jobs)
+        return parallel_map_chunks(worker, tasks)
+
+
+def evaluate_chunks(chunks, evaluate):
+    """Yield ``(offset, chunk, evaluate(chunk))`` in stream order.
+
+    The one fan-out point of density evaluation. ``chunks`` is any
+    iterable of ``(offset, chunk)`` pairs; ``evaluate`` must be
+    row-local and deterministic. With one worker each chunk is
+    evaluated inline. Otherwise windows of :data:`EVAL_WINDOW_CHUNKS`
+    chunks go through :func:`repro.parallel.parallel_map_chunks`, each
+    chunk cut into row ranges when the window has fewer chunks than
+    workers. Values and merged counters are byte-identical to the
+    serial loop for any worker count.
+    """
+    n_jobs = resolve_n_jobs()
+    chunks = iter(chunks)
+    if n_jobs == 1:
+        for offset, chunk in chunks:
+            yield offset, chunk, evaluate(chunk)
+        return
+    while window := list(islice(chunks, EVAL_WINDOW_CHUNKS)):
+        parts = -(-n_jobs // len(window))
+        pieces, spans = [], []
+        for _offset, chunk in window:
+            rows = chunk.shape[0]
+            cuts = max(1, min(parts, rows))
+            spans.append((len(pieces), len(pieces) + cuts))
+            pieces.extend(
+                chunk[rows * i // cuts : rows * (i + 1) // cuts]
+                for i in range(cuts)
+            )
+        values = parallel_map_chunks(evaluate, pieces)
+        for (offset, chunk), (lo, hi) in zip(window, spans):
+            yield offset, chunk, np.concatenate(values[lo:hi])
 
 
 def _begin_scan(plan: ShardPlan, tasks, *, fit: bool = False) -> None:
@@ -151,7 +198,7 @@ def _fit_shard_worker(task: _FitTask) -> ShardFitState:
     return state
 
 
-def fit_shards(plan: ShardPlan, wanted_indices, *, n_jobs=None) -> ShardFitState:
+def fit_shards(plan: ShardPlan, wanted_indices) -> ShardFitState:
     """Run one KDE fit scan and fold the shard partials.
 
     ``wanted_indices`` are the sorted absolute row indices the
@@ -165,9 +212,7 @@ def fit_shards(plan: ShardPlan, wanted_indices, *, n_jobs=None) -> ShardFitState
         hi = int(np.searchsorted(wanted, view.spec.row_stop))
         tasks.append(_FitTask(view=view, wanted=wanted[lo:hi]))
     _begin_scan(plan, tasks, fit=True)
-    partials = shard_map(
-        _fit_shard_worker, tasks, n_jobs=n_jobs, phase=SHARD_FIT_PHASE
-    )
+    partials = shard_map(_fit_shard_worker, tasks, phase=SHARD_FIT_PHASE)
     return merge_partials(partials)
 
 
@@ -203,13 +248,11 @@ def _bounds_shard_worker(task: _BoundsTask) -> BoundsShard:
     return shard
 
 
-def bounds_shards(plan: ShardPlan, *, n_jobs=None) -> BoundsShard:
+def bounds_shards(plan: ShardPlan) -> BoundsShard:
     """Run one bounding-box scan and fold the shard partials."""
     tasks = [_BoundsTask(view=view) for view in plan.views()]
     _begin_scan(plan, tasks)
-    partials = shard_map(
-        _bounds_shard_worker, tasks, n_jobs=n_jobs, phase=SHARD_FIT_PHASE
-    )
+    partials = shard_map(_bounds_shard_worker, tasks, phase=SHARD_FIT_PHASE)
     return merge_partials(partials)
 
 
@@ -229,7 +272,7 @@ def _tree_count_worker(task: _TreeCountTask) -> TreeCountShard:
 
 
 def tree_count_shards(
-    plan: ShardPlan, features, thresholds, tables=None, *, n_jobs=None
+    plan: ShardPlan, features, thresholds, tables=None
 ) -> TreeCountShard:
     """Run one tree-counting scan and fold the shard partials.
 
@@ -249,21 +292,25 @@ def tree_count_shards(
         for view in plan.views()
     ]
     _begin_scan(plan, tasks, fit=True)
-    partials = shard_map(
-        _tree_count_worker, tasks, n_jobs=n_jobs, phase=SHARD_FIT_PHASE
-    )
+    partials = shard_map(_tree_count_worker, tasks, phase=SHARD_FIT_PHASE)
     return merge_partials(partials)
 
 
 def _eval_shard_worker(task: _EvalTask) -> NormalizerShard:
-    """Evaluate one shard's chunks, keeping slices in stream order."""
+    """Evaluate one shard's chunks, keeping slices in stream order.
+
+    Inline at ``S = 1``, where :func:`evaluate_chunks` fans out over
+    the ambient worker count; inside a shard worker that count is 1.
+    """
     shard = NormalizerShard(row_start=task.view.spec.row_start)
-    for _offset, chunk in task.view.chunks():
-        shard.add_values(task.evaluate(chunk))
+    for _offset, _chunk, values in evaluate_chunks(
+        task.view.chunks(), task.evaluate
+    ):
+        shard.add_values(values)
     return shard
 
 
-def eval_shards(plan: ShardPlan, evaluate, *, n_jobs=None) -> NormalizerShard:
+def eval_shards(plan: ShardPlan, evaluate) -> NormalizerShard:
     """Run one evaluation scan and fold the shard partials.
 
     ``evaluate`` maps a chunk to its per-row values (typically a bound
@@ -272,9 +319,7 @@ def eval_shards(plan: ShardPlan, evaluate, *, n_jobs=None) -> NormalizerShard:
     """
     tasks = [_EvalTask(view=view, evaluate=evaluate) for view in plan.views()]
     _begin_scan(plan, tasks)
-    partials = shard_map(
-        _eval_shard_worker, tasks, n_jobs=n_jobs, phase=SHARD_EVAL_PHASE
-    )
+    partials = shard_map(_eval_shard_worker, tasks, phase=SHARD_EVAL_PHASE)
     return merge_partials(partials)
 
 
@@ -290,7 +335,7 @@ def _gather_shard_worker(task: _GatherTask) -> GatherShard:
     return shard
 
 
-def sharded_gather(source, mask, *, n_shards=None, n_jobs=None) -> np.ndarray:
+def sharded_gather(source, mask) -> np.ndarray:
     """Masked row gather in one scan, sharded over the ambient ``S``.
 
     The mask is precomputed by the coordinator (all randomness stays
@@ -298,7 +343,7 @@ def sharded_gather(source, mask, *, n_shards=None, n_jobs=None) -> np.ndarray:
     :class:`DataValidationError` when the scanned row count disagrees
     with the mask length.
     """
-    plan = ShardPlan(source, resolve_shards(n_shards))
+    plan = ShardPlan(source, resolve_shards())
     mask = np.asarray(mask)
     tasks = [
         _GatherTask(
@@ -310,9 +355,7 @@ def sharded_gather(source, mask, *, n_shards=None, n_jobs=None) -> np.ndarray:
         for view in plan.views()
     ]
     _begin_scan(plan, tasks)
-    partials = shard_map(
-        _gather_shard_worker, tasks, n_jobs=n_jobs, phase=SHARD_GATHER_PHASE
-    )
+    partials = shard_map(_gather_shard_worker, tasks, phase=SHARD_GATHER_PHASE)
     folded = merge_partials(partials)
     if folded.seen != mask.shape[0]:
         raise DataValidationError(

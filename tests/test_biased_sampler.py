@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DensityBiasedSampler, UniformSampler
+from repro.core import DensityBiasedSampler, OnePassBiasedSampler, UniformSampler
 from repro.density import GridDensityEstimator, KernelDensityEstimator
 from repro.exceptions import ParameterError
 from repro.utils.streams import DataStream
@@ -209,6 +209,69 @@ class TestMechanics:
     def test_rejects_bad_sample_size(self):
         with pytest.raises(ParameterError):
             DensityBiasedSampler(sample_size=0)
+
+
+def _overflow_data(scale):
+    """A tight blob plus far noise: with a = -2 and a 1e-300 floor the
+    noise weights f^a overflow; scaled by 1e-300 the densities do."""
+    rng = np.random.default_rng(0)
+    blob = rng.normal(0.0, 0.01, size=(2000, 2))
+    noise = rng.uniform(-50.0, 50.0, size=(20, 2))
+    return np.vstack([blob, noise]) * scale
+
+
+class TestNonFiniteNormalizer:
+    """An overflowing normaliser raises instead of an empty sample."""
+
+    SAMPLERS = {
+        "two-pass": lambda: DensityBiasedSampler(
+            sample_size=100,
+            exponent=-2.0,
+            density_floor_fraction=1e-300,
+            random_state=0,
+        ),
+        "exact-size": lambda: DensityBiasedSampler(
+            sample_size=100,
+            exponent=-2.0,
+            density_floor_fraction=1e-300,
+            exact_size=True,
+            random_state=0,
+        ),
+        "one-pass": lambda: OnePassBiasedSampler(
+            sample_size=100,
+            exponent=-2.0,
+            density_floor_fraction=1e-300,
+            random_state=0,
+        ),
+    }
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+    def test_overflowing_weights_raise_located_error(self, sampler):
+        with pytest.raises(ParameterError) as info:
+            self.SAMPLERS[sampler]().sample(_overflow_data(1.0))
+        message = str(info.value)
+        where = "_estimate_normalizer" if sampler == "one-pass" else (
+            "compute_probabilities"
+        )
+        assert where in message
+        assert "not finite" in message
+        assert "a=-2.0" in message
+        assert "density floor" in message
+        # Ten noise points lie outside every kernel and sit on the floor.
+        assert "10 of " in message
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+    def test_overflowing_densities_raise(self, sampler):
+        with pytest.raises(ParameterError):
+            self.SAMPLERS[sampler]().sample(_overflow_data(1e-300))
+
+    def test_compute_probabilities_rejects_infinite_weights(self):
+        sampler = DensityBiasedSampler(sample_size=10, exponent=1.0)
+        densities = np.array([1.0, np.inf, 2.0, np.nan])
+        with pytest.raises(ParameterError, match="2 of 4 weights"):
+            sampler.compute_probabilities(densities)
 
 
 class TestUniformSampler:

@@ -22,6 +22,9 @@ from hypothesis import strategies as st
 from repro.density import KernelDensityEstimator, get_kernel
 from repro.density import kde as kde_module
 from repro.obs import Recorder, use_recorder
+from repro.parallel import use_n_jobs
+from repro.sharding import ShardPlan, eval_shards, evaluate_chunks
+from repro.utils.streams import DataStream
 
 KERNEL_NAMES = (
     "epanechnikov",
@@ -150,22 +153,33 @@ def test_profile_out_matches_allocating_path(kernel, seed, scale):
     assert resolved.profile(u).tobytes() == expected.tobytes()
 
 
+def _eval_scan(estimator, queries, n_jobs):
+    """One-shard eval scan of ``queries`` in 4,096-row chunks under
+    ``use_n_jobs(n_jobs)``; returns (densities, counters)."""
+    recorder = Recorder()
+    with use_recorder(recorder), use_n_jobs(n_jobs):
+        plan = ShardPlan(DataStream(queries, chunk_size=4_096), 1)
+        shard = eval_shards(plan, estimator.evaluate)
+    densities = np.empty(queries.shape[0])
+    shard.fill(densities)
+    return densities, dict(recorder.counters)
+
+
 @pytest.mark.parametrize("n_jobs", [1, 2, 4])
 def test_chunked_parallel_evaluate_is_byte_stable(n_jobs):
-    """The full evaluate (chunk fan-out over the blocked body) returns
-    the same bytes for every worker count."""
+    """The eval scan (the runner's chunk fan-out over the serial blocked
+    body) returns the bytes of one ``evaluate`` call, and the counters
+    of the serial scan, for every worker count. Three chunks: two
+    workers take whole chunks, four split them into row ranges."""
     rng = np.random.default_rng(0)
     data = rng.normal(size=(30_000, 2))
     queries = rng.normal(size=(9_000, 2))
-    baseline = (
-        KernelDensityEstimator(n_kernels=400, random_state=0)
-        .fit(data)
-        .evaluate(queries)
-    )
-    estimator = KernelDensityEstimator(
-        n_kernels=400, random_state=0, n_jobs=n_jobs
-    ).fit(data)
-    assert estimator.evaluate(queries).tobytes() == baseline.tobytes()
+    estimator = KernelDensityEstimator(n_kernels=400, random_state=0).fit(data)
+    baseline = estimator.evaluate(queries)
+    _, serial_counters = _eval_scan(estimator, queries, 1)
+    densities, counters = _eval_scan(estimator, queries, n_jobs)
+    assert densities.tobytes() == baseline.tobytes()
+    assert counters == serial_counters
 
 
 @settings(deadline=None, max_examples=120)
@@ -286,12 +300,13 @@ def test_tiny_bandwidth_overflow_guard(kernel, d):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("n_jobs", [1, 2])
 def test_full_evaluate_matches_oracle(n_jobs):
-    """The whole ``evaluate`` — spatial row order, chunk fan-out, pruned
-    blocks and the scatter back to caller order — against the oracle."""
+    """The whole ``evaluate`` — spatial row order, pruned blocks and the
+    scatter back to caller order — fanned out by the scan runner's
+    ``evaluate_chunks`` (row ranges of one chunk at two workers),
+    against the oracle."""
     rng = np.random.default_rng(7)
     m, d = 2_000, 2
     estimator = _clustered_estimator("epanechnikov", m, d, 7)
-    estimator.n_jobs = n_jobs
     queries = estimator.centers_[rng.integers(0, m, size=3_500)]
     queries = queries + rng.normal(scale=0.3, size=queries.shape)
     queries[::97] = np.nan
@@ -303,7 +318,7 @@ def test_full_evaluate_matches_oracle(n_jobs):
         for i in range(0, queries.shape[0], 500)
     ])
     recorder = Recorder()
-    with use_recorder(recorder):
-        actual = estimator.evaluate(queries)
+    with use_recorder(recorder), use_n_jobs(n_jobs):
+        [(_, _, actual)] = evaluate_chunks([(0, queries)], estimator.evaluate)
     assert actual.tobytes() == expected.tobytes()
     assert recorder.counters["kernel_evals"] == queries.shape[0] * m

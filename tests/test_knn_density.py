@@ -57,6 +57,19 @@ class TestEvaluation:
         f = est.evaluate([[0.0, 0.0]])
         assert np.isfinite(f).all()
 
+    def test_zero_radius_density_is_row_local(self):
+        # A query on the duplicated points has a zero k-th-neighbour
+        # radius; its density must not depend on the other rows in the
+        # batch, since the scan runner may split a chunk into row ranges.
+        data = np.vstack(
+            [np.zeros((50, 2)), np.random.default_rng(0).random((50, 2))]
+        )
+        est = KnnDensityEstimator(n_sample=100, k=5, random_state=0).fit(data)
+        queries = np.array([[0.0, 0.0], [0.5, 0.5], [0.9, 0.1]])
+        together = est.evaluate(queries)
+        alone = np.concatenate([est.evaluate(row) for row in queries])
+        assert together.tobytes() == alone.tobytes()
+
     def test_positive_everywhere(self):
         """k-NN density is adaptive: never exactly zero."""
         data = np.random.default_rng(3).random((200, 2))

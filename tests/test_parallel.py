@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from repro.core import DensityBiasedSampler, OnePassBiasedSampler
-from repro.density import KernelDensityEstimator
+from repro.density import KernelDensityEstimator, TreeDensityEstimator
 from repro.exceptions import ParameterError
 from repro.obs import Recorder, get_recorder, use_recorder
-from repro.outliers import NestedLoopOutlierDetector
+from repro.outliers import ApproximateOutlierDetector, NestedLoopOutlierDetector
 from repro.parallel import (
     N_JOBS_ENV,
     ProcessBackend,
@@ -22,6 +22,7 @@ from repro.parallel import (
     resolve_n_jobs,
     use_n_jobs,
 )
+from repro.sharding import ShardPlan, eval_shards
 from repro.utils.streams import DataStream
 
 
@@ -147,12 +148,32 @@ def blob_data():
     return np.vstack([dense, sparse])
 
 
-def _run_recorded(fn):
-    """Run ``fn`` under a fresh recorder; return (result, counters)."""
+def _run_recorded(fn, n_jobs=None):
+    """Run ``fn`` under a fresh recorder (and ``use_n_jobs(n_jobs)``);
+    return (result, counters)."""
     recorder = Recorder()
-    with use_recorder(recorder):
+    with use_recorder(recorder), use_n_jobs(n_jobs):
         result = fn()
     return result, dict(recorder.counters)
+
+
+def _worker_slots(recorder):
+    """Worker slots of every ``worker_task`` span the recorder adopted."""
+    workers = set()
+    stack = list(recorder.spans)
+    while stack:
+        span = stack.pop()
+        if span.name == "worker_task":
+            workers.add(span.attrs["worker"])
+        stack.extend(span.children)
+    return workers
+
+
+def _assert_same_sample(serial, parallel):
+    np.testing.assert_array_equal(serial.indices, parallel.indices)
+    np.testing.assert_array_equal(serial.points, parallel.points)
+    np.testing.assert_array_equal(serial.probabilities, parallel.probabilities)
+    assert serial.expected_size == parallel.expected_size
 
 
 class TestNJobsEquivalence:
@@ -160,77 +181,110 @@ class TestNJobsEquivalence:
 
     @pytest.mark.parametrize("n_jobs", [2, 4])
     def test_kde_evaluate(self, blob_data, n_jobs):
+        # The eval scan fans the serial KDE evaluate out: 5,000 rows in
+        # three chunks are whole-chunk tasks at two workers and
+        # row-range tasks at four.
         queries = blob_data[:5000]
+        kde = KernelDensityEstimator(n_kernels=400, random_state=0).fit(
+            blob_data
+        )
 
-        def run(jobs):
-            kde = KernelDensityEstimator(
-                n_kernels=400, random_state=0, n_jobs=jobs
-            ).fit(blob_data)
-            return _run_recorded(lambda: kde.evaluate(queries))
+        def scan():
+            plan = ShardPlan(DataStream(queries, chunk_size=2048), 1)
+            densities = np.empty(queries.shape[0])
+            eval_shards(plan, kde.evaluate).fill(densities)
+            return densities
 
-        serial, serial_counters = run(1)
-        parallel, parallel_counters = run(n_jobs)
-        np.testing.assert_array_equal(serial, parallel)
+        serial, serial_counters = _run_recorded(scan, 1)
+        parallel, parallel_counters = _run_recorded(scan, n_jobs)
+        assert serial.tobytes() == kde.evaluate(queries).tobytes()
+        assert serial.tobytes() == parallel.tobytes()
         assert serial_counters == parallel_counters
 
     @pytest.mark.parametrize("n_jobs", [2, 4])
     def test_biased_sampler(self, blob_data, n_jobs):
         def run(jobs):
             sampler = DensityBiasedSampler(
-                sample_size=500, exponent=0.75, random_state=3, n_jobs=jobs
+                sample_size=500, exponent=0.75, random_state=3
             )
             stream = DataStream(blob_data, chunk_size=1024)
-            return _run_recorded(lambda: sampler.sample(None, stream=stream))
+            return _run_recorded(
+                lambda: sampler.sample(None, stream=stream), jobs
+            )
 
         serial, serial_counters = run(1)
         parallel, parallel_counters = run(n_jobs)
-        np.testing.assert_array_equal(serial.indices, parallel.indices)
-        np.testing.assert_array_equal(serial.points, parallel.points)
-        np.testing.assert_array_equal(
-            serial.probabilities, parallel.probabilities
-        )
-        assert serial.expected_size == parallel.expected_size
+        _assert_same_sample(serial, parallel)
         assert serial_counters == parallel_counters
 
-    def test_biased_sampler_n_jobs_reaches_block_fan_out(
-        self, blob_data, clean_env
-    ):
-        # Unsharded, the density pass runs inline; the sampler's n_jobs
-        # still reaches the KDE's block fan-out (one 8000-row chunk is
-        # four 2000-row blocks for 1000 kernels).
-        recorder = Recorder()
-        with use_recorder(recorder):
-            DensityBiasedSampler(
-                sample_size=100,
-                estimator=KernelDensityEstimator(random_state=0),
-                random_state=0,
-                n_jobs=2,
-            ).sample(blob_data)
-        workers = set()
-        stack = list(recorder.spans)
-        while stack:
-            span = stack.pop()
-            if span.name == "worker_task":
-                workers.add(span.attrs["worker"])
-            stack.extend(span.children)
-        assert workers == {0, 1}
+    @pytest.mark.parametrize("backend", ["kde", "tree"])
+    def test_one_shard_eval_scan_fans_out(self, blob_data, clean_env, backend):
+        # Unsharded, the density pass runs inline and the scan runner
+        # fans it out: the 8,000-row array is one chunk, split into
+        # row ranges for two workers — for every density backend.
+        def run(jobs):
+            estimator = (
+                KernelDensityEstimator(random_state=0)
+                if backend == "kde"
+                else TreeDensityEstimator(random_state=0)
+            )
+            recorder = Recorder()
+            with use_recorder(recorder), use_n_jobs(jobs):
+                sample = DensityBiasedSampler(
+                    sample_size=100, estimator=estimator, random_state=0
+                ).sample(blob_data)
+            return sample, dict(recorder.counters), recorder
+
+        serial, serial_counters, serial_recorder = run(1)
+        parallel, parallel_counters, parallel_recorder = run(2)
+        assert _worker_slots(serial_recorder) == set()
+        assert _worker_slots(parallel_recorder) == {0, 1}
+        _assert_same_sample(serial, parallel)
+        assert serial_counters == parallel_counters
 
     @pytest.mark.parametrize("n_jobs", [2, 4])
     def test_onepass_sampler(self, blob_data, n_jobs):
         def run(jobs):
             sampler = OnePassBiasedSampler(
-                sample_size=400, exponent=1.0, random_state=5, n_jobs=jobs
+                sample_size=400, exponent=1.0, random_state=5
             )
             stream = DataStream(blob_data, chunk_size=1024)
-            return _run_recorded(lambda: sampler.sample(None, stream=stream))
+            return _run_recorded(
+                lambda: sampler.sample(None, stream=stream), jobs
+            )
 
         serial, serial_counters = run(1)
         parallel, parallel_counters = run(n_jobs)
+        _assert_same_sample(serial, parallel)
+        assert serial_counters == parallel_counters
+
+    @pytest.mark.parametrize("n_jobs", [2, 4])
+    def test_approximate_detector(self, blob_data, n_jobs):
+        # The density screen fans out through the scan runner; so does
+        # the one-pass outlier-count estimate.
+        def run(jobs):
+            detector = ApproximateOutlierDetector(
+                k=0.05,
+                fraction=0.001,
+                estimator=KernelDensityEstimator(random_state=0),
+            )
+            stream = DataStream(blob_data, chunk_size=3000)
+            return _run_recorded(
+                lambda: (
+                    detector.detect(None, stream=stream),
+                    detector.estimate_outlier_count(None, stream=stream),
+                ),
+                jobs,
+            )
+
+        (serial, serial_count), serial_counters = run(1)
+        (parallel, parallel_count), parallel_counters = run(n_jobs)
         np.testing.assert_array_equal(serial.indices, parallel.indices)
-        np.testing.assert_array_equal(serial.points, parallel.points)
         np.testing.assert_array_equal(
-            serial.probabilities, parallel.probabilities
+            serial.neighbor_counts, parallel.neighbor_counts
         )
+        assert serial.n_candidates == parallel.n_candidates > 0
+        assert serial_count == parallel_count
         assert serial_counters == parallel_counters
 
     @pytest.mark.parametrize("n_jobs", [2, 4])

@@ -660,6 +660,33 @@ class TestRA005:
         )
         assert found == []
 
+    def test_loop_over_per_chunk_generator_is_a_stream_loop(self, tmp_path):
+        # A generator fed a stream scan (the scan runner's
+        # evaluate_chunks idiom) yields chunks: keeping every one of
+        # them is O(n), not the O(chunk) the class claims.
+        found = audit_snippet(
+            tmp_path,
+            """
+            def per_chunk(chunks):
+                for offset, chunk in chunks:
+                    yield offset, chunk
+
+            class Hoarder:
+                '''Memory: O(chunk)'''
+
+                __space__ = "O(chunk)"
+
+                def sample(self, data=None, *, stream=None):
+                    rows = []
+                    for _, chunk in per_chunk(stream.iter_with_offsets()):
+                        rows.append(chunk)
+                    return rows
+            """,
+            select=["RA005"],
+        )
+        assert codes(found) == ["RA005"]
+        assert "allocates O(n)" in found[0].message
+
     def test_docstring_memory_line_required(self, tmp_path):
         found = audit_snippet(
             tmp_path,
@@ -1599,15 +1626,14 @@ class TestSrcRepro:
         assert bounds["estimate_normalizer"] <= M
 
     def test_one_pass_sampler_never_materialises_the_stream(self, src_graph):
-        # Even the draw scan stays at one bounded window of chunks (the
-        # draw_window sub-phase carries the estimator's O(m) state into
-        # its parallel workers).
+        # Even the draw scan stays at one chunk: it loops over the scan
+        # runner's evaluate_chunks generator, whose workers carry the
+        # estimator's O(m) state.
         bounds = entry_space_bounds(src_graph, "OnePassBiasedSampler")
         assert {k: v for k, v in bounds.items() if v > CONST} == {
             "fit_density": M,
             "estimate_normalizer": M,
             "draw": CHUNK,
-            "draw_window": M,
         }
         assert max(bounds.values()) < N
 

@@ -292,6 +292,53 @@ class TestShardedEquivalence:
         assert counters["shard_rows"] == 3 * len(array)
 
 
+ESTIMATORS = {
+    "kde": lambda: KernelDensityEstimator(n_kernels=64, random_state=5),
+    "tree": lambda: TreeDensityEstimator(random_state=5),
+}
+
+
+class TestExecutionShapes:
+    """Every (n_jobs, S) shape reproduces the serial one-shard run.
+
+    611 rows in 256-row chunks: three chunks, so at ``S = 1`` two
+    workers evaluate whole chunks and four split them into row ranges,
+    while ``S = 3`` gives every shard worker one chunk.
+    """
+
+    @pytest.mark.parametrize("n_jobs", [1, 2, 4])
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize(
+        "sampler_cls", [DensityBiasedSampler, OnePassBiasedSampler]
+    )
+    @pytest.mark.parametrize("backend", sorted(ESTIMATORS))
+    def test_samplers_match_serial_run(
+        self, array, backend, sampler_cls, shards, n_jobs
+    ):
+        def run(jobs, n_shards):
+            sampler = sampler_cls(
+                sample_size=80,
+                exponent=-0.5,
+                estimator=ESTIMATORS[backend](),
+                random_state=13,
+            )
+            recorder = Recorder()
+            with use_recorder(recorder), use_n_jobs(jobs), use_shards(n_shards):
+                result = sampler.sample(stream=DataStream(array, chunk_size=256))
+            return result, recorder
+
+        base, rec0 = run(1, 1)
+        got, rec1 = run(n_jobs, shards)
+        np.testing.assert_array_equal(base.indices, got.indices)
+        np.testing.assert_array_equal(base.points, got.points)
+        np.testing.assert_array_equal(base.probabilities, got.probabilities)
+        np.testing.assert_array_equal(base.densities, got.densities)
+        assert base.expected_size == got.expected_size
+        assert _counters_sans_shard(rec0) == _counters_sans_shard(rec1)
+        if shards == 1:
+            assert rec1.counters == _counters_sans_shard(rec1)
+
+
 class TestEmptyInput:
     @pytest.mark.parametrize("backend", ["kde", "tree"])
     @pytest.mark.parametrize("shards", [1, 3])

@@ -19,7 +19,9 @@ sized by classifying the extent expression), ``concatenate``-family
 merges, stream materialisation (``list(stream)`` / ``.materialize()``),
 masked selection, and cross-chunk accumulation (``list.append`` /
 ``dict[key] =`` / ``set.update`` / ``heappush`` inside a loop over a
-stream).
+stream). A loop over a call whose first argument is a stream scan — a
+per-chunk generator such as ``evaluate_chunks(source.iter_with_offsets(),
+...)`` — is a loop over that stream too.
 
 Three *documented approximations* (DESIGN.md §11) keep the analysis
 aligned with the paper's expected-case claims:
@@ -485,11 +487,10 @@ class SpaceAnalyzer:
         self, stmt: ast.For, state: _State, phase: str | None
     ) -> tuple[Bounds, tuple[AllocSite, ...], int]:
         bounds, sites, _ = self._size_of(stmt.iter, state, phase)
-        over_stream = self._is_stream_expr(stmt.iter, state) or (
+        over_stream = self._is_stream_scan(stmt.iter, state) or (
             isinstance(stmt.iter, ast.Call)
-            and isinstance(stmt.iter.func, ast.Attribute)
-            and stmt.iter.func.attr == "iter_with_offsets"
-            and self._is_stream_expr(stmt.iter.func.value, state)
+            and bool(stmt.iter.args)
+            and self._is_stream_scan(stmt.iter.args[0], state)
         )
         selection = self._is_selection_expr(stmt.iter, state)
         # The loop variable holds one stream chunk / one selected row.
@@ -793,6 +794,15 @@ class SpaceAnalyzer:
                 return True
         return False
 
+    def _is_stream_scan(self, expr: ast.expr, state: _State) -> bool:
+        """A stream, or ``<stream>.iter_with_offsets()``: one pass's chunks."""
+        return self._is_stream_expr(expr, state) or (
+            isinstance(expr, ast.Call)
+            and isinstance(expr.func, ast.Attribute)
+            and expr.func.attr == "iter_with_offsets"
+            and self._is_stream_expr(expr.func.value, state)
+        )
+
     def _name_size(self, expr: ast.expr, state: _State) -> int:
         if isinstance(expr, ast.Name):
             if expr.id in state.streams:
@@ -962,12 +972,7 @@ class SpaceAnalyzer:
         size = CONST
         selection = False
         for gen in expr.generators:
-            if self._is_stream_expr(gen.iter, state) or (
-                isinstance(gen.iter, ast.Call)
-                and isinstance(gen.iter.func, ast.Attribute)
-                and gen.iter.func.attr == "iter_with_offsets"
-                and self._is_stream_expr(gen.iter.func.value, state)
-            ):
+            if self._is_stream_scan(gen.iter, state):
                 size = max(size, N)
                 sites = sites + (
                     AllocSite(
@@ -1059,14 +1064,8 @@ class SpaceAnalyzer:
         ):
             alloc(N, ".materialize()")
             return bounds, sites, N
-        if tail == "list" and call.args and (
-            self._is_stream_expr(call.args[0], state)
-            or (
-                isinstance(call.args[0], ast.Call)
-                and isinstance(call.args[0].func, ast.Attribute)
-                and call.args[0].func.attr == "iter_with_offsets"
-                and self._is_stream_expr(call.args[0].func.value, state)
-            )
+        if tail == "list" and call.args and self._is_stream_scan(
+            call.args[0], state
         ):
             alloc(N, "list(<stream>) materialisation")
             return bounds, sites, N
