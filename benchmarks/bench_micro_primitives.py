@@ -18,7 +18,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.clustering import Birch, CureClustering
+from repro.clustering import Birch, CureClustering, assign_to_clusters
+from repro.clustering.base import ClusteringResult
 from repro.core import DensityBiasedSampler
 from repro.density import KernelDensityEstimator, TreeDensityEstimator
 from repro.outliers import IndexedOutlierDetector
@@ -176,6 +177,28 @@ def test_cure_1000_points(benchmark, dataset):
         iterations=1,
     )
     assert result.n_clusters == 10
+
+
+def test_assign_55k_to_130_anchors(benchmark):
+    """Full-data labelling at the pipeline's largest anchor count:
+    13 clusters (``n_clusters + 3`` with ``n_clusters = 10``) of 10
+    representatives each, 55k rows in 2-D."""
+    rng = np.random.default_rng(5)
+    reps = [rng.uniform(0.0, 1.0, size=(10, 2)) for _ in range(13)]
+    result = ClusteringResult(
+        labels=np.empty(0, dtype=np.int64),
+        centers=np.array([r.mean(axis=0) for r in reps]),
+        representatives=reps,
+        sizes=np.full(13, 10, dtype=np.int64),
+    )
+    data = rng.uniform(0.0, 1.0, size=(55_000, 2))
+    labels = benchmark.pedantic(
+        lambda: assign_to_clusters(data, result),
+        warmup_rounds=1,
+        rounds=5,
+        iterations=1,
+    )
+    assert labels.shape == (55_000,)
 
 
 def test_birch_insertion_10k(benchmark, dataset):

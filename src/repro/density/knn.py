@@ -10,8 +10,9 @@ the kernel estimator; included for the estimator ablation.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.density.base import DensityEstimator
 from repro.density.reservoir import ReservoirSampler
@@ -19,6 +20,9 @@ from repro.exceptions import ParameterError
 from repro.utils.geometry import ball_volume
 from repro.utils.streams import DataStream
 from repro.utils.validation import check_random_state
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 __all__ = ["KnnDensityEstimator"]
 
@@ -65,6 +69,10 @@ class KnnDensityEstimator(DensityEstimator):
         self.n_dims_: int | None = None
 
     def fit(self, data=None, *, stream: DataStream | None = None):
+        # Imported here: scipy.spatial is slow to import and only the
+        # kNN backend needs it.
+        from scipy.spatial import cKDTree
+
         source = self._as_stream(data, stream)
         rng = check_random_state(self.random_state)
         reservoir = ReservoirSampler(self.n_sample, random_state=rng)

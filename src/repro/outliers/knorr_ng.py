@@ -21,7 +21,6 @@ from __future__ import annotations
 from functools import partial
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.exceptions import ParameterError
 from repro.obs import get_recorder
@@ -165,6 +164,10 @@ class IndexedOutlierDetector(OutlierDetector):
         self.fraction = fraction
 
     def detect(self, data, *, stream: DataStream | None = None) -> OutlierResult:
+        # Imported here: scipy.spatial is slow to import and only this
+        # detector needs it.
+        from scipy.spatial import cKDTree
+
         source = stream if stream is not None else as_stream(data)
         pts = source.materialize()
         n = pts.shape[0]

@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "ball_volume",
     "pair_sq_distances",
+    "pair_sq_distances_into",
     "pairwise_sq_distances",
     "sq_distances_to",
 ]
@@ -63,18 +64,42 @@ def sq_distances_to(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
 def pair_sq_distances(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Squared distances from ``points`` to ``targets``, one pair at a time.
 
-    Returns shape ``(len(points), len(targets))``. Sums ``(p_j - t_j)^2`` one coordinate at a time into a single
-    ``(len(points), len(targets))`` buffer. Every entry is the same
-    sequence of rounded operations on its own two rows, so it does not
-    depend on the shape of the call, swapping the arguments gives the
-    transpose bit for bit, and duplicate rows give exactly 0. The Gram
-    expansion in :func:`sq_distances_to` is faster for wide ``d`` but
-    has neither property, and it cancels catastrophically for points
-    far from the origin.
+    Returns shape ``(len(points), len(targets))``. Sums ``(p_j - t_j)^2``
+    one coordinate at a time (see :func:`pair_sq_distances_into`). Every
+    entry is the same sequence of rounded operations on its own two
+    rows, so it does not depend on the shape of the call, swapping the
+    arguments gives the transpose bit for bit, and duplicate rows give
+    exactly 0. The Gram expansion in :func:`sq_distances_to` is faster
+    for wide ``d`` but has neither property, and it cancels
+    catastrophically for points far from the origin.
     """
-    out = np.zeros((points.shape[0], targets.shape[0]))
-    buf = np.empty_like(out)
-    for j in range(points.shape[1]):
+    out = np.empty((points.shape[0], targets.shape[0]))
+    return pair_sq_distances_into(points, targets, out, np.empty_like(out))
+
+
+def pair_sq_distances_into(
+    points: np.ndarray, targets: np.ndarray, out: np.ndarray, buf: np.ndarray
+) -> np.ndarray:
+    """:func:`pair_sq_distances` into caller-owned buffers.
+
+    Parameters
+    ----------
+    points, targets:
+        Arrays of shape ``(m, d)`` and ``(t, d)`` with ``d >= 1``.
+    out:
+        Float64 array of shape ``(m, t)``; receives the distances.
+    buf:
+        Float64 scratch array of the same shape; overwritten.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``out``, holding ``sum_j (p_j - t_j)^2`` accumulated from
+        coordinate 0 upwards.
+    """
+    np.subtract(points[:, 0, None], targets[None, :, 0], out=out)
+    np.multiply(out, out, out=out)
+    for j in range(1, points.shape[1]):
         np.subtract(points[:, j, None], targets[None, :, j], out=buf)
         np.multiply(buf, buf, out=buf)
         out += buf
