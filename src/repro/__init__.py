@@ -70,6 +70,7 @@ from repro.obs import (
     use_recorder,
 )
 from repro.pipeline import ApproximateClusteringPipeline, PipelineResult
+from repro.config import RunConfig, current_config, use_config
 from repro.exceptions import (
     ConvergenceWarning,
     DataValidationError,
@@ -117,6 +118,9 @@ __all__ = [
     "use_fault_policy",
     "ApproximateClusteringPipeline",
     "PipelineResult",
+    "RunConfig",
+    "current_config",
+    "use_config",
     "Recorder",
     "RunManifest",
     "get_recorder",

@@ -15,23 +15,23 @@ and the experiment runner — is resolved through this registry:
   lookup that costs ``O(trees * depth)`` per point instead of
   ``O(m * d)``.
 
-Resolution mirrors the worker-count knob: an explicit ``backend``
-argument wins, then the ambient default installed by
-:func:`use_density_backend` (what ``repro run --density-backend``
-sets), then the ``REPRO_DENSITY_BACKEND`` environment variable, then
-``"kde"``. An explicitly supplied estimator instance always bypasses
-the registry.
+An explicit ``backend`` argument wins; otherwise the family is the
+``density_backend`` field of :func:`repro.config.current_config`
+(``repro run --density-backend``, :func:`use_density_backend`,
+``REPRO_DENSITY_BACKEND``; default ``"kde"``). An explicitly supplied
+estimator instance always bypasses the registry.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Iterator
-
+from repro.config import (
+    DENSITY_BACKEND_ENV,
+    DENSITY_BACKENDS,
+    check_density_backend,
+    current_config,
+    use_config,
+)
 from repro.density.base import DensityEstimator
-from repro.exceptions import ParameterError
 
 __all__ = [
     "DENSITY_BACKEND_ENV",
@@ -40,13 +40,6 @@ __all__ = [
     "resolve_density_backend",
     "use_density_backend",
 ]
-
-#: Environment variable overriding the default density backend.
-DENSITY_BACKEND_ENV = "REPRO_DENSITY_BACKEND"
-
-_DEFAULT_BACKEND: ContextVar[str | None] = ContextVar(
-    "repro_density_default_backend", default=None
-)
 
 
 def _make_kde(budget: int, random_state) -> DensityEstimator:
@@ -74,56 +67,24 @@ _BACKENDS = {
 
 def density_backend_names() -> tuple[str, ...]:
     """Registered backend names, for CLI choices and error messages."""
-    return tuple(sorted(_BACKENDS))
+    return DENSITY_BACKENDS
 
 
 def resolve_density_backend(backend: str | None = None) -> str:
-    """Resolve a backend request to a registered backend name.
-
-    Parameters
-    ----------
-    backend:
-        Explicit request, or ``None`` to defer to the ambient default
-        (:func:`use_density_backend`), then the
-        ``REPRO_DENSITY_BACKEND`` environment variable, then ``"kde"``.
-    """
+    """Validate an explicit backend name; ``None`` gives the ambient
+    ``current_config().density_backend``."""
     if backend is None:
-        backend = _DEFAULT_BACKEND.get()
-    if backend is None:
-        backend = os.environ.get(DENSITY_BACKEND_ENV, "").strip() or "kde"
-    name = str(backend).strip().lower()
-    if name not in _BACKENDS:
-        raise ParameterError(
-            f"unknown density backend {backend!r}; "
-            f"choose from {sorted(_BACKENDS)}."
-        )
-    return name
+        return current_config().density_backend
+    return check_density_backend(backend)
 
 
-@contextmanager
-def use_density_backend(backend: str | None) -> Iterator[None]:
-    """Install ``backend`` as the ambient default for a ``with`` block.
+def use_density_backend(backend: str | None):
+    """Install an ambient density family: ``use_config(density_backend=...)``.
 
-    Everything inside the block that builds a default estimator — the
-    sampler fallback, the practitioner's guide, the pipelines — picks
-    this value up, which is how one ``--density-backend`` flag reaches
-    each construction site without threading a parameter through every
-    call. Built on a context variable, so concurrent threads and tasks
-    never observe each other's defaults.
-
-    Parameters
-    ----------
-    backend:
-        The backend name to install (validated eagerly; ``None``
-        reverts to the environment/default resolution).
+    Every default-built estimator inside the block — the sampler
+    fallback, the practitioner's guide, the pipelines — uses it.
     """
-    if backend is not None:
-        backend = resolve_density_backend(backend)
-    token = _DEFAULT_BACKEND.set(backend)
-    try:
-        yield
-    finally:
-        _DEFAULT_BACKEND.reset(token)
+    return use_config(density_backend=backend)
 
 
 def make_density_estimator(

@@ -5,13 +5,9 @@ from __future__ import annotations
 import sys
 from contextlib import nullcontext
 
-from repro.density.backends import (
-    resolve_density_backend,
-    use_density_backend,
-)
+from repro.config import current_config, use_config
 from repro.experiments.registry import get_experiment
 from repro.experiments.reporting import ExperimentResult
-from repro.faults import use_fault_policy
 from repro.obs import (
     Recorder,
     RunManifest,
@@ -20,8 +16,6 @@ from repro.obs import (
     trace_memory,
     use_recorder,
 )
-from repro.parallel import use_n_jobs
-from repro.sharding import use_shards
 
 __all__ = [
     "run_experiment",
@@ -68,36 +62,23 @@ def run_experiment(
     record:
         Install a fresh :class:`repro.obs.Recorder` around the run and
         attach a :class:`repro.obs.RunManifest` (counters, timers, span
-        tree) to the result. When false, any ambient recorder still
+        tree) to the result; its ``params`` record every resolved
+        :class:`repro.config.RunConfig` field, the fault policy as its
+        mode name. When false, any ambient recorder still
         observes the run and no manifest is built.
     metrics_out:
         Manifest sink (path, stream, or callable — see
         :meth:`repro.obs.RunManifest.emit`); implies nothing when
         ``record`` is false.
-    n_jobs:
-        Worker count installed as the ambient default for the run
-        (see :mod:`repro.parallel`); ``None`` leaves the ambient
-        default / ``REPRO_N_JOBS`` resolution in place. Counters and
-        results are identical for any value.
-    shards:
-        Shard count installed as the ambient default for the run (see
-        :mod:`repro.sharding`); ``None`` leaves the ambient default /
-        ``REPRO_SHARDS`` resolution in place. Fit/eval/gather passes
-        then fan out as ``shards`` row-range shards; results are
-        byte-identical for any value (only the ``shard*`` bookkeeping
-        counters differ from a serial run).
-    density_backend:
-        Density-estimator family installed as the ambient default for
-        the run (``"kde"``, ``"tree"``; see
-        :mod:`repro.density.backends`); ``None`` leaves the ambient
-        default / ``REPRO_DENSITY_BACKEND`` resolution in place.
-        Every default-built estimator in the run uses this family.
-    fault_policy:
-        Invalid-row handling installed as the ambient policy for the
-        run: a mode name (``"strict"``, ``"quarantine"``,
-        ``"repair"``), a :class:`repro.faults.RowQuarantine`, or
-        ``None`` to leave the ambient policy in place (default
-        strict). Quarantine/repair counters land in the run manifest.
+    n_jobs, shards, density_backend, fault_policy:
+        Run settings installed for the run with one
+        :func:`repro.config.use_config` call; ``None`` leaves a
+        setting's ambient value (override, environment variable, then
+        default) in place. ``fault_policy`` takes a mode name
+        (``"strict"``, ``"quarantine"``, ``"repair"``) or a
+        :class:`repro.faults.RowQuarantine`. Results are byte-identical
+        for any ``n_jobs`` and ``shards``; a sharded run only adds the
+        ``shard*`` bookkeeping counters.
     profile:
         Run every recorder span under a scoped profiler (see
         :mod:`repro.obs.profiler`); per-function tables attach to the
@@ -116,39 +97,24 @@ def run_experiment(
     else:
         recorder = get_recorder()
         context = nullcontext()
-    jobs_context = use_n_jobs(n_jobs) if n_jobs is not None else nullcontext()
-    shards_context = (
-        use_shards(shards) if shards is not None else nullcontext()
-    )
-    backend_context = (
-        use_density_backend(density_backend)
-        if density_backend is not None
-        else nullcontext()
-    )
-    policy_context = (
-        use_fault_policy(fault_policy)
-        if fault_policy is not None
-        else nullcontext()
-    )
     memory_context = trace_memory() if (record and memory) else nullcontext()
-    with context, jobs_context, shards_context, backend_context, (
-        policy_context
+    with context, use_config(
+        n_jobs=n_jobs,
+        shards=shards,
+        density_backend=density_backend,
+        fault_policy=fault_policy,
     ), memory_context, Stopwatch() as watch:
+        config = current_config()
         with recorder.phase(f"run:{name}"):
             result = spec.run(scale=scale, seed=seed)
     if record:
         result.elapsed = recorder.spans[-1].elapsed
-        params = {"scale": scale, "seed": seed}
-        if shards is not None:
-            params["shards"] = int(shards)
-        if density_backend is not None:
-            params["density_backend"] = resolve_density_backend(
-                density_backend
-            )
-        if fault_policy is not None:
-            params["fault_policy"] = str(
-                getattr(fault_policy, "mode", fault_policy)
-            )
+        params = {
+            "scale": scale,
+            "seed": seed,
+            **vars(config),
+            "fault_policy": config.fault_policy.mode,
+        }
         result.manifest = RunManifest.from_recorder(
             recorder,
             name=name,

@@ -16,8 +16,9 @@ magnitude exceeds a plausibility bound):
   chunk (per-column mean over the chunk's valid cells) and continue;
   counted under ``rows_repaired`` / ``cells_repaired``.
 
-The ambient policy is held in a context variable (default strict), so
-one ``with use_fault_policy("quarantine"):`` hardens every stream built
+The ambient policy is the ``fault_policy`` field of
+:func:`repro.config.current_config` (default strict), so one
+``with use_fault_policy("quarantine"):`` hardens every stream built
 inside the block — including the ones samplers construct internally via
 ``as_stream`` — without threading a parameter through every call.
 
@@ -28,10 +29,6 @@ may therefore keep indexing by stream offsets across passes.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Iterator
 
 import numpy as np
 
@@ -239,59 +236,33 @@ class RowQuarantine:
 #: The shared default policy: fail fast, exactly as the library always has.
 STRICT_POLICY = RowQuarantine("strict")
 
-_POLICY: ContextVar[RowQuarantine] = ContextVar(
-    "repro_fault_policy", default=STRICT_POLICY
-)
+# The accessors below import repro.config lazily: it imports this module.
 
 
 def get_fault_policy() -> RowQuarantine:
     """The ambient fault policy (default: the strict singleton)."""
-    return _POLICY.get()
+    from repro.config import current_config
+
+    return current_config().fault_policy
 
 
 def resolve_fault_policy(
     policy: RowQuarantine | str | None,
 ) -> RowQuarantine:
-    """Coerce a policy argument into a :class:`RowQuarantine` instance.
+    """Coerce a mode name or :class:`RowQuarantine` into a policy;
+    ``None`` gives the ambient policy."""
+    from repro.config import check_fault_policy
 
-    Parameters
-    ----------
-    policy:
-        ``None`` (use the ambient policy), a mode name from
-        :data:`FAULT_POLICY_MODES`, or a ready :class:`RowQuarantine`.
-    """
-    if policy is None:
-        return get_fault_policy()
-    if isinstance(policy, RowQuarantine):
-        return policy
-    if isinstance(policy, str):
-        return RowQuarantine(policy)
-    raise ParameterError(
-        "fault_policy must be None, a mode name "
-        f"{FAULT_POLICY_MODES}, or a RowQuarantine; "
-        f"got {type(policy).__name__}."
-    )
+    return get_fault_policy() if policy is None else check_fault_policy(policy)
 
 
-@contextmanager
-def use_fault_policy(
-    policy: RowQuarantine | str | None,
-) -> Iterator[RowQuarantine]:
-    """Install ``policy`` as the ambient fault policy for a ``with`` block.
+def use_fault_policy(policy: RowQuarantine | str | None):
+    """Install an ambient fault policy: ``use_config(fault_policy=policy)``.
 
     Streams bind the ambient policy at *construction*, so wrap the code
     that builds them (the pipeline does this for its internal
     ``as_stream`` call).
-
-    Parameters
-    ----------
-    policy:
-        Anything :func:`resolve_fault_policy` accepts; ``None``
-        re-installs the current ambient policy (a no-op nesting).
     """
-    resolved = resolve_fault_policy(policy)
-    token = _POLICY.set(resolved)
-    try:
-        yield resolved
-    finally:
-        _POLICY.reset(token)
+    from repro.config import use_config
+
+    return use_config(fault_policy=policy)

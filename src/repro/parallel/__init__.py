@@ -5,9 +5,9 @@ mine a small sample — and this package makes the per-pass work scale
 with the machine. It has two layers:
 
 * :mod:`repro.parallel.backend` — serial / thread / process execution
-  backends, worker-count resolution (:func:`use_n_jobs` ambient
-  default → ``REPRO_N_JOBS`` environment variable → serial), and
-  backend-kind selection (``REPRO_PARALLEL_BACKEND``, default threads).
+  backends, picked from the run configuration's ``n_jobs`` and
+  ``parallel_backend`` fields (:mod:`repro.config`; default serial,
+  threads when parallel).
 * :mod:`repro.parallel.map` — :func:`parallel_map_chunks`, the
   order-preserving chunk fan-out that merges every worker's
   :class:`repro.obs.Recorder` counters back into the caller's ambient
@@ -27,8 +27,8 @@ the caller's single main-process generator, consumed in stream order.
 
 Direct use of ``multiprocessing`` / ``concurrent.futures`` elsewhere in
 the library is forbidden by repro-lint rule RL008 — new parallel code
-goes through this package so counters, determinism and worker policy
-stay in one place.
+goes through this package so counters merge, determinism holds and
+every task runs under the coordinator's run configuration.
 """
 
 from repro.parallel.backend import (

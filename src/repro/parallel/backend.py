@@ -7,33 +7,28 @@ Callers never touch ``concurrent.futures`` directly (repro-lint rule
 RL008 forbids it outside this package); they ask for a backend by
 worker count and kind and hand it an ordered list of tasks.
 
-Worker-count resolution is layered so one knob reaches every hot path:
-
-1. an explicit ``n_jobs`` argument to :func:`resolve_n_jobs` (the
-   nested-loop detector's own ``n_jobs=``) wins;
-2. otherwise the ambient default installed by :func:`use_n_jobs`
-   (what ``repro run --n-jobs`` and the pipelines set) applies;
-3. otherwise the ``REPRO_N_JOBS`` environment variable;
-4. otherwise ``1`` — the serial path.
-
-Negative values count from the machine size (``-1`` = all cores). The
-backend *kind* defaults to threads — NumPy releases the GIL inside the
-kernels that dominate these passes, and threads share the dataset with
-zero copying — and can be switched to processes with the
-``REPRO_PARALLEL_BACKEND`` environment variable or an explicit
-``backend=`` argument for workloads that are genuinely
-Python-bound.
+The worker count and backend kind are the ``n_jobs`` and
+``parallel_backend`` fields of :func:`repro.config.current_config`
+(``repro run --n-jobs``, :func:`use_n_jobs`, ``REPRO_N_JOBS``; and
+``REPRO_PARALLEL_BACKEND``). Negative counts are relative to the
+machine size (``-1`` = all cores). The kind defaults to threads —
+NumPy releases the GIL inside the kernels that dominate these passes,
+and threads share the dataset with zero copying — and ``"process"``
+suits workloads that are genuinely Python-bound.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
-from repro.exceptions import ParameterError
+from repro.config import (
+    BACKEND_ENV,
+    N_JOBS_ENV,
+    check_n_jobs,
+    current_config,
+    use_config,
+)
 
 __all__ = [
     "BACKEND_ENV",
@@ -47,83 +42,20 @@ __all__ = [
     "use_n_jobs",
 ]
 
-#: Environment variable overriding the default worker count.
-N_JOBS_ENV = "REPRO_N_JOBS"
-
-#: Environment variable overriding the default backend kind.
-BACKEND_ENV = "REPRO_PARALLEL_BACKEND"
-
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
-_DEFAULT_N_JOBS: ContextVar[int | None] = ContextVar(
-    "repro_parallel_default_n_jobs", default=None
-)
-
 
 def resolve_n_jobs(n_jobs: int | None = None) -> int:
-    """Resolve an ``n_jobs`` request to a concrete worker count.
-
-    Parameters
-    ----------
-    n_jobs:
-        Explicit request: a positive count, a negative count relative
-        to the machine (``-1`` = all cores), or ``None`` to defer to
-        the ambient default (:func:`use_n_jobs`), then the
-        ``REPRO_N_JOBS`` environment variable, then ``1``.
-
-    Returns
-    -------
-    int
-        A worker count ``>= 1``.
-    """
-    if n_jobs is None:
-        n_jobs = _DEFAULT_N_JOBS.get()
-    if n_jobs is None:
-        raw = os.environ.get(N_JOBS_ENV, "").strip()
-        if raw:
-            try:
-                n_jobs = int(raw)
-            except ValueError:
-                raise ParameterError(
-                    f"{N_JOBS_ENV} must be an integer; got {raw!r}."
-                ) from None
-        else:
-            n_jobs = 1
-    n_jobs = int(n_jobs)
-    if n_jobs < 0:
-        n_jobs = max(1, (os.cpu_count() or 1) + 1 + n_jobs)
-    if n_jobs == 0:
-        raise ParameterError(
-            "n_jobs must be >= 1, or negative to count from the machine "
-            "size (-1 = all cores); got 0."
-        )
-    return n_jobs
+    """Validate an explicit worker count (negatives count from the
+    machine size, ``-1`` = all cores); ``None`` gives the ambient
+    ``current_config().n_jobs``."""
+    return current_config().n_jobs if n_jobs is None else check_n_jobs(n_jobs)
 
 
-@contextmanager
-def use_n_jobs(n_jobs: int | None) -> Iterator[None]:
-    """Install ``n_jobs`` as the ambient default for a ``with`` block.
-
-    Everything inside the block that resolves ``n_jobs=None`` — the
-    scan runner's fan-outs and the nested-loop detector's default —
-    picks this value up, which is how one ``--n-jobs`` flag reaches each hot path of an
-    experiment without threading a parameter through every constructor.
-    Built on a context variable, so concurrent threads and tasks never
-    observe each other's defaults; worker tasks run under
-    ``use_n_jobs(1)`` so parallelism never nests by accident.
-
-    Parameters
-    ----------
-    n_jobs:
-        The default worker count to install (``None`` reverts to the
-        environment/serial resolution).
-    """
-    token = _DEFAULT_N_JOBS.set(n_jobs)
-    try:
-        yield
-    finally:
-        _DEFAULT_N_JOBS.reset(token)
+def use_n_jobs(n_jobs: int | None):
+    """Install an ambient worker count: ``use_config(n_jobs=n_jobs)``."""
+    return use_config(n_jobs=n_jobs)
 
 
 class ExecutionBackend:
@@ -222,28 +154,18 @@ _BACKENDS = {
 }
 
 
-def get_backend(
-    n_jobs: int | None = None, backend: str | None = None
-) -> ExecutionBackend:
-    """Pick the execution backend for a resolved worker count.
+def get_backend(n_jobs: int | None = None) -> ExecutionBackend:
+    """Pick the execution backend for a worker count.
 
     Parameters
     ----------
     n_jobs:
         Worker-count request, resolved via :func:`resolve_n_jobs`.
-        A resolved count of ``1`` always yields the serial backend.
-    backend:
-        Backend kind (``"serial"``, ``"thread"``, ``"process"``);
-        defaults to the ``REPRO_PARALLEL_BACKEND`` environment variable
-        or, failing that, ``"thread"``.
+        A resolved count of ``1`` always yields the serial backend; the
+        kind is ``current_config().parallel_backend``.
     """
     count = resolve_n_jobs(n_jobs)
-    kind = backend or os.environ.get(BACKEND_ENV, "").strip() or "thread"
-    if kind not in _BACKENDS:
-        raise ParameterError(
-            f"unknown parallel backend {kind!r}; "
-            f"choose from {sorted(_BACKENDS)}."
-        )
+    kind = current_config().parallel_backend
     if count == 1 or kind == "serial":
         return SerialBackend()
     return _BACKENDS[kind](count)

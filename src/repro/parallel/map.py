@@ -23,26 +23,26 @@ Two contracts make parallelism invisible to the rest of the system:
   matter how many workers ran, and worker counts are never lost to the
   thread-local context.
 
-Tasks additionally run under ``use_n_jobs(1)``, so a task that would
-itself fan out (a shard worker's
+Every task runs under the coordinator's run configuration
+(:func:`repro.config.current_config`), captured at fan-out with
+``n_jobs=1``: context variables reach neither pool threads nor worker
+processes on their own, so the harness ships the config, and a task
+resolves the same shard count, density backend and fault policy it
+would serially. A task that would itself fan out (a shard worker's
 :func:`~repro.sharding.evaluate_chunks`) stays serial inside a worker —
 parallelism never nests by accident.
-The caller's ambient fault policy is likewise captured at fan-out and
-installed in every worker (context variables do not cross process
-boundaries on their own), so any stream a task wraps is hardened the
-same way it would be serially — and any quarantine counts it produces
-merge back like every other counter.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import replace
 from functools import partial
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from repro.faults.policy import RowQuarantine, get_fault_policy, use_fault_policy
+from repro.config import RunConfig, current_config, use_config
 from repro.obs import Recorder, get_recorder, use_recorder
-from repro.parallel.backend import get_backend, use_n_jobs
+from repro.parallel.backend import get_backend
 from repro.parallel.shm import SharedChunks, resolve_chunk
 
 __all__ = ["parallel_map_chunks"]
@@ -52,27 +52,25 @@ _R = TypeVar("_R")
 
 
 @contextmanager
-def _worker_context(
-    policy: RowQuarantine, recorder: Recorder
-) -> Iterator[None]:
+def _worker_context(config: RunConfig, recorder: Recorder) -> Iterator[None]:
     """Install the worker-local ambient context; always restore priors.
 
     One task's context must never outlive the task: under the serial
     and thread backends the installing thread is (or shares state with)
     the coordinator, and under the process backend the worker process
-    is reused for the next task. Every installer below is token-based
+    is reused for the next task. Both installers below are token-based
     (``ContextVar.set`` returning a reset token, reset in a
-    ``finally``), so the prior recorder / fault policy / worker-count
-    default are restored even when the task raises — the exact
-    coordinator-visible-state leak RA009 flags for non-harness code.
+    ``finally``), so the prior recorder and run configuration are
+    restored even when the task raises — the exact coordinator-visible
+    state leak RA009 flags for non-harness code.
     """
-    with use_n_jobs(1), use_recorder(recorder), use_fault_policy(policy):
+    with use_config(**vars(config)), use_recorder(recorder):
         yield
 
 
 def _run_task(
     func: Callable[[_T], _R],
-    policy: RowQuarantine,
+    config: RunConfig,
     collect: bool,
     n_workers: int,
     indexed_item: tuple[int, _T],
@@ -90,7 +88,7 @@ def _run_task(
     # plain chunks pass through untouched.
     item = resolve_chunk(item)
     recorder = Recorder()
-    with _worker_context(policy, recorder):
+    with _worker_context(config, recorder):
         if collect:
             with recorder.phase(
                 "worker_task", worker=index % max(1, n_workers), chunk=index
@@ -113,7 +111,6 @@ def parallel_map_chunks(
     chunks: Iterable[_T],
     *,
     n_jobs: int | None = None,
-    backend: str | None = None,
 ) -> list[_R]:
     """Apply ``func`` to every chunk, in parallel, preserving order.
 
@@ -127,12 +124,10 @@ def parallel_map_chunks(
         Ordered task inputs (typically dataset chunks or block
         offsets). The result list matches this order exactly.
     n_jobs:
-        Worker-count request; ``None`` defers to the ambient default,
-        the ``REPRO_N_JOBS`` environment variable, then ``1`` (see
-        :func:`repro.parallel.resolve_n_jobs`).
-    backend:
-        Backend kind override (``"serial"``, ``"thread"``,
-        ``"process"``); see :func:`repro.parallel.get_backend`.
+        Worker-count request; ``None`` for the ambient
+        ``current_config().n_jobs``. The backend kind is always the
+        ambient ``parallel_backend`` (see
+        :func:`repro.parallel.get_backend`).
 
     Returns
     -------
@@ -142,7 +137,7 @@ def parallel_map_chunks(
         caller's ambient recorder.
     """
     ambient = get_recorder()
-    engine = get_backend(n_jobs, backend)
+    engine = get_backend(n_jobs)
     # With the process backend, park large ndarray chunks in shared
     # memory so workers map them instead of unpickling a copy; the
     # segments are unlinked as soon as the fan-in completes. Thread and
@@ -153,7 +148,7 @@ def parallel_map_chunks(
             partial(
                 _run_task,
                 func,
-                get_fault_policy(),
+                replace(current_config(), n_jobs=1),
                 ambient.enabled,
                 engine.n_jobs,
             ),

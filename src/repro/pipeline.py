@@ -13,7 +13,6 @@ clustering on a huge dataset as a single call:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +20,11 @@ import numpy as np
 from repro.clustering.assignment import assign_to_clusters
 from repro.clustering.base import Clusterer, ClusteringResult
 from repro.clustering.cure import CureClustering
+from repro.config import use_config
 from repro.core.biased import BiasedSample
 from repro.core.guide import recommend_settings
-from repro.density.backends import use_density_backend
 from repro.exceptions import ParameterError
-from repro.faults import use_fault_policy
 from repro.obs import Recorder, get_recorder, use_recorder
-from repro.parallel import use_n_jobs
 from repro.utils.streams import DataStream, as_stream
 
 __all__ = [
@@ -83,27 +80,15 @@ class ApproximateClusteringPipeline:
         ``"representatives"`` (CURE's rule, default) or ``"centers"``.
     random_state:
         Seed for the default sampler.
-    density_backend:
-        Density-estimator family for the default sampler (``"kde"``,
-        ``"tree"``); ``None`` leaves the ambient default /
-        ``REPRO_DENSITY_BACKEND`` resolution in place (see
-        :mod:`repro.density.backends`). Ignored when an explicit
-        ``sampler`` is supplied.
-    n_jobs:
-        Worker count installed as the ambient default for the whole
-        fit (sampling, clustering, assignment); ``None`` leaves the
-        ambient default / ``REPRO_N_JOBS`` resolution in place. See
-        :mod:`repro.parallel`; results are byte-identical for any
-        value.
-    fault_policy:
-        Invalid-row handling installed as the ambient policy for the
-        whole fit: a mode name (``"strict"``, ``"quarantine"``,
-        ``"repair"``), a :class:`repro.faults.RowQuarantine`, or
-        ``None`` to leave the ambient policy in place (default
-        strict). Streams built *inside* the fit — including the one
-        wrapping a plain ``data`` array — bind this policy; a
-        pre-built ``stream`` argument keeps the policy it was
-        constructed with.
+    density_backend, n_jobs, fault_policy:
+        Run settings installed for the whole fit with one
+        :func:`repro.config.use_config` call; ``None`` leaves a
+        setting's ambient value in place. ``density_backend`` (``"kde"``,
+        ``"tree"``) only shapes the default sampler. ``fault_policy`` (a
+        mode name or a :class:`repro.faults.RowQuarantine`) binds every
+        stream built inside the fit, including the one wrapping a plain
+        ``data`` array; a pre-built ``stream`` keeps its own policy.
+        Results are byte-identical for any ``n_jobs``.
 
     Examples
     --------
@@ -156,23 +141,10 @@ class ApproximateClusteringPipeline:
         recorder = get_recorder()
         if not recorder.enabled:
             recorder = Recorder()
-        jobs_context = (
-            use_n_jobs(self.n_jobs)
-            if self.n_jobs is not None
-            else nullcontext()
-        )
-        policy_context = (
-            use_fault_policy(self.fault_policy)
-            if self.fault_policy is not None
-            else nullcontext()
-        )
-        backend_context = (
-            use_density_backend(self.density_backend)
-            if self.density_backend is not None
-            else nullcontext()
-        )
-        with use_recorder(recorder), jobs_context, policy_context, (
-            backend_context
+        with use_recorder(recorder), use_config(
+            n_jobs=self.n_jobs,
+            density_backend=self.density_backend,
+            fault_policy=self.fault_policy,
         ):
             # The stream is built inside the contexts so a plain array
             # binds the pipeline's fault policy and its construction-time

@@ -12,12 +12,11 @@ It is also the one place density evaluation fans out
 count and any worker count — see DESIGN.md §13 for the merge contracts
 and the determinism argument.
 
-The ambient shard count is configured like the worker count:
-``repro run --shards S``, :func:`use_shards`, or the ``REPRO_SHARDS``
-environment variable (:func:`resolve_shards`).
+The ambient shard count is the ``shards`` field of the run
+configuration (:mod:`repro.config`): ``repro run --shards S``,
+:func:`use_shards`, or the ``REPRO_SHARDS`` environment variable.
 """
 
-from repro.sharding.context import SHARDS_ENV, resolve_shards, use_shards
 from repro.sharding.partials import (
     BoundsShard,
     GatherShard,
@@ -26,7 +25,14 @@ from repro.sharding.partials import (
     TreeCountShard,
     merge_partials,
 )
-from repro.sharding.plan import ShardPlan, ShardSpec, ShardView
+from repro.sharding.plan import (
+    SHARDS_ENV,
+    ShardPlan,
+    ShardSpec,
+    ShardView,
+    resolve_shards,
+    use_shards,
+)
 from repro.sharding.runner import (
     SHARD_EVAL_PHASE,
     SHARD_FIT_PHASE,

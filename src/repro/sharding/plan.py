@@ -14,19 +14,38 @@ is deliberately *not* a ``DataStream`` subclass: a view is not a
 re-iterable pass-counted dataset, it is a single-use reader whose pass
 bookkeeping belongs to the coordinating scan (see
 :mod:`repro.sharding.runner`).
+
+The ambient shard count is the ``shards`` field of
+:func:`repro.config.current_config` (``repro run --shards``,
+:func:`use_shards`, ``REPRO_SHARDS``; default ``1``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.config import SHARDS_ENV, check_shards, current_config, use_config
 from repro.exceptions import ParameterError
 
 __all__ = [
+    "SHARDS_ENV",
     "ShardPlan",
     "ShardSpec",
     "ShardView",
+    "resolve_shards",
+    "use_shards",
 ]
+
+
+def resolve_shards(shards: int | None = None) -> int:
+    """Validate an explicit shard count; ``None`` gives the ambient
+    ``current_config().shards``."""
+    return current_config().shards if shards is None else check_shards(shards)
+
+
+def use_shards(shards: int | None):
+    """Install an ambient shard count: ``use_config(shards=shards)``."""
+    return use_config(shards=shards)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ import numpy as np
 from repro.exceptions import DataValidationError
 from repro.obs import get_recorder
 from repro.parallel import parallel_map_chunks, resolve_n_jobs
-from repro.sharding.context import resolve_shards
 from repro.sharding.partials import (
     BoundsShard,
     GatherShard,
@@ -44,7 +43,7 @@ from repro.sharding.partials import (
     TreeCountShard,
     merge_partials,
 )
-from repro.sharding.plan import ShardPlan, ShardView
+from repro.sharding.plan import ShardPlan, ShardView, resolve_shards
 
 __all__ = [
     "SHARD_EVAL_PHASE",
@@ -108,11 +107,11 @@ def shard_map(worker, tasks, *, phase=SHARD_FIT_PHASE):
     dataset pass in total regardless of ``S`` or ``n_jobs``. Results
     come back in task (shard) order. The worker count is the ambient
     one (:func:`repro.parallel.resolve_n_jobs`), and every task runs
-    under ``use_n_jobs(1)``.
+    with ``n_jobs=1``.
 
     A single task — every ``S = 1`` scan — runs inline on the
     coordinator: no dispatch, no pickling, no ``worker_task`` span and
-    no ``use_n_jobs(1)`` wrapper, so an eval scan's
+    no ``n_jobs=1`` override, so an eval scan's
     :func:`evaluate_chunks` still fans out over the ambient count.
     """
     tasks = list(tasks)

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.config import RunConfig, use_config
 from repro.core import DensityBiasedSampler, OnePassBiasedSampler
 from repro.density import KernelDensityEstimator, TreeDensityEstimator
 from repro.exceptions import ParameterError
@@ -71,7 +72,7 @@ class TestResolveNJobs:
     def test_use_n_jobs_restores_on_exit(self, clean_env):
         with use_n_jobs(8):
             with use_n_jobs(None):
-                assert resolve_n_jobs() == 1
+                assert resolve_n_jobs() == 8
             assert resolve_n_jobs() == 8
         assert resolve_n_jobs() == 1
 
@@ -86,22 +87,25 @@ class TestGetBackend:
         assert backend.n_jobs == 4
 
     def test_explicit_process_kind(self, clean_env):
-        assert isinstance(get_backend(2, "process"), ProcessBackend)
+        with use_config(parallel_backend="process"):
+            assert isinstance(get_backend(2), ProcessBackend)
 
     def test_serial_kind_overrides_count(self, clean_env):
-        assert isinstance(get_backend(4, "serial"), SerialBackend)
+        with use_config(parallel_backend="serial"):
+            assert isinstance(get_backend(4), SerialBackend)
 
     def test_env_kind(self, clean_env, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "process")
         assert isinstance(get_backend(2), ProcessBackend)
 
     def test_unknown_kind_rejected(self, clean_env):
-        with pytest.raises(ParameterError):
-            get_backend(2, "gpu")
+        with pytest.raises(ParameterError), use_config(parallel_backend="gpu"):
+            get_backend(2)
 
     @pytest.mark.parametrize("kind", ["serial", "thread", "process"])
     def test_map_preserves_order(self, clean_env, kind):
-        backend = get_backend(4, kind)
+        with use_config(parallel_backend=kind):
+            backend = get_backend(4)
         items = list(range(23))
         assert backend.map(_square, items) == [i * i for i in items]
 
@@ -133,9 +137,8 @@ class TestParallelMapChunks:
 
     def test_process_backend_smoke(self, clean_env):
         chunks = [np.arange(4, dtype=float), np.arange(4, 9, dtype=float)]
-        results = parallel_map_chunks(
-            _count_and_double, chunks, n_jobs=2, backend="process"
-        )
+        with use_config(parallel_backend="process"):
+            results = parallel_map_chunks(_count_and_double, chunks, n_jobs=2)
         np.testing.assert_array_equal(results[0], np.arange(4) * 2.0)
         np.testing.assert_array_equal(results[1], np.arange(4, 9) * 2.0)
 
@@ -354,7 +357,11 @@ class TestWorkerContextRestore:
         with use_recorder(outer), use_fault_policy(policy), use_n_jobs(3):
             before = self._ambient()
             result, state = _run_task(
-                lambda chunk: chunk * 2, RowQuarantine("quarantine"), False, 1, (0, 21)
+                lambda chunk: chunk * 2,
+                RunConfig(fault_policy=RowQuarantine("quarantine")),
+                False,
+                1,
+                (0, 21),
             )
             assert result == 42
             assert self._ambient() == before
@@ -373,7 +380,13 @@ class TestWorkerContextRestore:
         with use_recorder(outer), use_fault_policy(policy), use_n_jobs(3):
             before = self._ambient()
             with pytest.raises(RuntimeError, match="task failure"):
-                _run_task(explode, RowQuarantine("quarantine"), False, 1, (0, 1))
+                _run_task(
+                    explode,
+                    RunConfig(fault_policy=RowQuarantine("quarantine")),
+                    False,
+                    1,
+                    (0, 1),
+                )
             assert self._ambient() == before
             assert get_recorder() is outer
 
@@ -385,8 +398,33 @@ class TestWorkerContextRestore:
 
         with use_recorder(outer):
             with pytest.raises(ValueError, match="poison chunk"):
-                parallel_map_chunks(
-                    explode, [1, 2, 3], n_jobs=2, backend="thread"
-                )
+                with use_config(parallel_backend="thread"):
+                    parallel_map_chunks(explode, [1, 2, 3], n_jobs=2)
             assert get_recorder() is outer
             assert resolve_n_jobs() == 1
+
+
+def _task_config(_item):
+    from repro.config import current_config
+
+    return current_config()
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_workers_see_coordinator_config(clean_env, backend):
+    # Pool threads start with an empty context and worker processes may
+    # not share the coordinator's: the harness ships the whole config,
+    # so every task resolves what the coordinator would, bar n_jobs.
+    from dataclasses import replace
+
+    from repro.config import current_config
+
+    with use_config(
+        shards=3,
+        density_backend="tree",
+        fault_policy="quarantine",
+        parallel_backend=backend,
+    ):
+        coordinator = current_config()
+        seen = parallel_map_chunks(_task_config, [0, 1, 2, 3], n_jobs=2)
+    assert seen == [replace(coordinator, n_jobs=1)] * 4

@@ -251,6 +251,22 @@ class TestRA002:
         assert codes(found) == ["RA002"]
         assert "use_recorder" in found[0].message
 
+    def test_run_config_installer_in_worker_flagged(self, tmp_path):
+        found = audit_snippet(
+            tmp_path,
+            """
+            def _worker(chunk):
+                with use_config(shards=1):
+                    return chunk
+
+            def run(chunks):
+                return parallel_map_chunks(_worker, chunks)
+            """,
+            select=["RA002", "RA009"],
+        )
+        assert codes(found) == ["RA002"]
+        assert "use_config" in found[0].message
+
     def test_rng_outside_worker_not_flagged(self, tmp_path):
         found = audit_snippet(
             tmp_path,

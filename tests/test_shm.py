@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
+from repro.config import use_config
 from repro.parallel import (
     SharedArray,
     SharedChunks,
@@ -111,35 +112,33 @@ class TestProcessBackendIntegration:
     def test_results_match_serial(self):
         chunks = [_large_chunk(seed) for seed in range(4)]
         serial = parallel_map_chunks(_sum_chunk, chunks, n_jobs=1)
-        shipped = parallel_map_chunks(
-            _sum_chunk, chunks, n_jobs=2, backend="process"
-        )
+        with use_config(parallel_backend="process"):
+            shipped = parallel_map_chunks(_sum_chunk, chunks, n_jobs=2)
         assert shipped == serial
         assert _leftover_segments() == []
 
     def test_worker_exception_releases_segments(self):
         chunks = [_large_chunk(seed) for seed in range(3)]
-        with pytest.raises(RuntimeError, match="injected"):
-            parallel_map_chunks(
-                _boom, chunks, n_jobs=2, backend="process"
-            )
+        with pytest.raises(RuntimeError, match="injected"), use_config(
+            parallel_backend="process"
+        ):
+            parallel_map_chunks(_boom, chunks, n_jobs=2)
         assert _leftover_segments() == []
 
     def test_worker_death_releases_segments(self):
         chunks = [_large_chunk(seed) for seed in range(3)]
-        with pytest.raises(BrokenProcessPool):
-            parallel_map_chunks(
-                _die, chunks, n_jobs=2, backend="process"
-            )
+        with pytest.raises(BrokenProcessPool), use_config(
+            parallel_backend="process"
+        ):
+            parallel_map_chunks(_die, chunks, n_jobs=2)
         assert _leftover_segments() == []
 
     def test_pickling_fallback_matches(self, monkeypatch):
         chunks = [_large_chunk(seed) for seed in range(3)]
         expected = parallel_map_chunks(_sum_chunk, chunks, n_jobs=1)
         monkeypatch.setenv(SHM_DIR_ENV, "/nonexistent-shm-dir")
-        actual = parallel_map_chunks(
-            _sum_chunk, chunks, n_jobs=2, backend="process"
-        )
+        with use_config(parallel_backend="process"):
+            actual = parallel_map_chunks(_sum_chunk, chunks, n_jobs=2)
         assert actual == expected
 
 
@@ -158,10 +157,10 @@ def test_no_segment_leak_across_chaos_iterations():
             for _ in range(3)
         ]
         if iteration % 10 == 5:
-            with pytest.raises(RuntimeError, match="injected"):
-                parallel_map_chunks(
-                    _boom, chunks, n_jobs=2, backend="process"
-                )
+            with pytest.raises(RuntimeError, match="injected"), use_config(
+                parallel_backend="process"
+            ):
+                parallel_map_chunks(_boom, chunks, n_jobs=2)
         else:
             try:
                 with SharedChunks(chunks) as shared:

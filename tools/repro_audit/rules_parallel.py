@@ -3,8 +3,8 @@
 ``repro.parallel`` guarantees byte-identical results for any worker
 count, which holds only if dispatched workers are pure with respect to
 process-global state: no RNG draws (worker draw *order* is
-scheduling-dependent) and no ambient-context installation (recorder /
-fault-policy / n_jobs contextvars — the harness itself installs those
+scheduling-dependent) and no ambient-context installation (the
+recorder, or the run configuration — the harness itself installs both
 deterministically around each task). This rule is the static twin of
 the runtime n_jobs byte-identity tests: it finds every function
 dispatched through ``parallel_map_chunks(...)`` or
@@ -15,8 +15,8 @@ and flags
   ``check_random_state(...)``, or any call on a receiver named like a
   generator (``rng``, ``_rng``, ``random_state``);
 * ambient-context mutation: ``use_recorder`` / ``recording`` /
-  ``use_fault_policy`` / ``use_n_jobs`` calls, or ``.set(...)`` on a
-  module-level ``ContextVar``.
+  ``use_config`` calls (or its ``use_fault_policy`` / ``use_n_jobs``
+  forwards), or ``.set(...)`` on a module-level ``ContextVar``.
 
 Functions defined inside ``repro.parallel`` itself are exempt (the
 sanctioned harness installs worker-local context on purpose) but are
@@ -47,7 +47,7 @@ __all__ = ["ParallelDeterminismAudit", "expand_dynamic", "worker_roots"]
 
 #: Call names that install ambient context (contextvar mutation).
 CONTEXT_INSTALLERS = frozenset(
-    {"use_recorder", "recording", "use_fault_policy", "use_n_jobs"}
+    {"use_recorder", "recording", "use_config", "use_fault_policy", "use_n_jobs"}
 )
 
 #: Receiver names that identify a random generator object.

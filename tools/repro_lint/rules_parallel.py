@@ -4,9 +4,10 @@ The parallel backend owns three contracts that ad-hoc worker pools
 silently break: results must be byte-identical for any worker count
 (random draws stay on the caller's single generator), every worker's
 ``repro.obs`` counters must be merged back into the ambient recorder
-(manifests stay accurate under parallelism), and worker policy
-(``n_jobs`` resolution, ``REPRO_N_JOBS``, backend kind) must live in
-one place. Library code that imports ``multiprocessing`` or
+(manifests stay accurate under parallelism), and every task must run
+under the coordinator's run configuration (``repro.config``: worker
+count, backend kind, shards, density backend, fault policy), which the
+harness ships to each worker. Library code that imports ``multiprocessing`` or
 ``concurrent.futures`` directly bypasses all three; this rule pins
 those imports to ``repro.parallel`` itself.
 """
