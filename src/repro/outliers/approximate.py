@@ -31,7 +31,7 @@ from repro.exceptions import ParameterError
 from repro.obs import get_recorder
 from repro.outliers.base import OutlierDetector, OutlierResult, resolve_p
 from repro.sharding import evaluate_chunks
-from repro.utils.geometry import ball_volume, sq_distances_to
+from repro.utils.geometry import ball_volume, count_within
 from repro.utils.streams import DataStream, as_stream
 from repro.utils.validation import check_positive
 
@@ -46,9 +46,11 @@ class ApproximateOutlierDetector(OutlierDetector):
     approximate neighbourhood mass, and the ``verify`` scan that counts
     exact neighbours of the surviving candidates.
 
-    Memory: O(n) — the screen heap may hold every point when the
-    candidate fraction is 1; fitting is O(m) and verification keeps
-    only the O(b) surviving candidates.
+    Memory: O(n) — the screen's sparsest-quota selection may hold every
+    point when ``candidate_quantile`` is 1; fitting is O(m), and
+    verification holds the O(b) surviving candidates plus three
+    ``(256, b)`` tile buffers (about 4.3 kB per candidate) reused
+    across the pass.
 
     Parameters
     ----------
@@ -209,45 +211,45 @@ class ApproximateOutlierDetector(OutlierDetector):
         """Single pass over the data keeping likely outliers.
 
         Keeps the union of (a) points whose expected neighbour count is
-        below the slack-scaled DB bound and (b) the
-        ``candidate_quantile`` sparsest points overall — (b) is tracked
-        with a bounded max-heap so one pass suffices (the dataset
-        cardinality is known up front, as the paper assumes).
+        below the slack-scaled DB bound and (b) the ``candidate_quantile``
+        sparsest points overall, ties going to the lower row index. (b)
+        is a running selection merged with each chunk, so one pass
+        suffices (the dataset cardinality is known up front, as the
+        paper assumes).
         """
-        import heapq
-
-        recorder = get_recorder()
         threshold = self.slack * (p + 1)
         quota = int(np.ceil(self.candidate_quantile * len(source)))
-        below: dict[int, np.ndarray] = {}
-        # Max-heap (via negation) of the `quota` sparsest points seen.
-        sparsest: list[tuple[float, int, np.ndarray]] = []
+        below_rows: list[np.ndarray] = []
+        below_pts: list[np.ndarray] = []
+        sparsest = (
+            np.empty(0),
+            np.empty(0, dtype=np.int64),
+            np.empty((0, source.n_dims)),
+        )
         for start, chunk, expected in self._expected_neighbors(
             source.iter_with_offsets(), estimator
         ):
-            for keep_local in np.nonzero(expected <= threshold)[0]:
-                below[start + int(keep_local)] = chunk[keep_local]
+            keep = np.nonzero(expected <= threshold)[0]
+            below_rows.append(start + keep)
+            below_pts.append(chunk[keep])
             if quota:
-                for local, value in enumerate(expected):
-                    entry = (-float(value), start + local, chunk[local])
-                    if len(sparsest) < quota:
-                        heapq.heappush(sparsest, entry)
-                        recorder.count("heap_pushes")
-                    elif value < -sparsest[0][0]:
-                        heapq.heapreplace(sparsest, entry)
-                        recorder.count("heap_pushes")
-        for _, idx, point in sparsest:
-            below.setdefault(idx, point)
-        if not below:
-            return np.empty(0, dtype=np.int64), np.empty((0, source.n_dims))
-        indices = np.array(sorted(below), dtype=np.int64)
-        points = np.vstack([below[int(i)] for i in indices])
-        return indices, points
+                offered = (
+                    expected, start + np.arange(chunk.shape[0]), chunk
+                )
+                sparsest = _keep_sparsest(sparsest, offered, quota)
+        rows = np.concatenate([*below_rows, sparsest[1]])
+        points = np.concatenate([*below_pts, sparsest[2]])
+        indices, first = np.unique(rows, return_index=True)
+        return indices, points[first]
 
     def _verify(
         self, source: DataStream, candidates: np.ndarray
     ) -> np.ndarray:
-        """Exact neighbour counts of the candidates in one pass."""
+        """Exact neighbour counts of the candidates in one pass.
+
+        Each chunk is counted in row tiles by :func:`count_within`, so
+        the pass holds the candidates plus ``O(tile * b)`` scratch.
+        """
         counts = np.zeros(candidates.shape[0], dtype=np.int64)
         if candidates.shape[0] == 0:
             return counts
@@ -257,7 +259,17 @@ class ApproximateOutlierDetector(OutlierDetector):
             recorder.count(
                 "distance_evals", candidates.shape[0] * chunk.shape[0]
             )
-            d = sq_distances_to(candidates, chunk)
-            counts += (d <= k_sq).sum(axis=1)
+            counts += count_within(candidates, chunk, k_sq)
         # A candidate is its own zero-distance neighbour in the scan.
         return counts - 1
+
+
+def _keep_sparsest(kept, offered, quota: int):
+    """The ``quota`` lowest ``(value, row)`` entries of two selections.
+
+    ``kept`` and ``offered`` are ``(values, rows, points)`` triples; the
+    result is one too, ordered by value and then by row index.
+    """
+    values, rows, points = (np.concatenate(pair) for pair in zip(kept, offered))
+    order = np.lexsort((rows, values))[:quota]
+    return values[order], rows[order], points[order]

@@ -11,10 +11,10 @@ dimensions: partition the bounding box into cells of side
   than ``k`` — everything beyond layer L2 can be ignored.
 
 Whole cells are then decided at once: if the guaranteed-neighbour count
-already exceeds ``p`` the cell holds no outliers; if even the L2 upper
-bound stays at or below ``p`` every point in the cell is an outlier;
-only the remaining cells need point-level distance checks, and those
-only against L2 points. Linear in ``n`` for fixed (low) dimension.
+already exceeds ``p`` the cell holds no outliers. Every other cell needs
+point-level distance checks, and those only against L2 points: they
+decide the undecided points and give every outlier its exact count.
+Linear in ``n`` for fixed (low) dimension.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from repro.exceptions import ParameterError
 from repro.obs import get_recorder
 from repro.outliers.base import OutlierDetector, OutlierResult, resolve_p
-from repro.utils.geometry import sq_distances_to
+from repro.utils.geometry import count_within
 from repro.utils.streams import DataStream, as_stream
 from repro.utils.validation import check_positive
 
@@ -117,31 +117,19 @@ class CellBasedOutlierDetector(OutlierDetector):
             l1 = sum(
                 counts.get(_shift(cell, off), 0) for off in offsets_l1
             )
-            if in_cell - 1 + l1 > p:
-                continue  # every point already has > p sure neighbours
-            l2 = sum(
-                counts.get(_shift(cell, off), 0) for off in offsets_l2
-            )
             sure = in_cell - 1 + l1
+            if sure > p:
+                continue  # every point already has > p sure neighbours
             l2_rows = [
                 row
                 for off in offsets_l2
                 for row in cells.get(_shift(cell, off), ())
             ]
-            if sure + l2 <= p:
-                # Even counting all of L2, the bound stays within p:
-                # the whole cell is outliers. Exact counts need only
-                # the L2 points (everything else is certain).
-                for row in rows:
-                    outlier_rows.append(row)
-                    outlier_counts.append(
-                        sure + self._within(pts, row, l2_rows, k_sq)
-                    )
-                continue
-            # Undecided: count each point's true L2 neighbours.
-            for row in rows:
-                within_l2 = self._within(pts, row, l2_rows, k_sq)
-                total = sure + within_l2
+            # Count each point's true L2 neighbours (everything else is
+            # certain). When even all of L2 keeps the bound within p the
+            # whole cell is outliers, but their counts still need this.
+            totals = sure + self._within(pts, rows, l2_rows, k_sq)
+            for row, total in zip(rows, totals.tolist()):
                 if total <= p:
                     outlier_rows.append(row)
                     outlier_counts.append(total)
@@ -156,13 +144,11 @@ class CellBasedOutlierDetector(OutlierDetector):
 
     @staticmethod
     def _within(
-        pts: np.ndarray, row: int, candidate_rows: list[int], k_sq: float
-    ) -> int:
-        if not candidate_rows:
-            return 0
-        get_recorder().count("distance_evals", len(candidate_rows))
-        d = sq_distances_to(pts[row][None, :], pts[candidate_rows])
-        return int((d <= k_sq).sum())
+        pts: np.ndarray, rows: list[int], candidate_rows: list[int], k_sq: float
+    ) -> np.ndarray:
+        """Neighbours among ``candidate_rows`` of each of ``rows``."""
+        get_recorder().count("distance_evals", len(rows) * len(candidate_rows))
+        return count_within(pts[rows], pts[candidate_rows], k_sq)
 
 
 def _ring_offsets(

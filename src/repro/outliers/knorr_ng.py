@@ -26,7 +26,7 @@ from repro.exceptions import ParameterError
 from repro.obs import get_recorder
 from repro.outliers.base import OutlierDetector, OutlierResult, resolve_p
 from repro.parallel import parallel_map_chunks
-from repro.utils.geometry import sq_distances_to
+from repro.utils.geometry import count_within
 from repro.utils.streams import DataStream, as_stream
 from repro.utils.validation import check_positive
 
@@ -45,7 +45,9 @@ def _count_outer_block(
     rows of the block being scanned — so each is a pure function of the
     dataset and its offset, and the outer loop parallelises with
     byte-identical results. A row's count freezes (early exit) once it
-    exceeds ``p``: the row is then a known non-outlier.
+    exceeds ``p``: the row is then a known non-outlier. Distances are
+    exact per-coordinate sums (:func:`count_within`), so counts do not
+    depend on ``block_size`` or on the data's offset from the origin.
     """
     n = pts.shape[0]
     a_stop = min(a_start + block_size, n)
@@ -55,8 +57,7 @@ def _count_outer_block(
     for b_start in range(0, n, block_size):
         b_stop = min(b_start + block_size, n)
         recorder.count("distance_evals", open_rows.size * (b_stop - b_start))
-        d = sq_distances_to(pts[open_rows], pts[b_start:b_stop])
-        within = (d <= k_sq).sum(axis=1)
+        within = count_within(pts[open_rows], pts[b_start:b_stop], k_sq)
         # Points do not count themselves as neighbours.
         overlap = (open_rows >= b_start) & (open_rows < b_stop)
         within = within - overlap.astype(np.int64)

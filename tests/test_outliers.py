@@ -1,5 +1,8 @@
 """Tests for DB(p, k) outlier detection (exact and approximate)."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from repro.datasets import make_outlier_dataset
 from repro.exceptions import ParameterError
 from repro.outliers import (
     ApproximateOutlierDetector,
+    CellBasedOutlierDetector,
     IndexedOutlierDetector,
     NestedLoopOutlierDetector,
     is_db_outlier_count,
@@ -177,3 +181,127 @@ class TestApproximateDetector:
         for idx, count in zip(result.indices.tolist(),
                               result.neighbor_counts.tolist()):
             assert exact_counts[idx] == count
+
+
+def _brute_counts(points, k):
+    """Neighbour counts from coordinatewise squared differences."""
+    d = ((points[:, None] - points[None]) ** 2).sum(-1)
+    return (d <= k * k).sum(axis=1) - 1
+
+
+class TestFarFromOrigin:
+    """Counts must not depend on how far the data sit from the origin.
+
+    The Gram expansion ``|x|^2 + |y|^2 - 2 x.y`` cancels
+    catastrophically at large offsets; every detector here counts from
+    exact per-coordinate differences instead.
+    """
+
+    P = 5
+
+    @pytest.fixture(scope="class")
+    def planted(self):
+        return make_outlier_dataset(
+            n_points=1500, n_outliers=10, random_state=5
+        )
+
+    @pytest.fixture(params=[0.0, 1e6, 1e8], ids=["0", "1e6", "1e8"])
+    def shifted(self, request, planted):
+        points = planted.points + request.param
+        k = planted.guaranteed_radius
+        return points, k, _brute_counts(points, k)
+
+    def _assert_exact(self, result, truth):
+        expected = np.nonzero(truth <= self.P)[0]
+        np.testing.assert_array_equal(result.indices, expected)
+        np.testing.assert_array_equal(result.neighbor_counts, truth[expected])
+
+    def test_verify_counts(self, shifted):
+        points, k, truth = shifted
+        detector = ApproximateOutlierDetector(k=k, p=self.P)
+        counts = detector._verify(DataStream(points, chunk_size=512), points)
+        np.testing.assert_array_equal(counts, truth)
+
+    def test_approximate(self, shifted, planted):
+        points, k, truth = shifted
+        result = ApproximateOutlierDetector(
+            k=k, p=self.P, random_state=0
+        ).detect(points)
+        np.testing.assert_array_equal(
+            result.neighbor_counts, truth[result.indices]
+        )
+        assert set(planted.outlier_indices.tolist()) <= set(
+            result.indices.tolist()
+        )
+        assert (truth[result.indices] <= self.P).all()
+
+    @pytest.mark.parametrize("block_size", [128, 4096])
+    def test_nested_loop(self, shifted, block_size):
+        points, k, truth = shifted
+        result = NestedLoopOutlierDetector(
+            k=k, p=self.P, block_size=block_size
+        ).detect(points)
+        self._assert_exact(result, truth)
+
+    def test_cell_based(self, shifted):
+        points, k, truth = shifted
+        result = CellBasedOutlierDetector(k=k, p=self.P).detect(points)
+        self._assert_exact(result, truth)
+
+
+class TestVerifyMemory:
+    def test_peak_allocation_is_bounded(self):
+        """The verify pass allocates O(tile * b), not O(chunk * b).
+
+        600 candidates against one 16,384-row chunk: a dense distance
+        matrix would be 78 MB per temporary; the tiled count needs
+        about 2.6 MB.
+        """
+        rng = np.random.default_rng(0)
+        data = rng.random((16_384, 2))
+        candidates = data[:600].copy()
+        stream = DataStream(data, chunk_size=16_384)
+        detector = ApproximateOutlierDetector(k=0.05, p=5)
+        tracemalloc.start()
+        try:
+            detector._verify(stream, candidates)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+class _FirstCoordinateDensity:
+    """Fitted stand-in estimator: a row's density is its first coordinate."""
+
+    n_points_ = 1
+    n_dims_ = 2
+
+    def evaluate(self, points):
+        return points[:, 0].copy()
+
+
+class TestScreenSelection:
+    def test_sparsest_quota_matches_reference(self):
+        """The quota keeps the lowest ``(value, row index)`` pairs, with
+        heavily tied values spread over many chunks."""
+        rng = np.random.default_rng(7)
+        n = 500
+        values = rng.integers(1, 6, n).astype(float)
+        # A few lower values arriving late must displace the highest
+        # *row indices* of the tied boundary value, not the lowest.
+        values[rng.choice(np.arange(n // 2, n), 8, replace=False)] = 0.5
+        data = np.column_stack([values, rng.random(n)])
+        # k = 1/sqrt(pi) makes the 2-D ball volume 1, so N' = value, and
+        # slack 0.25 with p = 0 puts no row below the threshold: the
+        # candidates are exactly the quota.
+        detector = ApproximateOutlierDetector(
+            k=1.0 / math.sqrt(math.pi), p=0, slack=0.25,
+            candidate_quantile=0.1,
+        )
+        indices, points = detector._screen(
+            DataStream(data, chunk_size=37), _FirstCoordinateDensity(), 0
+        )
+        by_rank = sorted(range(n), key=lambda i: (values[i], i))
+        assert indices.tolist() == sorted(by_rank[: math.ceil(0.1 * n)])
+        np.testing.assert_array_equal(points, data[indices])
