@@ -7,14 +7,13 @@ non-spherical shapes better than nearest-center assignment. Both
 policies are offered.
 
 The nearest anchor (representative or center) is found by an exact
-scan: each tile of rows gets its squared distance to every anchor,
-summed one coordinate at a time exactly as
-:func:`~repro.utils.geometry.pair_sq_distances` does, and the smallest
-wins. Ties go to the lowest anchor index, which is the lowest cluster
-label. Every caller labels against at most ``(n_clusters + 3) * c``
-anchors (130 with ``n_clusters = 10`` and ``c = 10``). At that size
-the scan is as fast as a kd-tree query, and the library's
-sample → cluster → label path needs numpy only.
+scan, :func:`~repro.utils.geometry.nearest`, once per stream chunk:
+each row's squared distance to every anchor is summed one coordinate at
+a time, and the smallest wins. Ties go to the lowest anchor index,
+which is the lowest cluster label. Every caller labels against at most
+``(n_clusters + 3) * c`` anchors (130 with ``n_clusters = 10`` and
+``c = 10``). At that size the scan is as fast as a kd-tree query, and
+the library's sample → cluster → label path needs numpy only.
 """
 
 from __future__ import annotations
@@ -23,14 +22,10 @@ import numpy as np
 
 from repro.clustering.base import ClusteringResult
 from repro.exceptions import DataValidationError, ParameterError
-from repro.utils.geometry import pair_sq_distances_into
+from repro.utils.geometry import nearest
 from repro.utils.streams import DataStream, as_stream
 
 __all__ = ["assign_to_clusters"]
-
-#: Rows per tile of the nearest-anchor scan. A ``(tile, n_anchors)``
-#: float64 buffer stays cache-resident at the anchor counts callers use.
-_TILE_ROWS = 256
 
 
 def assign_to_clusters(
@@ -87,13 +82,9 @@ def assign_to_clusters(
                 for label, reps in enumerate(result.representatives)
             ]
         )
-    # Column-major, so each coordinate's anchor values are contiguous.
-    anchors = np.asfortranarray(anchors, dtype=np.float64)
     n_dims = anchors.shape[1]
     source = stream if stream is not None else as_stream(data)
     labels = np.empty(len(source), dtype=np.int64)
-    dists = np.empty((_TILE_ROWS, anchors.shape[0]))
-    buf = np.empty_like(dists)
     for start, chunk in source.iter_with_offsets():
         if chunk.shape[1] != n_dims:
             raise DataValidationError(
@@ -101,12 +92,6 @@ def assign_to_clusters(
                 f"d={chunk.shape[1]} but the clustering's anchors have "
                 f"d={n_dims}."
             )
-        for lo in range(0, chunk.shape[0], _TILE_ROWS):
-            tile = chunk[lo : lo + _TILE_ROWS]
-            rows = tile.shape[0]
-            tile_dists = pair_sq_distances_into(
-                tile, anchors, dists[:rows], buf[:rows]
-            )
-            row = start + lo
-            labels[row : row + rows] = anchor_label[tile_dists.argmin(axis=1)]
+        index, _ = nearest(chunk, anchors)
+        labels[start : start + chunk.shape[0]] = anchor_label[index]
     return labels

@@ -28,7 +28,7 @@ import numpy as np
 from repro.clustering.base import Clusterer, ClusteringResult
 from repro.clustering.hierarchical import AgglomerativeClustering
 from repro.exceptions import ParameterError
-from repro.utils.geometry import sq_distances_to
+from repro.utils.geometry import nearest, pair_sq_distances
 from repro.utils.validation import check_array
 
 __all__ = [
@@ -94,7 +94,7 @@ class CFNode:
         return np.array([e.centroid for e in self.entries])
 
     def closest_entry_index(self, centroid: np.ndarray) -> int:
-        d = sq_distances_to(self.centroids(), centroid[None, :]).ravel()
+        d = pair_sq_distances(self.centroids(), centroid[None, :])
         return int(d.argmin())
 
 
@@ -155,7 +155,7 @@ class CFTree:
     def _split(self, node: CFNode) -> tuple[CFNode, CFNode]:
         """Split around the two farthest entry centroids."""
         centroids = node.centroids()
-        d = sq_distances_to(centroids, centroids)
+        d = pair_sq_distances(centroids, centroids)
         i, j = np.unravel_index(d.argmax(), d.shape)
         to_i = d[:, i] <= d[:, j]
         if to_i.all() or not to_i.any():
@@ -282,7 +282,7 @@ class Birch(Clusterer):
         summary = global_phase.fit(centroids, sample_weight=counts)
 
         centers = summary.centers
-        labels = sq_distances_to(pts, centers).argmin(axis=1)
+        labels, _ = nearest(pts, centers)
         sizes = np.bincount(labels, minlength=n_global)
         return ClusteringResult(
             labels=labels,
@@ -343,7 +343,7 @@ class Birch(Clusterer):
         centroids = np.array([e.centroid for e in entries])
         if centroids.shape[0] > 2048:
             centroids = centroids[:: centroids.shape[0] // 2048 + 1]
-        d = sq_distances_to(centroids, centroids)
+        d = pair_sq_distances(centroids, centroids)
         np.fill_diagonal(d, np.inf)
-        nearest = float(np.sqrt(d.min(axis=1).mean()))
-        return max(2.0 * tree.threshold, nearest, 1e-12)
+        spacing = float(np.sqrt(d.min(axis=1).mean()))
+        return max(2.0 * tree.threshold, spacing, 1e-12)

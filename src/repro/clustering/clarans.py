@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.clustering.base import Clusterer, ClusteringResult
 from repro.exceptions import ParameterError
-from repro.utils.geometry import pairwise_sq_distances
+from repro.utils.geometry import pair_sq_distances
 from repro.utils.validation import check_array, check_random_state
 
 __all__ = ["Clarans"]
@@ -85,7 +85,7 @@ class Clarans(Clusterer):
                 f"sample_weight must have shape ({n},); got {weights.shape}."
             )
         rng = check_random_state(self.random_state)
-        dists = np.sqrt(pairwise_sq_distances(pts))
+        dists = np.sqrt(pair_sq_distances(pts, pts))
         max_neighbors = self._resolve_max_neighbors(n)
 
         best_cost = np.inf

@@ -17,10 +17,8 @@ representative sets. Every pair distance comes from
 :func:`~repro.utils.geometry.pair_sq_distances`, which sums the squared
 coordinate differences of its two points and nothing else, so a
 distance is a pure, symmetric function of the two clusters: it has the
-same bits whichever side computes it, in whatever batch. The Gram
-expansion of ``sq_distances_to`` has neither property (its bits depend
-on the shape of the BLAS call, and it cancels catastrophically far from
-the origin), which is why no cache could be exact on top of it.
+same bits whichever side computes it, in whatever batch, which is what
+lets the cache below be exact.
 
 Start-up computes the singletons' distances in one pass over the lower
 triangle, in row blocks of about :data:`_STARTUP_BLOCK_PAIRS` pairs. A

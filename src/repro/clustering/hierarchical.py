@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.clustering.base import Clusterer, ClusteringResult
 from repro.exceptions import ParameterError
-from repro.utils.geometry import pairwise_sq_distances
+from repro.utils.geometry import pair_sq_distances
 from repro.utils.validation import check_array
 
 __all__ = ["AgglomerativeClustering"]
@@ -69,7 +69,7 @@ class AgglomerativeClustering(Clusterer):
             )
         target = min(self.n_clusters, n)
 
-        dist = pairwise_sq_distances(pts)
+        dist = pair_sq_distances(pts, pts)
         if self.linkage != "centroid":
             np.sqrt(dist, out=dist)
         np.fill_diagonal(dist, np.inf)

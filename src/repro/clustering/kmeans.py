@@ -13,8 +13,8 @@ import warnings
 import numpy as np
 
 from repro.clustering.base import Clusterer, ClusteringResult
-from repro.exceptions import ConvergenceWarning, ParameterError
-from repro.utils.geometry import sq_distances_to
+from repro.exceptions import ConvergenceWarning, DataValidationError, ParameterError
+from repro.utils.geometry import nearest
 from repro.utils.validation import check_array, check_random_state
 
 __all__ = ["KMeans"]
@@ -89,9 +89,15 @@ class KMeans(Clusterer):
         )
 
     def predict(self, points, centers) -> np.ndarray:
-        """Nearest-center labels for new points."""
+        """Nearest-center labels for new points; ties go to the lower label."""
         pts = check_array(points, name="points")
-        return sq_distances_to(pts, centers).argmin(axis=1)
+        centers = check_array(centers, name="centers")
+        if centers.shape[1] != pts.shape[1]:
+            raise DataValidationError(
+                f"KMeans.predict: points have d={pts.shape[1]} but the "
+                f"centers have d={centers.shape[1]}."
+            )
+        return nearest(pts, centers)[0]
 
     # -- internals -------------------------------------------------------------
 
@@ -119,7 +125,7 @@ class KMeans(Clusterer):
         probs = weights / weights.sum()
         first = rng.choice(n, p=probs)
         centers[0] = pts[first]
-        closest_sq = sq_distances_to(pts, centers[:1]).ravel()
+        _, closest_sq = nearest(pts, centers[:1])
         for i in range(1, self.n_clusters):
             scores = weights * closest_sq
             total = scores.sum()
@@ -129,17 +135,15 @@ class KMeans(Clusterer):
             else:
                 idx = rng.choice(n, p=scores / total)
             centers[i] = pts[idx]
-            new_sq = sq_distances_to(pts, centers[i : i + 1]).ravel()
+            _, new_sq = nearest(pts, centers[i : i + 1])
             np.minimum(closest_sq, new_sq, out=closest_sq)
         return centers
 
     def _lloyd(
         self, pts: np.ndarray, weights: np.ndarray, centers: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, float]:
-        labels = np.zeros(pts.shape[0], dtype=np.int64)
         for _ in range(self.max_iter):
-            dists = sq_distances_to(pts, centers)
-            labels = dists.argmin(axis=1)
+            labels, sq_dist = nearest(pts, centers)
             new_centers = centers.copy()
             for k in range(self.n_clusters):
                 mask = labels == k
@@ -150,7 +154,7 @@ class KMeans(Clusterer):
                     )
                 else:
                     # Reseed an empty cluster at the worst-served point.
-                    worst = dists[np.arange(len(labels)), labels].argmax()
+                    worst = sq_dist.argmax()
                     new_centers[k] = pts[worst]
             shift = np.linalg.norm(new_centers - centers, axis=1).max()
             centers = new_centers
@@ -162,9 +166,6 @@ class KMeans(Clusterer):
                 ConvergenceWarning,
                 stacklevel=2,
             )
-        dists = sq_distances_to(pts, centers)
-        labels = dists.argmin(axis=1)
-        inertia = float(
-            (weights * dists[np.arange(len(labels)), labels]).sum()
-        )
+        labels, sq_dist = nearest(pts, centers)
+        inertia = float((weights * sq_dist).sum())
         return centers, labels, inertia

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.clustering.base import Clusterer, ClusteringResult
 from repro.exceptions import ParameterError
-from repro.utils.geometry import pairwise_sq_distances
+from repro.utils.geometry import pair_sq_distances
 from repro.utils.validation import check_array
 
 __all__ = ["KMedoids"]
@@ -57,7 +57,7 @@ class KMedoids(Clusterer):
             raise ParameterError(
                 f"sample_weight must have shape ({n},); got {weights.shape}."
             )
-        dists = np.sqrt(pairwise_sq_distances(pts))
+        dists = np.sqrt(pair_sq_distances(pts, pts))
         medoids = self._build(dists, weights)
         medoids = self._swap(dists, weights, medoids)
 

@@ -22,7 +22,7 @@ import numpy as np
 from repro.clustering.base import Clusterer, ClusteringResult
 from repro.clustering.kmedoids import KMedoids
 from repro.exceptions import ParameterError
-from repro.utils.geometry import sq_distances_to
+from repro.utils.geometry import nearest, pair_sq_distances
 from repro.utils.validation import check_array, check_random_state
 
 __all__ = ["SublinearKMedian"]
@@ -109,9 +109,8 @@ class SublinearKMedian(Clusterer):
         if self.refine:
             medoids = self._refine(pts, medoids, rng)
 
-        dists = np.sqrt(sq_distances_to(pts, medoids))
-        labels = dists.argmin(axis=1)
-        self.cost_ = float(dists[np.arange(n), labels].sum())
+        labels, sq_dist = nearest(pts, medoids)
+        self.cost_ = float(np.sqrt(sq_dist).sum())
         sizes = np.bincount(labels, minlength=self.n_clusters)
         return ClusteringResult(
             labels=labels,
@@ -127,7 +126,7 @@ class SublinearKMedian(Clusterer):
         rng: np.random.Generator,
     ) -> np.ndarray:
         """Re-solve 1-median per induced part on a per-part sample."""
-        labels = sq_distances_to(pts, medoids).argmin(axis=1)
+        labels, _ = nearest(pts, medoids)
         refined = medoids.copy()
         per_part = max(
             8, self.sample_size_ // max(1, self.n_clusters)
@@ -142,6 +141,6 @@ class SublinearKMedian(Clusterer):
                 else rng.choice(members, size=per_part, replace=False)
             )
             part = pts[chosen]
-            dists = np.sqrt(sq_distances_to(part, part))
+            dists = np.sqrt(pair_sq_distances(part, part))
             refined[k] = part[dists.sum(axis=1).argmin()]
         return refined

@@ -48,9 +48,9 @@ class ApproximateOutlierDetector(OutlierDetector):
 
     Memory: O(n) — the screen's sparsest-quota selection may hold every
     point when ``candidate_quantile`` is 1; fitting is O(m), and
-    verification holds the O(b) surviving candidates plus three
-    ``(256, b)`` tile buffers (about 4.3 kB per candidate) reused
-    across the pass.
+    verification holds the O(b) surviving candidates plus three tile
+    buffers of ``max(256 * b, 32768)`` cells (about 4.3 kB per
+    candidate).
 
     Parameters
     ----------

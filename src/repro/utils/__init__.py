@@ -10,11 +10,7 @@ from repro.utils.scaling import MinMaxScaler
 from repro.utils.streams import DataStream, PassCounter, as_stream
 from repro.utils.filestreams import CsvFileStream, NpyFileStream
 from repro.utils.ascii_plot import line_plot, scatter_plot
-from repro.utils.geometry import (
-    ball_volume,
-    pairwise_sq_distances,
-    sq_distances_to,
-)
+from repro.utils.geometry import ball_volume
 from repro.utils.heaps import IndexedMinHeap
 
 __all__ = [
@@ -31,7 +27,5 @@ __all__ = [
     "scatter_plot",
     "line_plot",
     "ball_volume",
-    "pairwise_sq_distances",
-    "sq_distances_to",
     "IndexedMinHeap",
 ]

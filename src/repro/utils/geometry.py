@@ -1,8 +1,12 @@
 """Geometric helpers: distances and ball volumes.
 
-The outlier detector integrates density over Euclidean balls and the
-clustering code needs fast pairwise distances; both live here so the
-formulas are tested once.
+The outlier detector integrates density over Euclidean balls, and every
+clusterer measures squared Euclidean distances; both live here so the
+formulas are tested once. There is one distance kernel: squared
+coordinate differences summed one coordinate at a time. All-pairs
+matrices come from :func:`pair_sq_distances`; scans of many rows against
+a few anchors or centres (:func:`nearest`, :func:`count_within`) run it
+on row tiles of ``max(256, 32768 // targets)`` rows.
 """
 
 from __future__ import annotations
@@ -11,18 +15,17 @@ import math
 
 import numpy as np
 
-#: Rows per tile of :func:`count_within`. Its three ``(tile, centres)``
-#: buffers take ~4.3 kB per centre, so a few hundred candidates fit in
-#: cache.
+#: A tile of :func:`nearest` and :func:`count_within` has at least
+#: ``_TILE_ROWS`` rows, or enough for ``_TILE_CELLS`` distances (256 kB,
+#: cache-resident) when there are few targets.
 _TILE_ROWS = 256
+_TILE_CELLS = 32_768
 
 __all__ = [
     "ball_volume",
     "count_within",
+    "nearest",
     "pair_sq_distances",
-    "pair_sq_distances_into",
-    "pairwise_sq_distances",
-    "sq_distances_to",
 ]
 
 
@@ -42,74 +45,53 @@ def ball_volume(radius: float, n_dims: int) -> float:
     return unit * radius**n_dims
 
 
-def pairwise_sq_distances(points: np.ndarray) -> np.ndarray:
-    """All-pairs squared Euclidean distances, shape ``(n, n)``.
-
-    Computed via the expansion ``|x-y|^2 = |x|^2 + |y|^2 - 2 x.y`` with a
-    clip at zero to absorb floating-point negatives on the diagonal.
-    """
-    sq_norms = np.einsum("ij,ij->i", points, points)
-    gram = points @ points.T
-    dists = sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram
-    np.maximum(dists, 0.0, out=dists)
-    return dists
-
-
-def sq_distances_to(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Squared distances from each of ``points`` to each of ``targets``.
-
-    Returns shape ``(len(points), len(targets))``.
-    """
-    p_norms = np.einsum("ij,ij->i", points, points)
-    t_norms = np.einsum("ij,ij->i", targets, targets)
-    dists = p_norms[:, None] + t_norms[None, :] - 2.0 * (points @ targets.T)
-    np.maximum(dists, 0.0, out=dists)
-    return dists
-
-
 def pair_sq_distances(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Squared distances from ``points`` to ``targets``, one pair at a time.
 
     Returns shape ``(len(points), len(targets))``. Sums ``(p_j - t_j)^2``
-    one coordinate at a time (see :func:`pair_sq_distances_into`). Every
-    entry is the same sequence of rounded operations on its own two
-    rows, so it does not depend on the shape of the call, swapping the
-    arguments gives the transpose bit for bit, and duplicate rows give
-    exactly 0. The Gram expansion in :func:`sq_distances_to` is faster
-    for wide ``d`` but has neither property, and it cancels
-    catastrophically for points far from the origin.
+    one coordinate at a time, from coordinate 0 upwards. Every entry is
+    the same sequence of rounded operations on its own two rows, so it
+    does not depend on the shape of the call, swapping the arguments
+    gives the transpose bit for bit, duplicate rows give exactly 0, and
+    points far from the origin do not cancel. Raises ``ValueError``
+    naming both shapes unless both arrays are 2-D with equal widths.
     """
+    _check_columns(points, targets)
     out = np.empty((points.shape[0], targets.shape[0]))
-    return pair_sq_distances_into(points, targets, out, np.empty_like(out))
+    return _sq_distances_into(points, targets, out, np.empty_like(out))
 
 
-def pair_sq_distances_into(
-    points: np.ndarray, targets: np.ndarray, out: np.ndarray, buf: np.ndarray
-) -> np.ndarray:
-    """:func:`pair_sq_distances` into caller-owned buffers.
+def nearest(
+    points: np.ndarray, anchors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest anchor of every point, by exact squared distance.
 
-    Parameters
-    ----------
-    points, targets:
-        Arrays of shape ``(m, d)`` and ``(t, d)`` with ``d >= 1``.
-    out:
-        Float64 array of shape ``(m, t)``; receives the distances.
-    buf:
-        Float64 scratch array of the same shape; overwritten.
+    ``points`` (shape ``(n, d)``) is scanned in row tiles, so the
+    working memory is ``O(max(256 * k, 32768))`` for ``k >= 1`` anchors
+    whatever ``n`` is, and splitting ``points`` across calls gives the
+    same output. Raises ``ValueError`` as :func:`pair_sq_distances` does.
 
     Returns
     -------
-    numpy.ndarray
-        ``out``, holding ``sum_j (p_j - t_j)^2`` accumulated from
-        coordinate 0 upwards.
+    index:
+        Int64 array of shape ``(n,)``: the row of ``anchors`` closest to
+        each point. Ties go to the lowest anchor index.
+    sq_dist:
+        Float64 array of shape ``(n,)``: the squared distance to that
+        anchor, as :func:`pair_sq_distances` computes it.
+
+    >>> nearest(np.array([[0.0], [4.0], [2.5]]), np.array([[1.0], [3.0]]))
+    (array([0, 1, 1]), array([1.  , 1.  , 0.25]))
     """
-    np.subtract(points[:, 0, None], targets[None, :, 0], out=out)
-    np.multiply(out, out, out=out)
-    for j in range(1, points.shape[1]):
-        np.subtract(points[:, j, None], targets[None, :, j], out=buf)
-        np.multiply(buf, buf, out=buf)
-        out += buf
-    return out
+    _check_columns(points, anchors)
+    index = np.empty(points.shape[0], dtype=np.int64)
+    sq_dist = np.empty(points.shape[0])
+    for lo, dists in _tiles(points, anchors):
+        best = dists.argmin(axis=1)
+        rows = best.shape[0]
+        index[lo : lo + rows] = best
+        sq_dist[lo : lo + rows] = dists[np.arange(rows), best]
+    return index, sq_dist
 
 
 def count_within(
@@ -117,13 +99,12 @@ def count_within(
 ) -> np.ndarray:
     """How many of ``points`` lie within the radius of each centre.
 
-    ``points`` is scanned in tiles of 256 rows. Each tile's distances to
-    every centre go through :func:`pair_sq_distances_into` into buffers
-    allocated once per call, so the working memory is
-    ``O(tile * len(centres))`` whatever the number of points. The
-    distances are exact per-coordinate sums, so a count does not depend
-    on how far the data sit from the origin, and splitting ``points``
-    into blocks gives the same total.
+    ``points`` is scanned in row tiles, so the working memory is
+    ``O(max(256 * len(centres), 32768))`` whatever the number of
+    points. The distances are exact per-coordinate sums, so a count does
+    not depend on how far the data sit from the origin, and splitting
+    ``points`` into blocks gives the same total. Raises ``ValueError``
+    as :func:`pair_sq_distances` does.
 
     Parameters
     ----------
@@ -142,17 +123,52 @@ def count_within(
     >>> count_within(np.array([[0.0], [5.0]]), np.array([[1.0], [2.0]]), 1.0)
     array([1, 0])
     """
-    # Column-major, so each coordinate's centre values are contiguous.
-    centres = np.asfortranarray(centres, dtype=np.float64)
+    _check_columns(centres, points)
     counts = np.zeros(centres.shape[0], dtype=np.int64)
-    tile = max(1, min(_TILE_ROWS, points.shape[0]))
-    dists = np.empty((tile, centres.shape[0]))
+    for _, dists in _tiles(points, centres):
+        counts += (dists <= radius_sq).sum(axis=0)
+    return counts
+
+
+def _check_columns(points: np.ndarray, targets: np.ndarray) -> None:
+    if points.ndim != 2 or targets.ndim != 2 or points.shape[1] != targets.shape[1]:
+        raise ValueError(
+            "expected two 2-D arrays with the same number of columns; "
+            f"got shapes {points.shape} and {targets.shape}."
+        )
+
+
+def _tiles(points: np.ndarray, targets: np.ndarray):
+    """Yield ``(lo, dists)`` for each row tile of ``points``.
+
+    ``dists`` holds the tile's squared distances to every target. It is
+    a view of a buffer reused by the next tile, so read it before
+    advancing.
+    """
+    # Column-major, so each coordinate's target values are contiguous.
+    targets = np.asfortranarray(targets, dtype=np.float64)
+    tile = max(_TILE_ROWS, _TILE_CELLS // max(1, targets.shape[0]))
+    tile = max(1, min(tile, points.shape[0]))
+    dists = np.empty((tile, targets.shape[0]))
     buf = np.empty_like(dists)
-    inside = np.empty(dists.shape, dtype=bool)
     for lo in range(0, points.shape[0], tile):
         block = points[lo : lo + tile]
         rows = block.shape[0]
-        pair_sq_distances_into(block, centres, dists[:rows], buf[:rows])
-        np.less_equal(dists[:rows], radius_sq, out=inside[:rows])
-        counts += inside[:rows].sum(axis=0)
-    return counts
+        yield lo, _sq_distances_into(block, targets, dists[:rows], buf[:rows])
+
+
+def _sq_distances_into(
+    points: np.ndarray, targets: np.ndarray, out: np.ndarray, buf: np.ndarray
+) -> np.ndarray:
+    """Fill ``out`` with ``sum_j (p_j - t_j)^2``, using ``buf`` as scratch.
+
+    Both are float64 ``(len(points), len(targets))``; the sum runs from
+    coordinate 0 upwards.
+    """
+    np.subtract(points[:, 0, None], targets[None, :, 0], out=out)
+    np.multiply(out, out, out=out)
+    for j in range(1, points.shape[1]):
+        np.subtract(points[:, j, None], targets[None, :, j], out=buf)
+        np.multiply(buf, buf, out=buf)
+        out += buf
+    return out

@@ -41,10 +41,8 @@ class TestScatteredPoints:
         rng = np.random.default_rng(1)
         pts = rng.random((300, 2))
         reps = select_scattered_points(pts, pts.mean(axis=0), 10)
-        from repro.utils.geometry import pairwise_sq_distances
-
         min_pair = np.sqrt(
-            pairwise_sq_distances(reps)[~np.eye(10, dtype=bool)].min()
+            pair_sq_distances(reps, reps)[~np.eye(10, dtype=bool)].min()
         )
         assert min_pair > 0.15
 

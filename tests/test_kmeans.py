@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.clustering import KMeans
-from repro.exceptions import ParameterError
+from repro.exceptions import DataValidationError, ParameterError
 
 
 @pytest.fixture
@@ -62,6 +62,12 @@ class TestBasics:
         ]
         assert labels[0] == member_label
         assert origin_label in (0, 1, 2)
+
+    def test_predict_rejects_dimension_mismatch(self, three_blobs):
+        model = KMeans(n_clusters=3, random_state=0)
+        centers = model.fit(three_blobs).centers
+        with pytest.raises(DataValidationError, match="KMeans.predict.*d=3.*d=2"):
+            model.predict(np.zeros((4, 3)), centers)
 
     def test_more_clusters_than_points_rejected(self):
         with pytest.raises(Exception):

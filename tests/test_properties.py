@@ -10,11 +10,7 @@ from repro.core.weights import effective_sample_size
 from repro.density import KernelDensityEstimator, get_kernel
 from repro.faults import FaultPlan, FaultyStream
 from repro.utils.streams import DataStream
-from repro.utils.geometry import (
-    ball_volume,
-    pairwise_sq_distances,
-    sq_distances_to,
-)
+from repro.utils.geometry import ball_volume, pair_sq_distances
 from repro.utils.heaps import IndexedMinHeap
 from repro.utils.scaling import MinMaxScaler
 
@@ -36,21 +32,21 @@ def point_arrays(min_rows=2, max_rows=60, min_cols=1, max_cols=4):
 class TestGeometryProperties:
     @given(point_arrays())
     def test_pairwise_symmetric_nonnegative(self, pts):
-        d = pairwise_sq_distances(pts)
+        d = pair_sq_distances(pts, pts)
         assert (d >= 0).all()
-        np.testing.assert_allclose(d, d.T, atol=1e-6)
+        np.testing.assert_array_equal(d, d.T)
+        assert (np.diag(d) == 0.0).all()
 
     @given(point_arrays(max_rows=20), point_arrays(max_rows=20))
     def test_cross_distances_match_norm(self, a, b):
         if a.shape[1] != b.shape[1]:
             b = np.resize(b, (b.shape[0], a.shape[1]))
-        d = sq_distances_to(a, b)
+        d = pair_sq_distances(a, b)
         i, j = 0, b.shape[0] - 1
-        direct = float(((a[i] - b[j]) ** 2).sum())
-        # Relative tolerance: catastrophic cancellation is bounded by the
-        # squared norms involved.
-        scale = max(1.0, (a[i] ** 2).sum() + (b[j] ** 2).sum())
-        assert abs(d[i, j] - direct) <= 1e-7 * scale
+        direct = 0.0
+        for x, y in zip(a[i].tolist(), b[j].tolist()):
+            direct += (x - y) * (x - y)
+        assert d[i, j] == direct
 
     @given(
         st.floats(min_value=1e-3, max_value=1e3),
