@@ -111,7 +111,14 @@ def resolve_bandwidth(
     *,
     scale: float | None = None,
 ) -> np.ndarray:
-    """Turn a bandwidth spec (rule name, scalar, or vector) into per-dim widths."""
+    """Turn a bandwidth spec (rule name, scalar, or vector) into per-dim widths.
+
+    Every resolved width must be finite and strictly positive: a NaN
+    width makes every density NaN and an infinite one makes it zero
+    everywhere, so either raises a :class:`ParameterError` naming the
+    first offending attribute — for numeric widths and for rule-derived
+    ones (whose spread overflows for data near 1e300) alike.
+    """
     if isinstance(bandwidth, str):
         try:
             rule = _RULES[bandwidth]
@@ -120,15 +127,26 @@ def resolve_bandwidth(
                 f"unknown bandwidth rule {bandwidth!r}; "
                 f"choose from {sorted(_RULES)} or pass numeric widths."
             ) from None
-        return rule(std, n_points, n_dims, kernel, scale=scale)
-    width = np.asarray(bandwidth, dtype=np.float64)
-    if width.ndim == 0:
-        width = np.full(n_dims, float(width))
-    if width.shape != (n_dims,):
-        raise ParameterError(
-            f"bandwidth must be a scalar or have shape ({n_dims},); "
-            f"got shape {width.shape}."
+        width = rule(std, n_points, n_dims, kernel, scale=scale)
+        source = (
+            f"from the {bandwidth!r} rule: the attribute's spread is out "
+            "of float64 range"
         )
-    if (width <= 0).any():
-        raise ParameterError("bandwidths must be strictly positive.")
+    else:
+        width = np.asarray(bandwidth, dtype=np.float64)
+        if width.ndim == 0:
+            width = np.full(n_dims, float(width))
+        if width.shape != (n_dims,):
+            raise ParameterError(
+                f"bandwidth must be a scalar or have shape ({n_dims},); "
+                f"got shape {width.shape}."
+            )
+        source = "as given"
+    bad = np.flatnonzero(~(np.isfinite(width) & (width > 0)))
+    if bad.size:
+        j = int(bad[0])
+        raise ParameterError(
+            f"bandwidth of attribute {j} is {float(width[j])!r} ({source}); "
+            "bandwidths must be finite and strictly positive."
+        )
     return width

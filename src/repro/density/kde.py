@@ -196,7 +196,7 @@ class KernelDensityEstimator(DensityEstimator):
                 "must be drawn against the same stream the shards read."
             )
         self.n_points_ = moments.count
-        self.centers_ = plan.assemble(state.fetched_rows())
+        self.centers_ = plan.assemble(*state.fetched_rows())
         self.n_dims_ = self.centers_.shape[1]
         self.bandwidths_ = resolve_bandwidth(
             self.bandwidth,
@@ -282,7 +282,7 @@ class KernelDensityEstimator(DensityEstimator):
             bound = np.cumprod(1.0 / self.bandwidths_)
         return bool(np.all(self.bandwidths_ > 0) and np.all(np.isfinite(bound)))
 
-    def _candidates(self, rows: np.ndarray) -> np.ndarray:
+    def _candidates(self, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
         """Centres that may be non-zero for some row of the tile ``rows``.
 
         A centre is kept when, in every attribute, the tile's bounding
@@ -292,15 +292,15 @@ class KernelDensityEstimator(DensityEstimator):
         fl((hi-c)/h)``, and every pair the dense path can find non-zero
         is kept — no margin needed. NaN coordinates are left out of the
         box (their pairs are zero anyway); infinities only widen it.
+        ``columns`` holds the centres attribute-major, shape ``(d, m)``.
         """
         support = self.kernel.support
         lo = np.fmin.reduce(rows, axis=0)
         hi = np.fmax.reduce(rows, axis=0)
-        keep = np.ones(self.centers_.shape[0], dtype=bool)
+        keep = np.ones(columns.shape[1], dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(self.n_dims_):
+            for j, column in enumerate(columns):
                 h = self.bandwidths_[j]
-                column = self.centers_[:, j]
                 keep &= (lo[j] - column) / h <= support
                 keep &= (hi[j] - column) / h >= -support
         return np.flatnonzero(keep)
@@ -324,6 +324,10 @@ class KernelDensityEstimator(DensityEstimator):
         densities = np.empty(rows)
         scale = self.n_points_ / m
         prune = self._can_prune()
+        # Attribute-major centres: each attribute's centre coordinates
+        # are one contiguous row, for the candidate test and the
+        # per-attribute subtract alike.
+        columns = np.ascontiguousarray(self.centers_.T)
         pairs = 0
         with recorder.phase("kde_eval_block") as span:
             for start in range(0, rows, tile):
@@ -334,11 +338,11 @@ class KernelDensityEstimator(DensityEstimator):
                 # candidate columns — unless they are more than half of
                 # m, where skipping the rest saves little next to the
                 # gather and scatter.
-                cand = self._candidates(tile_rows) if prune else None
+                cand = self._candidates(tile_rows, columns) if prune else None
                 if cand is not None and cand.size > _DENSE_FRACTION * m:
                     cand = None
-                centers = self.centers_ if cand is None else self.centers_[cand]
-                k = centers.shape[0]
+                centers = columns if cand is None else columns[:, cand]
+                k = centers.shape[1]
                 pairs += r * k
                 # (r, k) views over the front of each scratch buffer;
                 # with k = m they are exactly the buffers' first r rows.
@@ -346,19 +350,22 @@ class KernelDensityEstimator(DensityEstimator):
                     buf.reshape(-1)[: r * k].reshape(r, k)
                     for buf in (u, prof, weights)
                 )
-                ww.fill(1.0)
                 # Accumulate the product over dimensions one attribute
                 # at a time to avoid materialising a (rows, k, d)
                 # tensor; all three scratch buffers are reused across
                 # tiles, so the loop allocates nothing per tile beyond
-                # the candidate gather.
+                # the candidate gather. Attribute 0's factor is written
+                # straight into ``ww``: the oracle's ``1.0 * x`` is
+                # ``x`` bit for bit, NaN and inf included.
                 for j in range(self.n_dims_):
                     h = self.bandwidths_[j]
-                    np.subtract(tile_rows[:, j, None], centers[None, :, j], out=uu)
+                    np.subtract(tile_rows[:, j, None], centers[j], out=uu)
                     uu /= h
-                    self.kernel.profile(uu, out=pp)
-                    pp /= h
-                    ww *= pp
+                    factor = ww if j == 0 else pp
+                    self.kernel.profile(uu, out=factor)
+                    factor /= h
+                    if j:
+                        ww *= pp
                 if cand is not None:
                     # Rebuild the dense path's (r, m) row block in u's
                     # (now dead) rows: every skipped pair is exactly

@@ -58,9 +58,14 @@ class Kernel(abc.ABC):
         When ``out`` is given it receives the result (and is returned),
         letting blocked evaluation loops reuse one scratch buffer
         instead of allocating per call; ``out`` must not overlap ``u``.
-        Implementations keep the exact arithmetic (operation order and
-        rounding) of the allocating path, so results are byte-identical
-        either way.
+        Both forms return the same bytes: the value of the profile's
+        reference expression, ``where(|u| <= support, K(u), 0.0)`` with
+        ``K`` evaluated in its written operation order, and ``+0.0``
+        (never ``-0.0``) outside the support and at NaN. Compact
+        profiles may reach that result by clamping instead of masking:
+        ``fmax(v, 0.0)`` equals the mask whenever ``v`` is negative
+        exactly outside the support (``fl(u*u) > 1`` exactly when
+        ``|u| > 1``), never ``-0.0``, and NaN only where ``u`` is NaN.
         """
 
     def __call__(self, u) -> np.ndarray:
@@ -88,11 +93,15 @@ class EpanechnikovKernel(Kernel):
         self, u: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
         # Same expression tree as ``0.75 * (1.0 - u * u)``: square,
-        # subtract from one, scale — each step rounds identically.
+        # subtract from one, scale — each step rounds identically. The
+        # value is negative exactly outside the support (the double
+        # after 1 squares to 1 + 2**-51), ``+0.0`` at |u| = 1, and
+        # ``-inf`` or NaN for infinite or NaN u, so clamping at zero is
+        # the support mask, in one pass and no temporaries.
         out = np.multiply(u, u, out=out)
         np.subtract(1.0, out, out=out)
         out *= 0.75
-        np.copyto(out, 0.0, where=~(np.abs(u) <= 1.0))
+        np.fmax(out, 0.0, out=out)
         return out
 
 
@@ -127,10 +136,11 @@ class UniformKernel(Kernel):
     def profile(
         self, u: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        if out is None:
-            out = np.empty_like(u, dtype=np.float64)
-        out.fill(0.5)
-        np.copyto(out, 0.0, where=~(np.abs(u) <= 1.0))
+        # The ``|u| <= 1`` mask as 1.0 / 0.0, scaled: NaN compares
+        # false, so it maps to ``+0.0`` like every point off the support.
+        out = np.absolute(u, out=out)
+        np.less_equal(out, 1.0, out=out)
+        out *= 0.5
         return out
 
 
@@ -144,9 +154,11 @@ class TriangularKernel(Kernel):
     def profile(
         self, u: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
+        # ``1 - |u|`` is ``+0.0`` at |u| = 1 and negative (or NaN)
+        # everywhere the reference ``where(out > 0, out, 0)`` zeroes.
         out = np.absolute(u, out=out)
         np.subtract(1.0, out, out=out)
-        np.copyto(out, 0.0, where=~(out > 0.0))
+        np.fmax(out, 0.0, out=out)
         return out
 
 
@@ -160,9 +172,14 @@ class BiweightKernel(Kernel):
     def profile(
         self, u: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        w = 1.0 - u * u
-        out = np.multiply((15.0 / 16.0) * w, w, out=out)
-        np.copyto(out, 0.0, where=~(np.abs(u) <= 1.0))
+        # ``w = 1 - u*u`` clamped at zero, as for the Epanechnikov
+        # profile, before ``((15/16) * w) * w``: a clamped ``w`` gives
+        # ``+0.0``, and on the support the product is unchanged.
+        w = np.multiply(u, u)
+        np.subtract(1.0, w, out=w)
+        np.fmax(w, 0.0, out=w)
+        out = np.multiply(w, 15.0 / 16.0, out=out)
+        out *= w
         return out
 
 

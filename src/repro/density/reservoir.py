@@ -81,31 +81,39 @@ class ReservoirPlan:
 
     def wanted_indices(self) -> np.ndarray:
         """Sorted absolute indices of every row the plan needs fetched."""
-        indices = list(range(self.fill))
-        indices.extend(index for index, _ in self.events)
-        return np.asarray(indices, dtype=np.int64)
+        events = np.asarray(self.events, dtype=np.int64).reshape(-1, 2)
+        fill = np.arange(self.fill, dtype=np.int64)
+        return np.concatenate([fill, events[:, 0]])
 
-    def assemble(self, rows: dict) -> np.ndarray:
-        """Reservoir contents from ``{absolute index: row}`` fetches.
+    def assemble(self, indices, rows) -> np.ndarray:
+        """Reservoir contents from fetched rows.
 
-        Applies the fill rows then replays the replacement events in
-        stream order — the exact writes :meth:`ReservoirSampler.extend`
-        would have performed.
+        ``rows[i]`` is the row at absolute index ``indices[i]``; extra
+        rows are ignored. The result equals applying the fill rows and
+        then replaying the replacement events in stream order — the
+        writes :meth:`ReservoirSampler.extend` would have performed —
+        done as one gather plus, per slot, its last event's write.
         """
-        missing = [int(i) for i in self.wanted_indices() if int(i) not in rows]
-        if missing:
+        wanted = self.wanted_indices()
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        missing = wanted[~np.isin(wanted, indices)]
+        if missing.size:
             raise ValueError(
-                f"reservoir plan is missing {len(missing)} fetched row(s) "
+                f"reservoir plan is missing {missing.size} fetched row(s) "
                 f"(first: index {missing[0]})."
             )
         if self.fill == 0:
             return np.empty((0, 0))
-        n_dims = np.asarray(rows[0]).shape[0]
-        reservoir = np.empty((self.fill, n_dims))
-        for index in range(self.fill):
-            reservoir[index] = rows[index]
-        for index, slot in self.events:
-            reservoir[slot] = rows[index]
+        order = np.argsort(indices, kind="stable")
+        pos = order[np.searchsorted(indices[order], wanted)]
+        planned = np.asarray(rows, dtype=np.float64)[pos]
+        reservoir = planned[: self.fill].copy()
+        # Events overwrite slots in stream order, so each slot ends up
+        # holding its last event's row: the first hit of each slot in
+        # the reversed event sequence.
+        slots = np.asarray(self.events, dtype=np.int64).reshape(-1, 2)[::-1, 1]
+        slot, first = np.unique(slots, return_index=True)
+        reservoir[slot] = planned[planned.shape[0] - 1 - first]
         return reservoir
 
 

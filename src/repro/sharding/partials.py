@@ -53,10 +53,11 @@ class ShardFitState:
         """Record one chunk's moment statistics, in stream order."""
         self.chunk_stats.append((int(count), mean, m2))
 
-    def add_row(self, index: int, row: np.ndarray) -> None:
-        """Record one planned reservoir row fetch."""
-        self.indices.append(int(index))
-        self.rows.append(np.array(row, dtype=np.float64))
+    def add_rows(self, indices: np.ndarray, rows: np.ndarray) -> None:
+        """Record one chunk's planned reservoir row fetches, in stream
+        order: ``rows[i]`` is the row at absolute index ``indices[i]``."""
+        self.indices.append(np.asarray(indices, dtype=np.int64))
+        self.rows.append(np.asarray(rows, dtype=np.float64))
 
     def merge(self, other: "ShardFitState") -> "ShardFitState":
         """Left-fold combiner: append ``other``'s shard after this one."""
@@ -65,9 +66,11 @@ class ShardFitState:
         self.rows.extend(other.rows)
         return self
 
-    def fetched_rows(self) -> dict:
-        """The planned row fetches as ``{absolute index: row}``."""
-        return dict(zip(self.indices, self.rows))
+    def fetched_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The planned row fetches as ``(indices, rows)`` arrays."""
+        if not self.rows:
+            return np.empty(0, dtype=np.int64), np.empty((0, 0))
+        return np.concatenate(self.indices), np.concatenate(self.rows)
 
 
 @dataclass

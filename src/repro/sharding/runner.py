@@ -192,8 +192,9 @@ def _fit_shard_worker(task: _FitTask) -> ShardFitState:
         state.add_chunk(count, mean, m2)
         lo = int(np.searchsorted(wanted, offset))
         hi = int(np.searchsorted(wanted, offset + chunk.shape[0]))
-        for index in wanted[lo:hi]:
-            state.add_row(int(index), chunk[int(index) - offset])
+        if hi > lo:
+            picked = wanted[lo:hi]
+            state.add_rows(picked, chunk[picked - offset])
     return state
 
 

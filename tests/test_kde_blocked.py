@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import make_fig5_dataset
 from repro.density import KernelDensityEstimator, get_kernel
 from repro.density import kde as kde_module
 from repro.obs import Recorder, use_recorder
@@ -151,6 +152,52 @@ def test_profile_out_matches_allocating_path(kernel, seed, scale):
     assert actual is scratch
     assert actual.tobytes() == expected.tobytes()
     assert resolved.profile(u).tobytes() == expected.tobytes()
+
+
+#: Offsets where a clamp-form profile could part from its reference
+#: mask: both zeros, the support edge and the doubles either side of
+#: it, ``u * u`` overflowing to inf, the smallest subnormal (whose
+#: square underflows to zero), the infinities and NaN.
+_EDGE_OFFSETS = np.array(
+    [
+        0.0, -0.0, 1.0, -1.0,
+        np.nextafter(1.0, np.inf), -np.nextafter(1.0, np.inf),
+        np.nextafter(1.0, -np.inf), -np.nextafter(1.0, -np.inf),
+        0.5, -0.5, 1e200, -1e200, 5e-324, -5e-324,
+        np.inf, -np.inf, np.nan,
+    ]
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kernel", BOUNDED_KERNELS)
+def test_profile_edge_offsets_match_reference(kernel):
+    """Each compact profile, in its ``out=`` and allocating forms,
+    returns the reference profile's bytes at every edge offset — the
+    sign of every zero included."""
+    resolved = get_kernel(kernel)
+    expected = _reference_profile(kernel, _EDGE_OFFSETS)
+    scratch = np.full_like(_EDGE_OFFSETS, -99.0)
+    assert resolved.profile(_EDGE_OFFSETS, out=scratch) is scratch
+    assert scratch.tobytes() == expected.tobytes()
+    assert resolved.profile(_EDGE_OFFSETS).tobytes() == expected.tobytes()
+    assert not np.signbit(expected).any()
+
+
+def test_fig5_shaped_evaluate_matches_oracle():
+    """The paper's default recipe at fig5's shape — 2-D, m = 1000
+    reservoir centres, Scott widths — evaluated on 5,000 of its rows,
+    against the dense oracle."""
+    points = make_fig5_dataset(n_points=5_000, random_state=0).points[:5_000]
+    estimator = KernelDensityEstimator(n_kernels=1_000, random_state=0)
+    estimator.fit(points)
+    expected = np.concatenate([
+        _reference_evaluate_block(
+            estimator, points[i : i + 500], "epanechnikov"
+        )
+        for i in range(0, points.shape[0], 500)
+    ])
+    assert estimator.evaluate(points).tobytes() == expected.tobytes()
 
 
 def _eval_scan(estimator, queries, n_jobs):

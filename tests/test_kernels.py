@@ -9,6 +9,7 @@ from repro.density.bandwidth import (
     scott_bandwidth,
     silverman_bandwidth,
 )
+from repro.density.kde import KernelDensityEstimator
 from repro.density.kernels import (
     BiweightKernel,
     EpanechnikovKernel,
@@ -146,3 +147,42 @@ class TestResolveBandwidth:
     def test_rejects_nonpositive(self):
         with pytest.raises(ParameterError, match="positive"):
             resolve_bandwidth(0.0, np.ones(1), 100, 1, "gaussian")
+
+
+class TestNonFiniteBandwidths:
+    """A NaN width makes every density NaN and an infinite one makes
+    the estimate zero everywhere; both are refused at fit time, with
+    the attribute named."""
+
+    @pytest.fixture
+    def data(self):
+        return np.random.default_rng(0).normal(size=(500, 2))
+
+    def test_nan_scalar(self, data):
+        kde = KernelDensityEstimator(n_kernels=50, bandwidth=np.nan)
+        with pytest.raises(ParameterError, match="attribute 0 is nan"):
+            kde.fit(data)
+
+    def test_nan_in_vector(self, data):
+        kde = KernelDensityEstimator(n_kernels=50, bandwidth=[0.1, np.nan])
+        with pytest.raises(ParameterError, match="attribute 1 is nan"):
+            kde.fit(data)
+
+    def test_inf_scalar(self, data):
+        kde = KernelDensityEstimator(n_kernels=50, bandwidth=np.inf)
+        with pytest.raises(ParameterError, match="attribute 0 is inf"):
+            kde.fit(data)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rule_overflow_near_1e300(self, data):
+        """Spreads near 1e300 overflow the variance, so Scott's rule
+        comes out infinite; the fit must say so, not the sampler."""
+        scaled = data * np.array([1.0, 1e300])
+        kde = KernelDensityEstimator(n_kernels=50, random_state=0)
+        with pytest.raises(ParameterError, match="attribute 1 is inf.*'scott'"):
+            kde.fit(scaled)
+
+    def test_fit_from_centers_checked(self):
+        kde = KernelDensityEstimator()
+        with pytest.raises(ParameterError, match="finite"):
+            kde.fit_from_centers([[0.0], [1.0]], 100, bandwidths=np.inf)

@@ -146,8 +146,14 @@ class TestReservoirPlan:
             serial.extend(data[start : start + 101])
         planner = ReservoirSampler(capacity, random_state=77)
         plan = planner.plan(n)
-        rows = {int(i): data[int(i)] for i in plan.wanted_indices()}
-        np.testing.assert_array_equal(serial.sample, plan.assemble(rows))
+        wanted = plan.wanted_indices()
+        np.testing.assert_array_equal(
+            serial.sample, plan.assemble(wanted, data[wanted])
+        )
+        # Fetch order does not matter: rows are matched by index.
+        np.testing.assert_array_equal(
+            serial.sample, plan.assemble(wanted[::-1], data[wanted[::-1]])
+        )
         # Generator state after planning equals the post-fit serial
         # state: downstream draws are unaffected by sharding.
         assert (
@@ -165,10 +171,8 @@ class TestReservoirPlan:
         plan = ReservoirSampler(10, random_state=0).plan(4)
         assert plan.fill == 4
         assert plan.events == ()
-        rows = {i: np.array([float(i)]) for i in range(4)}
-        np.testing.assert_array_equal(
-            plan.assemble(rows), np.arange(4.0).reshape(4, 1)
-        )
+        rows = np.arange(4.0).reshape(4, 1)
+        np.testing.assert_array_equal(plan.assemble(np.arange(4), rows), rows)
 
     def test_planned_sampler_rejects_extend(self):
         sampler = ReservoirSampler(3, random_state=0)
@@ -186,7 +190,7 @@ class TestReservoirPlan:
         planner = ReservoirSampler(4, random_state=0)
         plan = planner.plan(8)
         with pytest.raises(ValueError, match="missing"):
-            plan.assemble({0: np.zeros(2)})
+            plan.assemble([0], np.zeros((1, 2)))
 
     def test_plan_is_frozen(self):
         plan = ReservoirSampler(3, random_state=0).plan(5)
