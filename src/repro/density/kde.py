@@ -14,10 +14,11 @@ per-attribute bandwidths.
 
 Evaluation is blocked over row tiles. For kernels with compact support
 (every kernel but the Gaussian) the rows are visited in grid-cell
-order, and each tile computes only the centres its bounding box can
-reach; the skipped pairs are exactly ``+0.0`` in the full sum too, so
-the output is byte-identical to computing every (row, centre) pair
-(DESIGN.md, the ``"kde"`` backend).
+order and tiled along whole cells; each tile computes only the centres
+its bounding box can reach and scatters them into dense rows kept
+``+0.0`` outside those columns. The skipped pairs are exactly ``+0.0``
+in the full sum too, so the output is byte-identical to computing
+every (row, centre) pair (DESIGN.md, the ``"kde"`` backend).
 """
 
 from __future__ import annotations
@@ -36,9 +37,12 @@ from repro.utils.validation import check_random_state
 
 __all__ = ["KernelDensityEstimator", "chunk_moment_stats"]
 
-#: Scratch budget (elements) for one row tile of the blocked kernel
-#: sum: three ``(tile, m)`` float64 buffers of this many elements stay
-#: around 1.5 MB total, inside a typical per-core L2 working set.
+#: Scratch budget (elements) of the blocked kernel sum. It caps every
+#: ``(rows, candidates)`` block a tile computes, and ``budget // m`` is
+#: both the row count small grid cells merge up to and the depth of
+#: the dense ``(rows, m)`` scatter block. Three product buffers of this
+#: many float64 elements plus the dense rows stay around 2 MB, inside
+#: a typical per-core L2 working set.
 _EVAL_TILE_ELEMENTS = 65536
 
 #: A row tile with more than this fraction of the ``m`` centres as
@@ -55,8 +59,12 @@ def chunk_moment_stats(chunk: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     must run on the coordinator in global chunk order to stay
     byte-identical for any shard count.
     """
-    mean_b = chunk.mean(axis=0)
-    m2_b = ((chunk - mean_b) ** 2).sum(axis=0)
+    # Data near the float64 limit overflows the squares to inf; the fit
+    # then raises a located ParameterError from the bandwidth rule, so
+    # numpy's unlocated overflow warning would only mislead.
+    with np.errstate(over="ignore"):
+        mean_b = chunk.mean(axis=0)
+        m2_b = ((chunk - mean_b) ** 2).sum(axis=0)
     return chunk.shape[0], mean_b, m2_b
 
 
@@ -81,8 +89,11 @@ class _StreamingMoments:
             return
         delta = mean - self.mean
         total = self.count + count
-        self.mean = self.mean + delta * (count / total)
-        self.m2 = self.m2 + m2 + delta**2 * (self.count * count / total)
+        # Overflow to inf is reported by the bandwidth rule, located
+        # (see chunk_moment_stats).
+        with np.errstate(over="ignore"):
+            self.mean = self.mean + delta * (count / total)
+            self.m2 = self.m2 + m2 + delta**2 * (self.count * count / total)
         self.count = total
 
     @property
@@ -256,14 +267,20 @@ class KernelDensityEstimator(DensityEstimator):
         if points.shape[0] < 2 or not np.isfinite(self.kernel.support):
             return self._evaluate_block(points)
         # Visit the rows in grid-cell order, cells one kernel support
-        # wide, so every row tile is spatially compact and its
-        # candidate-centre set small. Each row's value is row-local, so
-        # the permutation leaves every output byte unchanged.
+        # wide, so the block can tile along whole cells and each tile's
+        # candidate-centre set stays small. Each row's value is
+        # row-local, so the permutation leaves every output byte
+        # unchanged.
         with np.errstate(over="ignore", invalid="ignore"):
             cells = np.floor(points / (self.bandwidths_ * self.kernel.support))
         order = np.lexsort(cells.T)
+        cells = cells[order]
+        # A cell starts wherever a key differs from the previous row's
+        # (a NaN key differs from everything: such a row is its own
+        # cell).
+        starts = np.flatnonzero(np.any(cells[1:] != cells[:-1], axis=1)) + 1
         out = np.empty(points.shape[0], dtype=np.float64)
-        out[order] = self._evaluate_block(points[order])
+        out[order] = self._evaluate_block(points[order], starts)
         return out
 
     def _can_prune(self) -> bool:
@@ -282,102 +299,120 @@ class KernelDensityEstimator(DensityEstimator):
             bound = np.cumprod(1.0 / self.bandwidths_)
         return bool(np.all(self.bandwidths_ > 0) and np.all(np.isfinite(bound)))
 
-    def _candidates(self, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
-        """Centres that may be non-zero for some row of the tile ``rows``.
+    def _candidates(
+        self, lo: np.ndarray, hi: np.ndarray, columns: np.ndarray
+    ) -> np.ndarray:
+        """Which centres may be non-zero for some row of each tile.
 
-        A centre is kept when, in every attribute, the tile's bounding
-        box reaches within the support. The test uses the dense path's
-        own subtract-then-divide: both round monotonically, so
-        ``lo <= x <= hi`` gives ``fl((lo-c)/h) <= fl((x-c)/h) <=
+        Tile ``i`` has the bounding box ``[lo[i], hi[i]]``; the result
+        is a ``(tiles, m)`` mask. A centre is kept when, in every
+        attribute, the box reaches within the support. The test uses the
+        dense path's own subtract-then-divide: both round monotonically,
+        so ``lo <= x <= hi`` gives ``fl((lo-c)/h) <= fl((x-c)/h) <=
         fl((hi-c)/h)``, and every pair the dense path can find non-zero
         is kept — no margin needed. NaN coordinates are left out of the
         box (their pairs are zero anyway); infinities only widen it.
         ``columns`` holds the centres attribute-major, shape ``(d, m)``.
         """
         support = self.kernel.support
-        lo = np.fmin.reduce(rows, axis=0)
-        hi = np.fmax.reduce(rows, axis=0)
-        keep = np.ones(columns.shape[1], dtype=bool)
+        keep = np.ones((lo.shape[0], columns.shape[1]), dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
             for j, column in enumerate(columns):
                 h = self.bandwidths_[j]
-                keep &= (lo[j] - column) / h <= support
-                keep &= (hi[j] - column) / h >= -support
-        return np.flatnonzero(keep)
+                keep &= (lo[:, j, None] - column) / h <= support
+                keep &= (hi[:, j, None] - column) / h >= -support
+        return keep
 
-    def _evaluate_block(self, block: np.ndarray) -> np.ndarray:
+    def _evaluate_block(
+        self, block: np.ndarray, cell_starts: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Densities at the rows of ``block``.
+
+        ``cell_starts`` lists the rows where a new grid cell begins when
+        ``block`` is in cell order (see :meth:`_evaluate`); tiles then
+        follow whole cells. ``None`` makes every row its own cell.
+        """
         m = self.centers_.shape[0]
         rows = int(block.shape[0])
         recorder = get_recorder()
         # One kernel evaluation = one logical (query point, center)
         # pair, whether computed or skipped as provably zero.
         recorder.count("kernel_evals", rows * m)
-        # Row-tile size: keep the three (tile, m) scratch arrays inside
-        # the L2 working set. Tiling over rows only preserves the exact
-        # per-row arithmetic (each row's product chain and its axis-1
-        # pairwise sum are row-local), so the output is byte-identical
-        # to an untiled evaluation.
-        tile = max(1, min(rows, int(_EVAL_TILE_ELEMENTS / max(1, m))))
-        u = np.empty((tile, m))
-        prof = np.empty((tile, m))
-        weights = np.empty((tile, m))
+        # Tiling is over rows only: each row's product chain and its
+        # axis-1 pairwise sum are row-local, so the output is
+        # byte-identical to an untiled evaluation for any tiling.
+        tile_rows = max(1, _EVAL_TILE_ELEMENTS // m)
+        tiles = _cell_tiles(cell_starts, rows, tile_rows)
+        # Every (r, k) block below has r * k <= max(budget, m) elements.
+        size = min(rows * m, max(_EVAL_TILE_ELEMENTS, m))
+        u, prof, weights = np.empty((3, size))
         densities = np.empty(rows)
-        scale = self.n_points_ / m
         prune = self._can_prune()
+        if prune:
+            # The (r, m) rows the pairwise sum reads on the candidate
+            # route. Columns outside the ``live`` candidate set stay
+            # +0.0, so a tile writes only its own columns, after
+            # clearing the previous tile's.
+            dense = np.zeros((min(rows, tile_rows), m))
+            live = np.empty(0, dtype=np.intp)
+            # Tile bounding boxes; fmin/fmax skip NaN.
+            heads = [t0 for t0, _ in tiles]
+            lo = np.fmin.reduceat(block, heads, axis=0)
+            hi = np.fmax.reduceat(block, heads, axis=0)
         # Attribute-major centres: each attribute's centre coordinates
         # are one contiguous row, for the candidate test and the
         # per-attribute subtract alike.
         columns = np.ascontiguousarray(self.centers_.T)
         pairs = 0
         with recorder.phase("kde_eval_block") as span:
-            for start in range(0, rows, tile):
-                stop = min(rows, start + tile)
-                r = stop - start
-                tile_rows = block[start:stop]
+            for i, (t0, t1) in enumerate(tiles):
                 # With a compact support, compute only the tile's
                 # candidate columns — unless they are more than half of
                 # m, where skipping the rest saves little next to the
                 # gather and scatter.
-                cand = self._candidates(tile_rows, columns) if prune else None
-                if cand is not None and cand.size > _DENSE_FRACTION * m:
-                    cand = None
+                cand = None
+                if prune:
+                    # One candidate test per ``tile_rows`` tiles keeps
+                    # its (tiles, m) mask within the budget.
+                    g = i % tile_rows
+                    if g == 0:
+                        masks = self._candidates(
+                            lo[i : i + tile_rows], hi[i : i + tile_rows], columns
+                        )
+                    cand = np.flatnonzero(masks[g])
+                    if cand.size > _DENSE_FRACTION * m:
+                        cand = None
+                    else:
+                        dense[:, live] = 0.0
+                        live = cand
                 centers = columns if cand is None else columns[:, cand]
                 k = centers.shape[1]
-                pairs += r * k
-                # (r, k) views over the front of each scratch buffer;
-                # with k = m they are exactly the buffers' first r rows.
-                uu, pp, ww = (
-                    buf.reshape(-1)[: r * k].reshape(r, k)
-                    for buf in (u, prof, weights)
-                )
-                # Accumulate the product over dimensions one attribute
-                # at a time to avoid materialising a (rows, k, d)
-                # tensor; all three scratch buffers are reused across
-                # tiles, so the loop allocates nothing per tile beyond
-                # the candidate gather. Attribute 0's factor is written
-                # straight into ``ww``: the oracle's ``1.0 * x`` is
-                # ``x`` bit for bit, NaN and inf included.
-                for j in range(self.n_dims_):
-                    h = self.bandwidths_[j]
-                    np.subtract(tile_rows[:, j, None], centers[j], out=uu)
-                    uu /= h
-                    factor = ww if j == 0 else pp
-                    self.kernel.profile(uu, out=factor)
-                    factor /= h
-                    if j:
-                        ww *= pp
-                if cand is not None:
-                    # Rebuild the dense path's (r, m) row block in u's
-                    # (now dead) rows: every skipped pair is exactly
-                    # +0.0 there too, so the pairwise row sum below sees
-                    # the same inputs and returns the same bits.
-                    dense = u[:r]
-                    dense.fill(0.0)
-                    dense[:, cand] = ww
-                    ww = dense
-                np.sum(ww, axis=1, out=densities[start:stop])
-                densities[start:stop] *= scale
-            span.set(rows=rows, centers=m, pairs=pairs)
+                pairs += (t1 - t0) * k
+                # A cell too large for the budget runs in sub-tiles
+                # that share its candidate set.
+                step = max(1, _EVAL_TILE_ELEMENTS // max(1, k))
+                for start in range(t0, t1, step):
+                    stop = min(t1, start + step)
+                    ww = self._tile_products(
+                        block[start:stop], centers, u, prof, weights
+                    )
+                    if cand is None:
+                        np.sum(ww, axis=1, out=densities[start:stop])
+                        continue
+                    # Scatter into the dense rows: every skipped pair is
+                    # exactly +0.0 there too, so the full-row pairwise
+                    # sum sees the dense path's inputs and returns the
+                    # same bits.
+                    for a in range(0, stop - start, dense.shape[0]):
+                        b = min(stop - start, a + dense.shape[0])
+                        dense[: b - a, cand] = ww[a:b]
+                        np.sum(
+                            dense[: b - a],
+                            axis=1,
+                            out=densities[start + a : start + b],
+                        )
+            densities *= self.n_points_ / m
+            span.set(rows=rows, centers=m, pairs=pairs, tiles=len(tiles))
         if recorder.enabled:
             recorder.observe("kde_eval_chunk_seconds", span.elapsed)
             if span.elapsed > 0:
@@ -385,3 +420,57 @@ class KernelDensityEstimator(DensityEstimator):
                     "kde_eval_rows_per_second", rows / span.elapsed
                 )
         return densities
+
+    def _tile_products(self, rows, centers, u, prof, weights) -> np.ndarray:
+        """Product-kernel weights of ``rows`` against ``centers``.
+
+        Returns an ``(r, k)`` view over the front of ``weights``, using
+        the fronts of ``u`` and ``prof`` as scratch, so nothing is
+        allocated. The product over attributes accumulates one
+        attribute at a time, never as an ``(r, k, d)`` tensor.
+        Attribute 0's factor is written straight into the product: the
+        oracle's ``1.0 * x`` is ``x`` bit for bit, NaN and inf included.
+        """
+        r, k = rows.shape[0], centers.shape[1]
+        uu = u[: r * k].reshape(r, k)
+        pp = prof[: r * k].reshape(r, k)
+        ww = weights[: r * k].reshape(r, k)
+        for j in range(self.n_dims_):
+            h = self.bandwidths_[j]
+            np.subtract(rows[:, j, None], centers[j], out=uu)
+            uu /= h
+            factor = ww if j == 0 else pp
+            self.kernel.profile(uu, out=factor)
+            factor /= h
+            if j:
+                ww *= pp
+        return ww
+
+
+def _cell_tiles(
+    cell_starts: np.ndarray | None, rows: int, tile_rows: int
+) -> list[tuple[int, int]]:
+    """Row tiles of a block in cell order, as ``(start, stop)`` pairs.
+
+    A tile is a run of whole cells. A cell of at least ``tile_rows``
+    rows is a tile of its own; consecutive smaller cells merge while
+    the tile stays within ``tile_rows`` rows. ``cell_starts`` lists
+    the rows where a new cell begins; ``None`` makes every row its own
+    cell, which gives plain ``tile_rows``-row tiles.
+    """
+    if cell_starts is None:
+        return [(t, min(rows, t + tile_rows)) for t in range(0, rows, tile_rows)]
+    tiles = []
+    start = 0
+    bounds = [0, *cell_starts.tolist(), rows]
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi - start > tile_rows and lo > start:
+            # The cell would overfill the open tile: close it first.
+            tiles.append((start, lo))
+            start = lo
+        if hi - start >= tile_rows:
+            tiles.append((start, hi))
+            start = hi
+    if start < rows:
+        tiles.append((start, rows))
+    return tiles

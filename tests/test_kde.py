@@ -1,10 +1,13 @@
 """Tests for the one-pass kernel density estimator."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.datasets import make_fig5_dataset
 from repro.density import KernelDensityEstimator
+from repro.density import kde as kde_module
 from repro.exceptions import NotFittedError, ParameterError
 from repro.obs import Recorder, use_recorder
 from repro.utils.streams import DataStream
@@ -42,6 +45,19 @@ class TestFitting:
     def test_rejects_zero_kernels(self):
         with pytest.raises(ParameterError):
             KernelDensityEstimator(n_kernels=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_float64_limit_data_raises_only_the_located_error(self):
+        """Data near 1e300 overflows the moment squares. The fit raises
+        the bandwidth rule's ParameterError naming the attribute, with
+        no unlocated numpy warning first — across several chunks, so
+        the chunk merge runs too."""
+        data = np.random.default_rng(0).normal(size=(500, 2)) * 1e300
+        stream = DataStream(data, chunk_size=100)
+        with pytest.raises(ParameterError, match="attribute 0"):
+            KernelDensityEstimator(n_kernels=50, random_state=0).fit(
+                stream=stream
+            )
 
     def test_deterministic_with_seed(self, bimodal_data):
         a = KernelDensityEstimator(n_kernels=64, random_state=5).fit(
@@ -148,6 +164,24 @@ class TestCompactSupportPruning:
             assert pairs == logical
         else:
             assert pairs <= 0.25 * logical
+
+    def test_singleton_cells_merge_into_full_tiles(self, fig5):
+        """One query per grid cell: consecutive one-row cells merge, so
+        there are no more tiles than plain ``_EVAL_TILE_ELEMENTS // m``-row
+        tiles would make."""
+        kde = KernelDensityEstimator(random_state=0).fit(fig5)
+        width = kde.bandwidths_ * kde.kernel.support
+        # Every other cell of a 60 x 60 block of the grid.
+        lattice = np.stack(np.meshgrid(np.arange(60), np.arange(60)), -1)
+        queries = fig5.min(axis=0) + (2.0 * lattice.reshape(-1, 2) + 0.5) * width
+        cells = np.floor(queries / width)
+        assert np.unique(cells, axis=0).shape[0] == queries.shape[0]
+        recorder = Recorder()
+        with use_recorder(recorder):
+            kde.evaluate(queries)
+        (span,) = recorder.spans
+        tile_rows = kde_module._EVAL_TILE_ELEMENTS // kde.centers_.shape[0]
+        assert span.attrs["tiles"] <= math.ceil(queries.shape[0] / tile_rows)
 
 
 class TestBallMass:

@@ -2,13 +2,15 @@
 
 ``KernelDensityEstimator._evaluate_block`` is a cache-blocked loop over
 row tiles with reusable scratch buffers and ``out=``-capable kernel
-profiles; for compact-support kernels it computes only each tile's
-candidate centres and scatters them into a zero-filled dense row block.
-These tests pin the *pre-blocking* implementation — the straightforward
-allocating formulation, every (row, centre) pair computed — as an
-in-test oracle and require byte identity across random tile sizes,
-query dtypes, shapes and kernels, on both the all-columns and the
-pruned route, at the support's edge and for non-finite queries. Any
+profiles; for compact-support kernels ``evaluate`` visits the rows in
+grid-cell order, tiles them along whole cells, computes only each
+tile's candidate centres and scatters them into dense rows kept zero
+outside the candidate columns. These tests pin the *pre-blocking*
+implementation — the straightforward allocating formulation, every
+(row, centre) pair computed — as an in-test oracle and require byte
+identity across random tile sizes, query dtypes, shapes and kernels,
+on both the all-columns and the pruned route, at the support's edge,
+for non-finite queries and for every shape of cell tile. Any
 reassociation of the arithmetic (a changed operation order, a fused
 multiply, a different reduction) or a dropped non-zero pair shows up
 here as a diff.
@@ -66,19 +68,40 @@ def _reference_evaluate_block(estimator, block, name):
     return (estimator.n_points_ / m) * weights.sum(axis=1)
 
 
-def _evaluate_traced(estimator, block, tile_elements=None):
-    """``_evaluate_block`` under a recorder: (densities, pairs computed)."""
+def _traced(evaluate, block, tile_elements):
+    """``evaluate(block)`` under a recorder and an optionally patched
+    tile budget: (densities, the ``kde_eval_block`` span's attributes)."""
     original = kde_module._EVAL_TILE_ELEMENTS
     if tile_elements is not None:
         kde_module._EVAL_TILE_ELEMENTS = tile_elements
     recorder = Recorder()
     try:
         with use_recorder(recorder):
-            values = estimator._evaluate_block(block)
+            values = evaluate(block)
     finally:
         kde_module._EVAL_TILE_ELEMENTS = original
     (span,) = recorder.spans
-    return values, span.attrs["pairs"]
+    return values, span.attrs
+
+
+def _evaluate_traced(estimator, block, tile_elements=None):
+    """``_evaluate_block`` under a recorder: (densities, pairs computed)."""
+    values, attrs = _traced(estimator._evaluate_block, block, tile_elements)
+    return values, attrs["pairs"]
+
+
+def _evaluate_cells_traced(estimator, queries, tile_elements=None):
+    """The whole ``evaluate`` — rows in grid-cell order, tiles along
+    whole cells — under a recorder: (densities, span attributes)."""
+    return _traced(estimator.evaluate, queries, tile_elements)
+
+
+def _cell_keys(estimator, queries):
+    """The grid cell of each query row, as ``_evaluate`` keys it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.floor(
+            queries / (estimator.bandwidths_ * estimator.kernel.support)
+        )
 
 
 def _clustered_estimator(kernel, m, d, seed):
@@ -369,3 +392,132 @@ def test_full_evaluate_matches_oracle(n_jobs):
         [(_, _, actual)] = evaluate_chunks([(0, queries)], estimator.evaluate)
     assert actual.tobytes() == expected.tobytes()
     assert recorder.counters["kernel_evals"] == queries.shape[0] * m
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    rows=st.integers(2, 300),
+    m=st.integers(4, 64),
+    d=st.integers(1, 4),
+    kernel=st.sampled_from(BOUNDED_KERNELS),
+    tile_elements=st.integers(1, 4_096),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_cell_tiles_match_oracle(rows, m, d, kernel, tile_elements, seed):
+    """The cell-tiled ``evaluate`` — merged small cells, split large
+    ones, the zero-kept scatter rows reused across candidate sets —
+    returns the dense oracle's bytes."""
+    estimator = _clustered_estimator(kernel, m, d, seed)
+    rng = np.random.default_rng(seed + 1)
+    queries = estimator.centers_[rng.integers(0, m, size=rows)]
+    queries = queries + rng.normal(scale=0.3, size=queries.shape)
+    expected = _reference_evaluate_block(estimator, queries, kernel)
+    actual, attrs = _evaluate_cells_traced(estimator, queries, tile_elements)
+    assert attrs["tiles"] <= rows
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kernel", BOUNDED_KERNELS)
+def test_one_cell_split_into_sub_tiles_matches_oracle(kernel):
+    """Every query in one grid cell and a 64-element budget: the cell is
+    one tile with one candidate test, run as several budget-sized
+    sub-tiles (and one-row scatters) over that candidate set."""
+    rng = np.random.default_rng(3)
+    m = 40
+    h = np.array([0.4, 0.3])
+    estimator = KernelDensityEstimator(kernel=kernel).fit_from_centers(
+        rng.normal(size=(m, 2)), n_points=1_000, bandwidths=h
+    )
+    queries = rng.uniform(0.05, 0.95, size=(60, 2)) * h
+    assert np.unique(_cell_keys(estimator, queries), axis=0).shape[0] == 1
+    expected = _reference_evaluate_block(estimator, queries, kernel)
+    actual, attrs = _evaluate_cells_traced(estimator, queries, 64)
+    k = attrs["pairs"] // queries.shape[0]
+    assert attrs["tiles"] == 1
+    assert 2 <= k < m  # the candidate route, in 64 // k < 60-row sub-tiles
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("tile_elements", [None, 1_500])
+@pytest.mark.parametrize("kernel", BOUNDED_KERNELS)
+def test_singleton_cells_match_oracle(kernel, tile_elements):
+    """d = 6 Gaussian data, one 256-row call: nearly every query row is
+    alone in its grid cell, so tiles are merged runs of one-row cells.
+    Full tiles hold ``budget // m`` rows; only a cell of several rows
+    can close a tile early."""
+    rng = np.random.default_rng(11)
+    estimator = KernelDensityEstimator(
+        n_kernels=300, kernel=kernel, random_state=11
+    ).fit(rng.normal(size=(4_000, 6)))
+    queries = rng.normal(size=(256, 6))
+    cells = np.unique(_cell_keys(estimator, queries), axis=0).shape[0]
+    assert cells >= 0.9 * queries.shape[0]
+    expected = _reference_evaluate_block(estimator, queries, kernel)
+    actual, attrs = _evaluate_cells_traced(estimator, queries, tile_elements)
+    tile_rows = (tile_elements or kde_module._EVAL_TILE_ELEMENTS) // 300
+    shared = queries.shape[0] - cells
+    assert attrs["tiles"] <= queries.shape[0] // tile_rows + 1 + shared
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e8])
+@pytest.mark.parametrize("kernel", BOUNDED_KERNELS)
+def test_large_cell_keys_match_oracle(kernel, offset):
+    """Centres and queries far from the origin: cell keys reach
+    ``offset / h`` (up to 1e10), where neighbouring keys are still
+    distinct floats."""
+    base = _clustered_estimator(kernel, 64, 2, 5)
+    estimator = KernelDensityEstimator(kernel=kernel).fit_from_centers(
+        base.centers_ + offset, n_points=10_000, bandwidths=base.bandwidths_
+    )
+    rng = np.random.default_rng(5)
+    queries = estimator.centers_[rng.integers(0, 64, size=300)]
+    queries = queries + rng.normal(scale=0.3, size=queries.shape)
+    assert np.abs(_cell_keys(estimator, queries)).min() > offset
+    expected = _reference_evaluate_block(estimator, queries, kernel)
+    actual, attrs = _evaluate_cells_traced(estimator, queries, 640)
+    assert attrs["pairs"] < queries.shape[0] * 64
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kernel", BOUNDED_KERNELS)
+def test_infinite_cell_keys_match_oracle(kernel):
+    """Half the queries moved out to ±1e300, against widths below 1e-9:
+    ``x / (h * support)`` overflows, so those rows share the four
+    infinite cell keys. Each tile's box still comes from its rows."""
+    rng = np.random.default_rng(9)
+    estimator = KernelDensityEstimator(kernel=kernel).fit_from_centers(
+        rng.normal(scale=1e-8, size=(40, 2)),
+        n_points=1_000,
+        bandwidths=rng.uniform(1e-10, 1e-9, size=2),
+    )
+    queries = rng.normal(scale=1e-8, size=(200, 2))
+    queries[::2] = np.sign(queries[::2]) * rng.uniform(1e300, 2e300, size=(100, 2))
+    keys = _cell_keys(estimator, queries)
+    assert np.isinf(keys).all(axis=1).sum() == 100
+    expected = _reference_evaluate_block(estimator, queries, kernel)
+    actual, attrs = _evaluate_cells_traced(estimator, queries, 400)
+    assert attrs["pairs"] < queries.shape[0] * 40
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kernel", BOUNDED_KERNELS)
+def test_nan_only_tiles_match_oracle(kernel):
+    """NaN cell keys sort last and each NaN row is a cell of its own,
+    so whole tiles hold only NaN rows: their box is empty, no centre is
+    a candidate, and each row sums m zeros to +0.0."""
+    estimator = _clustered_estimator(kernel, 40, 2, 13)
+    rng = np.random.default_rng(13)
+    queries = rng.normal(scale=0.5, size=(300, 2))
+    queries[100:] = np.nan
+    expected = _reference_evaluate_block(estimator, queries, kernel)
+    actual, attrs = _evaluate_cells_traced(estimator, queries, 400)
+    tile_rows = 400 // 40
+    assert attrs["tiles"] >= 200 // tile_rows
+    # Only the one tile that may straddle the last finite rows computes
+    # any pair for a NaN row.
+    assert attrs["pairs"] <= (100 + tile_rows) * 40
+    assert actual.tobytes() == expected.tobytes()
+    assert not np.signbit(actual[100:]).any() and not actual[100:].any()
