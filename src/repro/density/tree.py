@@ -7,19 +7,21 @@ kernel sum for ``T`` random axis-aligned partition trees built over the
 data bounding box: each tree splits every box at a uniformly drawn
 fraction of a uniformly drawn attribute, down to a fixed depth, and the
 density at ``x`` is the average over trees of ``count(leaf(x)) /
-volume(leaf(x))``. A lookup costs ``T x d`` table gathers (``T x
+volume(leaf(x))``. A lookup costs one binary search and one gather of
+``T`` cell offsets per dimension, then ``T`` rate gathers (``T x
 depth`` comparisons on the descent fallback) instead of O(m·d) kernel
 products — and the estimate still integrates to ``n`` over the domain,
 which is the normalisation the paper's biased-sampling algebra needs
 (section 2.1).
 
 Tree *structure* is drawn once, on the coordinator, from the seeded
-generator, together with the O(1) overlay tables that route a row to
-its leaf in every tree without walking the trees
-(:class:`OverlayTables`). Both the counting scan and evaluation route
-through those tables; the level-by-level :func:`tree_leaf_indices`
-descent is only the fallback for forests too fine to tabulate
-(``_EVAL_CELL_CAP``). The counting scan is pure integer accumulation.
+generator, together with the overlay tables that route a row to its
+leaf in every tree at once without walking the trees
+(:class:`OverlayTables`): per dimension, one grid merging every tree's
+thresholds. Both the counting scan and evaluation route through those
+tables; the level-by-level :func:`tree_leaf_indices` descent is only
+the fallback for forests too fine to tabulate (``_EVAL_CELL_CAP``).
+The counting scan is pure integer accumulation.
 Integer addition is exactly associative, so the counting scan's shard
 partials merge byte-identically for any shard count (DESIGN.md §14) —
 unlike the FP moment folds of the KDE fit, no ordering discipline is
@@ -52,22 +54,19 @@ __all__ = [
     "tree_leaf_indices",
 ]
 
-#: Query rows routed per evaluation block: keeps the per-row routing
-#: temporaries inside the cache while leaving the per-row results —
-#: each row's route is independent — byte-identical for any blocking.
-_EVAL_BLOCK_ROWS = 8192
+#: Query rows routed per block: keeps each block's ``(rows, T)`` cell
+#: and rate temporaries inside the cache while leaving the per-row
+#: results — each row's route is independent — byte-identical for any
+#: blocking.
+_BLOCK_ROWS = 2048
 
-#: Uniform quantization bins per dimension for the O(1) lookup tables
-#: built with the forest. Bin assignment is monotone in the coordinate,
-#: so the table lookup resolves to the exact descent leaf for any bin
-#: count; finer bins only shrink the (exactly handled) fraction of
-#: queries that fall into a bin holding two or more thresholds.
-_EVAL_BINS = 4096
-
-#: Ceiling on overlay cells per tree (product over dimensions of
-#: thresholds + 1). Above it — high-dimensional forests where the
-#: per-dim threshold grid's cross product explodes — both the counting
-#: scan and evaluation fall back to the level-by-level descent.
+#: Ceiling on routing-table rows per tree: the cells of any one tree
+#: (product over dimensions of thresholds + 1) and the merged grid's
+#: edges summed over dimensions. Above it — high-dimensional forests
+#: where the per-dim threshold grid's cross product explodes, or
+#: forests so large that the merged grid outgrows the cell tables —
+#: both the counting scan and evaluation fall back to the
+#: level-by-level descent.
 _EVAL_CELL_CAP = 1 << 17
 
 #: Split fractions are drawn from [_SPLIT_LO, 1 - _SPLIT_LO] of the
@@ -106,175 +105,170 @@ def tree_leaf_indices(
     return node - n_internal
 
 
-def _bin_of(values: np.ndarray, lo: float, scale: float) -> np.ndarray:
-    """Uniform bin of each value along one dimension (monotone, clamped).
-
-    The same expression quantizes thresholds at build time and queries
-    at lookup time; sharing it is what makes the table route exact for
-    any rounding behaviour.
-    """
-    offsets = (values - lo) * scale
-    return np.clip(offsets, 0.0, _EVAL_BINS - 1.0).astype(np.int64)
-
-
 @dataclass(frozen=True)
 class OverlayTables:
-    """Structure-only O(1) routing tables of one forest.
+    """Structure-only routing tables of one forest, one grid per dimension.
 
     Each tree's leaves induce, per dimension, a sorted grid of the
     thresholds splitting that dimension; the leaf of a row is fully
-    determined by its per-dim cell index ``#{grid < x}``. These tables
-    make that index a constant-time gather and map the resulting cell
-    to its leaf. They depend only on the forest structure, so they are
-    built with the trees and shipped, as plain arrays, to the counting
-    scan's shard workers.
+    determined by its per-dim cell index ``#{grid < x}`` (the descent
+    sends ``x > threshold`` right). A tree's thresholds below ``x`` are
+    exactly those at or below the largest edge below ``x`` of the
+    *merged* grid — the sorted union of every tree's thresholds — so
+    one exact binary search per dimension, ``g = #{edges < x}``, routes
+    the row in every tree at once: row ``g`` of ``steps`` holds all the
+    trees' cell offsets for it. The tables depend only on the forest
+    structure, so they are built with the trees and shipped, as plain
+    arrays, to the counting scan's shard workers.
 
     Parameters
     ----------
-    mins:
-        Lower corner of the fitted box, shape ``(d,)``.
-    scale:
-        Bins per unit length per dimension, shape ``(d,)``.
-    base:
-        ``base[t, j, u]`` = thresholds of tree ``t`` on dimension ``j``
-        in bins before ``u``; shape ``(T, d, _EVAL_BINS)``.
-    cut:
-        The single threshold inside each bin (``+inf`` when the bin
-        holds none or several).
-    amb:
-        Whether each bin holds two or more thresholds (resolved by
-        exact binary search over ``grids``).
-    amb_any:
-        ``amb.any(axis=2)``: trees/dimensions with any ambiguous bin.
-    grids:
-        Per tree, per dimension, the sorted unique thresholds.
-    shapes:
-        Per tree, the cell-grid shape (thresholds + 1 per dimension).
+    edges:
+        Per dimension, the sorted union of every tree's thresholds.
+    steps:
+        Per dimension, an int32 table of shape ``(edges[j].size + 1,
+        T)``: ``steps[j][g, t]`` is tree ``t``'s row-major cell stride
+        on dimension ``j`` times its thresholds at or below
+        ``edges[j][g - 1]``. Tree ``t``'s first cell is folded into
+        dimension 0, so ``sum_j steps[j][g_j]`` is every tree's global
+        cell.
     leaf_of_cell:
-        Per tree, the leaf index of every flat cell.
+        Global leaf ``t * n_leaves + leaf`` of every cell of every tree
+        (trees concatenated), in the narrowest unsigned dtype.
     """
 
-    mins: np.ndarray
-    scale: np.ndarray
-    base: np.ndarray
-    cut: np.ndarray
-    amb: np.ndarray
-    amb_any: np.ndarray
-    grids: tuple
-    shapes: tuple
-    leaf_of_cell: tuple
+    edges: tuple
+    steps: tuple
+    leaf_of_cell: np.ndarray
 
     @classmethod
-    def build(cls, features, thresholds, leaf_lo, leaf_hi, mins, maxs):
+    def build(cls, features, thresholds, leaf_lo, leaf_hi):
         """Tabulate a forest, or return ``None`` above the cell cap.
 
         ``leaf_lo`` / ``leaf_hi`` are the leaf bounding boxes, shape
-        ``(T, n_leaves, d)``; each leaf's box is sliced into the
-        per-dim threshold grid to fill ``leaf_of_cell``. Bin assignment
-        is monotone in the coordinate, so ``base[u] + (cut[u] < x)``
-        equals ``#{grid < x}`` exactly — the table route is
-        bit-identical to the descent.
+        ``(T, n_leaves, d)``. Each leaf covers a box-shaped window of
+        its tree's cells, and the windows of one tree tile its cells,
+        so ``leaf_of_cell`` is painted with an integer difference
+        array: ``±leaf`` at the window's corners by
+        inclusion–exclusion, then a cumulative sum along every axis.
+        Corners past a tree's last cell change no cell and are skipped,
+        so a leaf's corners double only over the dimensions where its
+        window ends inside the grid.
         """
         n_trees, n_leaves, n_dims = leaf_lo.shape
-        grids = tuple(
-            tuple(
-                np.unique(thresholds[t][features[t] == j])
-                for j in range(n_dims)
-            )
-            for t in range(n_trees)
-        )
-        shapes = tuple(
-            tuple(grid.size + 1 for grid in per_dim) for per_dim in grids
-        )
-        if max(int(np.prod(s)) for s in shapes) > _EVAL_CELL_CAP:
+        edges, owners, ranks = [], [], []
+        shapes = np.ones((n_trees, n_dims), dtype=np.int64)
+        for j in range(n_dims):
+            tree, node = np.nonzero(features == j)
+            edge, rank = np.unique(thresholds[tree, node], return_inverse=True)
+            # A tree's grid on dimension j is its distinct thresholds
+            # there: one (tree, rank in edge) pair each.
+            pairs = np.unique(tree * edge.size + rank)
+            owner, rank = np.divmod(pairs, max(edge.size, 1))
+            shapes[:, j] += np.bincount(owner, minlength=n_trees)
+            edges.append(edge)
+            owners.append(owner)
+            ranks.append(rank)
+        sizes = np.prod(shapes, axis=1, dtype=np.float64)  # no overflow
+        if (
+            sizes.max() > _EVAL_CELL_CAP
+            or sum(edge.size for edge in edges) > _EVAL_CELL_CAP
+            or sizes.sum() > np.iinfo(np.int32).max
+        ):
             return None
-        scale = _EVAL_BINS / (maxs - mins)
-        base = np.zeros((n_trees, n_dims, _EVAL_BINS), dtype=np.int64)
-        cut = np.full((n_trees, n_dims, _EVAL_BINS), np.inf)
-        amb = np.zeros((n_trees, n_dims, _EVAL_BINS), dtype=bool)
-        leaf_dtype = np.min_scalar_type(n_leaves - 1)
-        leaf_of_cell = []
+        strides = np.ones_like(shapes)
+        for j in range(n_dims - 2, -1, -1):
+            strides[:, j] = strides[:, j + 1] * shapes[:, j + 1]
+        n_cells = strides[:, 0] * shapes[:, 0]
+        first_cell = np.cumsum(n_cells) - n_cells
+        steps = []
+        for j in range(n_dims):
+            step = np.zeros((edges[j].size + 1, n_trees), dtype=np.int32)
+            step[ranks[j] + 1, owners[j]] = strides[owners[j], j]
+            np.cumsum(step, axis=0, dtype=np.int32, out=step)
+            steps.append(step)
+        # Each leaf's window per dimension, in stride units: its first
+        # cell (thresholds at or below its low edge) and one past its
+        # last (thresholds below its high edge, plus one).
+        tree_col = np.arange(n_trees)[:, None]
+        starts = np.repeat(first_cell, n_leaves)
+        spans, open_ends = [], []
+        for j in range(n_dims):
+            lo = steps[j][
+                np.searchsorted(edges[j], leaf_lo[:, :, j], side="right"),
+                tree_col,
+            ]
+            hi = steps[j][
+                np.searchsorted(edges[j], leaf_hi[:, :, j], side="left"),
+                tree_col,
+            ] + strides[:, j, None]
+            starts += lo.ravel()
+            spans.append((hi - lo).ravel())
+            open_ends.append(
+                (hi < (shapes[:, j] * strides[:, j])[:, None]).ravel()
+            )
+        # Inclusion–exclusion: each open dimension doubles a leaf's
+        # corners, the far copy negated. ``owner`` is each corner's
+        # global leaf, ``value`` its signed paint.
+        n_corners = int(np.left_shift(1, np.sum(open_ends, axis=0)).sum())
+        corner = np.empty(n_corners, dtype=np.int64)
+        value = np.empty(n_corners, dtype=np.int32)
+        owner = np.empty(n_corners, dtype=np.int64)
+        filled = starts.size
+        corner[:filled] = starts
+        value[:filled] = owner[:filled] = np.arange(filled)
+        for j in range(n_dims):
+            far = np.flatnonzero(open_ends[j][owner[:filled]])
+            stop = filled + far.size
+            corner[filled:stop] = corner[far] + spans[j][owner[far]]
+            value[filled:stop] = -value[far]
+            owner[filled:stop] = owner[far]
+            filled = stop
+        # The adds wrap in the narrow dtype, but each cell's true sum is
+        # its global leaf, which fits, so the wrapped sums are exact.
+        dtype = np.min_scalar_type(n_trees * n_leaves - 1)
+        paint = np.zeros(int(n_cells.sum()), dtype=dtype)
+        np.add.at(paint, corner, value.astype(dtype))
         for t in range(n_trees):
-            for j in range(n_dims):
-                grid = grids[t][j]
-                if grid.size == 0:
-                    continue
-                bins = _bin_of(grid, mins[j], scale[j])
-                counts = np.bincount(bins, minlength=_EVAL_BINS)
-                base[t, j, 1:] = np.cumsum(counts)[:-1]
-                cut[t, j, bins] = grid
-                amb[t, j] = counts >= 2
-                cut[t, j, amb[t, j]] = np.inf
-            table = np.empty(shapes[t], dtype=leaf_dtype)
-            starts = [
-                np.searchsorted(grids[t][j], leaf_lo[t][:, j], side="right")
-                for j in range(n_dims)
-            ]
-            ends = [
-                np.searchsorted(grids[t][j], leaf_hi[t][:, j], side="left")
-                + 1
-                for j in range(n_dims)
-            ]
-            for leaf in range(n_leaves):
-                window = tuple(
-                    slice(starts[j][leaf], ends[j][leaf])
-                    for j in range(n_dims)
-                )
-                table[window] = leaf
-            leaf_of_cell.append(table.ravel())
-        return cls(
-            mins=mins,
-            scale=scale,
-            base=base,
-            cut=cut,
-            amb=amb,
-            amb_any=amb.any(axis=2),
-            grids=grids,
-            shapes=shapes,
-            leaf_of_cell=tuple(leaf_of_cell),
-        )
+            grid = paint[first_cell[t] : first_cell[t] + n_cells[t]].reshape(
+                shapes[t]
+            )
+            for axis in np.flatnonzero(shapes[t] > 1):
+                np.cumsum(grid, axis=axis, dtype=dtype, out=grid)
+        steps[0] += first_cell.astype(np.int32)
+        return cls(edges=tuple(edges), steps=tuple(steps), leaf_of_cell=paint)
 
-    def route(self, block: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(t, cells)`` per tree: each row's flat cell index.
+    def route(self, points: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(begin, cells)`` per block: every tree's global cell.
 
-        Per tree and dimension the cell index is one gather plus one
-        comparison; rows landing in a bin that holds several thresholds
-        — a handful per block — are re-resolved by exact binary search
-        over that tree's per-dim threshold grid, so the routed cell
-        always contains the descent leaf. ``cells`` is one buffer
-        reused for every tree: consume it before advancing.
+        ``cells[i, t]`` is the cell of row ``begin + i`` in tree ``t``.
+        Per dimension, one exact binary search counts the merged edges
+        below each coordinate and one row gather adds every tree's
+        stride-scaled cell index. NaN compares False against every
+        threshold, so the descent sends it left: it goes to cell 0 here
+        too, where the binary search alone would sort it last.
+        ``cells`` is one buffer reused for every block: consume it
+        before advancing.
         """
-        rows = block.shape[0]
-        n_dims = self.mins.shape[0]
-        cols = [
-            np.ascontiguousarray(block[:, j], dtype=np.float64)
-            for j in range(n_dims)
-        ]
-        bins = [
-            _bin_of(cols[j], self.mins[j], self.scale[j])
-            for j in range(n_dims)
-        ]
-        idx = np.empty(rows, dtype=np.int64)
-        part = np.empty(rows, dtype=np.int64)
-        cutg = np.empty(rows, dtype=np.float64)
-        right = np.empty(rows, dtype=bool)
-        for t, shape in enumerate(self.shapes):
-            for j in range(n_dims):
-                target = part if j else idx
-                np.take(self.base[t, j], bins[j], out=target)
-                np.take(self.cut[t, j], bins[j], out=cutg)
-                np.less(cutg, cols[j], out=right)
-                target += right
-                if self.amb_any[t, j]:
-                    pos = np.flatnonzero(self.amb[t, j][bins[j]])
-                    if pos.size:
-                        target[pos] = np.searchsorted(
-                            self.grids[t][j], cols[j][pos], side="left"
-                        )
+        shape = (_BLOCK_ROWS, self.steps[0].shape[1])
+        cells = np.empty(shape, dtype=np.int32)
+        part = np.empty(shape, dtype=np.int32)
+        for begin in range(0, points.shape[0], _BLOCK_ROWS):
+            block = points[begin : begin + _BLOCK_ROWS]
+            rows = block.shape[0]
+            for j, (edges, steps) in enumerate(zip(self.edges, self.steps)):
+                col = block[:, j]
+                index = np.searchsorted(edges, col, side="left")
+                index[np.isnan(col)] = 0
+                # Every index is in range; "clip" only spares the
+                # buffered copy the default mode makes for ``out``.
+                np.take(
+                    steps, index, axis=0, out=(part if j else cells)[:rows],
+                    mode="clip",
+                )
                 if j:
-                    idx *= shape[j]
-                    idx += part
-            yield t, idx
+                    cells[:rows] += part[:rows]
+            yield begin, cells[:rows]
 
 
 def forest_leaf_counts(
@@ -298,16 +292,17 @@ def forest_leaf_counts(
             (offsets + leaves).ravel(), minlength=n_trees * n_leaves
         )
         return flat.reshape(n_trees, n_leaves)
-    counts = np.empty((n_trees, n_leaves), dtype=np.int64)
-    for t, cells in tables.route(chunk):
-        counts[t] = np.bincount(
-            tables.leaf_of_cell[t][cells], minlength=n_leaves
+    counts = np.zeros(n_trees * n_leaves, dtype=np.int64)
+    for _begin, cells in tables.route(chunk):
+        counts += np.bincount(
+            np.take(tables.leaf_of_cell, cells).ravel(),
+            minlength=counts.size,
         )
-    return counts
+    return counts.reshape(n_trees, n_leaves)
 
 
 class TreeDensityEstimator(DensityEstimator):
-    """Forest of random axis-aligned partitions with O(1) table lookups.
+    """Forest of random axis-aligned partitions routed by lookup tables.
 
     Dataset passes: 2 — one scan finds the bounding box, one counts
     leaf occupancies (the box scan still runs when ``bounds`` is given;
@@ -315,8 +310,8 @@ class TreeDensityEstimator(DensityEstimator):
 
     Memory: O(m) — the forest structure, its leaf-count table
     (``n_trees * 2^max_depth`` cells) and its overlay routing tables
-    (at most ``_EVAL_CELL_CAP`` cells per tree); chunks are routed and
-    discarded as the scan advances.
+    (per tree at most ``_EVAL_CELL_CAP`` cells and as many merged-grid
+    rows); chunks are routed and discarded as the scan advances.
 
     Parameters
     ----------
@@ -384,10 +379,10 @@ class TreeDensityEstimator(DensityEstimator):
         self.maxs_: np.ndarray | None = None
         self.n_points_: int | None = None
         self.n_dims_: int | None = None
-        # O(1) routing tables, built with the forest (None above the
-        # cell cap), and the per-cell rates evaluation gathers from.
+        # Routing tables, built with the forest (None above the cell
+        # cap), and the per-cell rates evaluation gathers from.
         self._tables: OverlayTables | None = None
-        self._cells: list | None = None
+        self._cell_rates: np.ndarray | None = None
 
     @property
     def n_leaves_(self) -> int:
@@ -500,9 +495,7 @@ class TreeDensityEstimator(DensityEstimator):
         self.mins_ = mins
         self.maxs_ = maxs
         self.n_dims_ = int(n_dims)
-        self._tables = OverlayTables.build(
-            features, thresholds, lo, hi, mins, maxs
-        )
+        self._tables = OverlayTables.build(features, thresholds, lo, hi)
         get_recorder().count("tree_nodes_built", self.n_trees * n_internal)
 
     def _finalize(self, counts: np.ndarray, n: int) -> None:
@@ -519,21 +512,19 @@ class TreeDensityEstimator(DensityEstimator):
         self._build_eval_tables()
 
     def _build_eval_tables(self) -> None:
-        """Map every overlay cell to its leaf's rate, one gather per tree.
+        """Map every overlay cell to its leaf's rate, one flat gather.
 
         The structure tables (:class:`OverlayTables`) were built with
-        the forest; all evaluation adds is ``cells[t] =
-        rate_[t][leaf_of_cell[t]]``, so a query's density is its routed
-        cell's rate averaged over trees. Forests above
+        the forest; all evaluation adds is ``cell_rates =
+        rate_.ravel()[leaf_of_cell]``, so a query's density is its
+        routed cells' rates averaged over trees. Forests above
         ``_EVAL_CELL_CAP`` have no tables and evaluate by descent.
         """
-        if self._tables is None:
-            self._cells = None
-            return
-        self._cells = [
-            self.rate_[t][leaf_of_cell]
-            for t, leaf_of_cell in enumerate(self._tables.leaf_of_cell)
-        ]
+        self._cell_rates = (
+            None
+            if self._tables is None
+            else self.rate_.ravel()[self._tables.leaf_of_cell]
+        )
 
     # -- evaluation --------------------------------------------------------------
 
@@ -542,35 +533,41 @@ class TreeDensityEstimator(DensityEstimator):
         rows = int(points.shape[0])
         # One lookup = one query row routed through one tree.
         recorder.count("tree_lookups", rows * self.n_trees)
-        out = np.empty(rows, dtype=np.float64)
-        tree_ids = np.arange(self.n_trees)[:, None]
         with recorder.phase("tree_eval_block") as span:
-            span.set(rows=rows, trees=self.n_trees, depth=self.max_depth)
-            for begin in range(0, rows, _EVAL_BLOCK_ROWS):
-                block = points[begin : begin + _EVAL_BLOCK_ROWS]
-                if self._tables is not None:
-                    out[begin : begin + block.shape[0]] = (
-                        self._evaluate_cells(block)
-                    )
-                else:
-                    leaves = tree_leaf_indices(
-                        block, self.features_, self.thresholds_
-                    )
-                    out[begin : begin + block.shape[0]] = self.rate_[
-                        tree_ids, leaves
-                    ].mean(axis=0)
-        return out
+            span.set(
+                rows=rows,
+                trees=self.n_trees,
+                depth=self.max_depth,
+                route="descent" if self._tables is None else "table",
+            )
+            if self._tables is not None:
+                return self._evaluate_cells(points)
+            out = np.empty(rows, dtype=np.float64)
+            tree_ids = np.arange(self.n_trees)[:, None]
+            for begin in range(0, rows, _BLOCK_ROWS):
+                leaves = tree_leaf_indices(
+                    points[begin : begin + _BLOCK_ROWS],
+                    self.features_,
+                    self.thresholds_,
+                )
+                out[begin : begin + leaves.shape[1]] = self.rate_[
+                    tree_ids, leaves
+                ].mean(axis=0)
+            return out
 
-    def _evaluate_cells(self, block: np.ndarray) -> np.ndarray:
-        """One block through the overlay tables (see OverlayTables.route).
+    def _evaluate_cells(self, points: np.ndarray) -> np.ndarray:
+        """Evaluate through the overlay tables (see OverlayTables.route).
 
-        Each tree's routed cell indexes that tree's per-cell rates; the
-        rates are summed over trees in tree order and divided once.
+        Each block's routed cells gather their rates tree-major, so the
+        sum over trees runs in tree order — the descent's ``mean``
+        order — and is divided once.
         """
-        acc = np.zeros(block.shape[0])
-        gathered = np.empty(block.shape[0], dtype=np.float64)
-        for t, cells in self._tables.route(block):
-            np.take(self._cells[t], cells, out=gathered)
-            acc += gathered
-        acc /= self.n_trees
-        return acc
+        out = np.empty(points.shape[0], dtype=np.float64)
+        rates = np.empty(_BLOCK_ROWS * self.n_trees, dtype=np.float64)
+        for begin, cells in self._tables.route(points):
+            rows = cells.shape[0]
+            block = rates[: rows * self.n_trees].reshape(self.n_trees, rows)
+            np.take(self._cell_rates, cells.T, out=block, mode="clip")
+            np.add.reduce(block, axis=0, out=out[begin : begin + rows])
+        out /= self.n_trees
+        return out

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.exceptions import DataValidationError, ParameterError
 from repro.obs import get_recorder
-from repro.utils.validation import check_array
+from repro.utils.validation import nonfinite_error
 
 __all__ = [
     "FAULT_POLICY_MODES",
@@ -191,16 +191,15 @@ class RowQuarantine:
         self, chunk, bad_rows, n_bad, origin, pass_index, start, phase
     ) -> str:
         first = start + int(np.argmax(bad_rows))
-        # Route through check_array so the headline matches the message
-        # every estimator has always raised for dirty in-memory input.
-        try:
-            check_array(chunk, name=origin, min_rows=0)
-            headline = (
-                f"{origin} contains values with magnitude above the "
-                f"configured max_abs={self.max_abs:g}."
-            )
-        except DataValidationError as exc:
-            headline = str(exc)
+        # The same located message check_array raises for dirty
+        # in-memory input, with the row counted from the source's start.
+        error = nonfinite_error(chunk, name=origin, row_offset=start)
+        headline = (
+            str(error)
+            if error is not None
+            else f"{origin} contains values with magnitude above the "
+            f"configured max_abs={self.max_abs:g}."
+        )
         where = [
             f"pass {pass_index}" if pass_index is not None else "load time",
         ]

@@ -17,6 +17,7 @@ __all__ = [
     "RandomStateLike",
     "check_array",
     "check_random_state",
+    "nonfinite_error",
     "check_positive",
     "check_fraction",
 ]
@@ -89,11 +90,44 @@ def check_array(
         )
     if arr.shape[1] < 1:
         raise DataValidationError(f"{name} must have at least one column.")
-    if not allow_nonfinite and not np.isfinite(arr).all():
-        raise DataValidationError(
-            f"{name} contains NaN or infinite values; clean the data first."
-        )
+    if not allow_nonfinite:
+        error = nonfinite_error(arr, name=name)
+        if error is not None:
+            raise error
     return np.ascontiguousarray(arr)
+
+
+def nonfinite_error(
+    arr: np.ndarray, *, name: str = "data", row_offset: int = 0
+) -> DataValidationError | None:
+    """The error naming ``arr``'s first non-finite cell, or ``None``.
+
+    Parameters
+    ----------
+    arr:
+        A 2-D float array.
+    name:
+        Name used in the message.
+    row_offset:
+        Added to the row index in the message, for a chunk that starts
+        ``row_offset`` rows into a larger source.
+
+    Returns
+    -------
+    DataValidationError or None
+        ``None`` when every cell is finite; otherwise an error whose
+        message locates the first NaN or infinite cell in row-major
+        order, e.g. ``data[3, 1] is nan``.
+    """
+    finite = np.isfinite(arr)
+    if finite.all():
+        return None
+    row, col = np.unravel_index(np.argmin(finite), finite.shape)
+    return DataValidationError(
+        f"{name} contains NaN or infinite values: "
+        f"{name}[{row_offset + row}, {col}] is {arr[row, col]}; "
+        "clean the data first."
+    )
 
 
 def check_random_state(seed: RandomStateLike) -> np.random.Generator:

@@ -198,6 +198,8 @@ class TestRowQuarantine:
         assert "pass 2" in message
         assert "chunk offset 128" in message
         assert "quarantine" in message  # points at the recovery knob
+        # The first bad cell, located by its row in the whole source.
+        assert "data[129, 0] is nan" in message
 
     def test_quarantine_drops_and_counts(self):
         recorder = Recorder()

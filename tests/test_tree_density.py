@@ -14,6 +14,8 @@ Two layers:
   exact integer/min/max algebra.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,18 @@ def _descent_counts(estimator, data):
             for t in range(estimator.n_trees)
         ]
     )
+
+
+def _descent_values(estimator, queries):
+    """Densities routed by the descent, summed over trees in tree order."""
+    leaves = tree_leaf_indices(
+        queries, estimator.features_, estimator.thresholds_
+    )
+    expected = np.zeros(queries.shape[0])
+    for t in range(estimator.n_trees):
+        expected += estimator.rate_[t][leaves[t]]
+    expected /= estimator.n_trees
+    return expected
 
 
 def _byte_case(n_dims):
@@ -335,8 +349,35 @@ _COUNT_CASES = {
 }
 
 
+def _edge_queries(estimator, data):
+    """Query rows on the merged grid's edges and at non-finite extremes.
+
+    Every split threshold is an edge of the merged per-dimension grid
+    that all but its own tree lack, so a row placed on one must go left
+    in that tree and fall between its neighbours in every other one.
+    NaN compares False against every threshold (left everywhere);
+    ±inf and ±1e300 lie beyond every edge.
+    """
+    rng = np.random.default_rng(30)
+    n_dims = data.shape[1]
+    rows = data[rng.choice(data.shape[0], 600, replace=False)].copy()
+    for j in range(n_dims):
+        on_dim = estimator.thresholds_[estimator.features_ == j]
+        if on_dim.size:
+            rows[:400, j] = rng.choice(on_dim, 400)
+    extremes = np.array([np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0])
+    return np.vstack([rows, rng.choice(extremes, size=(64, n_dims))])
+
+
+#: Peak traced memory of fitting the tree on the seed-0 fig5 dataset
+#: (110k rows) and of evaluating its first 100k rows, measured with the
+#: per-tree bin tables the merged grid replaced. Neither may grow.
+FIT_PEAK_MIB = 19.44
+EVAL_PEAK_MIB = 20.77
+
+
 class TestOverlayTables:
-    """The O(1) lookup tables route bit-identically to the descent."""
+    """The lookup tables route bit-identically to the descent."""
 
     @pytest.mark.parametrize("case", sorted(_COUNT_CASES))
     def test_counts_match_descent(self, case):
@@ -348,6 +389,30 @@ class TestOverlayTables:
         expected = _descent_counts(est, data)
         assert est.counts_.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("case", sorted(_COUNT_CASES))
+    def test_evaluation_matches_descent(self, case):
+        kwargs, data = _COUNT_CASES[case]()
+        est = TreeDensityEstimator(random_state=0, **kwargs).fit(data)
+        assert est._tables is not None
+        queries = _edge_queries(est, data)
+        expected = _descent_values(est, queries).tobytes()
+        assert est._evaluate_cells(queries).tobytes() == expected
+        assert est.evaluate(queries).tobytes() == expected
+
+    def test_fit_and_evaluate_memory_do_not_grow(self):
+        data = make_fig5_dataset(n_points=100_000, random_state=0).points
+        tracemalloc.start()
+        try:
+            est = TreeDensityEstimator(random_state=0).fit(data)
+            fit_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            est.evaluate(data[:100_000])
+            eval_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit_peak <= FIT_PEAK_MIB * 2**20
+        assert eval_peak <= EVAL_PEAK_MIB * 2**20
+
     def test_table_route_matches_descent_bytes(self):
         rng = np.random.default_rng(11)
         est = TreeDensityEstimator(random_state=0).fit(
@@ -356,17 +421,10 @@ class TestOverlayTables:
         assert est._tables is not None
         queries = rng.normal(scale=2.0, size=(3_000, 2))
         # Queries exactly on split thresholds exercise the tie-routing
-        # corner (<= goes left) the bin tables must reproduce.
+        # corner (<= goes left) the table route must reproduce.
         queries[:64, 0] = est.thresholds_[0][:64]
-        leaves = tree_leaf_indices(
-            queries, est.features_, est.thresholds_
-        )
-        expected = np.zeros(queries.shape[0])
-        for t in range(est.n_trees):
-            expected += est.rate_[t][leaves[t]]
-        expected /= est.n_trees
         actual = est._evaluate_cells(queries)
-        assert actual.tobytes() == expected.tobytes()
+        assert actual.tobytes() == _descent_values(est, queries).tobytes()
 
     def test_high_dim_falls_back_to_descent(self):
         # At d=4 the per-dim threshold cross product blows past the
@@ -395,3 +453,19 @@ class TestObservability:
         assert recorder.counters["tree_nodes_built"] == 8 * (2**4 - 1)
         assert recorder.counters["tree_lookups"] == 300 * 8
         assert recorder.counters["data_passes"] == 2
+
+    @pytest.mark.parametrize(
+        "n_dims, route", [(2, "table"), (4, "descent")]
+    )
+    def test_eval_span_names_the_route(self, n_dims, route):
+        # A forest above the cell cap evaluates by descent, several
+        # times slower; the span says which route ran.
+        rng = np.random.default_rng(9)
+        estimator = TreeDensityEstimator(random_state=0).fit(
+            rng.normal(size=(1_000, n_dims))
+        )
+        recorder = Recorder()
+        with use_recorder(recorder):
+            estimator.evaluate(rng.normal(size=(50, n_dims)))
+        (span,) = [s for s in recorder.spans if s.name == "tree_eval_block"]
+        assert span.attrs["route"] == route

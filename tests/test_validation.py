@@ -50,6 +50,21 @@ class TestCheckArray:
         with pytest.raises(DataValidationError, match="NaN or infinite"):
             check_array([[np.inf, 0.0]])
 
+    @pytest.mark.parametrize(
+        "cell, value, located",
+        [
+            ((3, 1), np.nan, r"data\[3, 1\] is nan"),
+            ((0, 0), -np.inf, r"data\[0, 0\] is -inf"),
+            ((2, 0), np.inf, r"data\[2, 0\] is inf"),
+        ],
+    )
+    def test_error_locates_first_non_finite_cell(self, cell, value, located):
+        data = np.zeros((5, 2))
+        data[cell] = value
+        data[4, 1] = np.nan  # a later bad cell is not the one named
+        with pytest.raises(DataValidationError, match=located):
+            check_array(data)
+
     def test_rejects_zero_columns(self):
         with pytest.raises(DataValidationError, match="column"):
             check_array(np.empty((3, 0)))
