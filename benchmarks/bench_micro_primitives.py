@@ -22,8 +22,10 @@ import pytest
 from repro.clustering import Birch, CureClustering, assign_to_clusters
 from repro.clustering.base import ClusteringResult
 from repro.core import DensityBiasedSampler
+from repro.datasets import make_outlier_dataset
 from repro.density import KernelDensityEstimator, TreeDensityEstimator
 from repro.outliers import IndexedOutlierDetector
+from repro.utils.geometry import count_within, pair_sq_distances
 
 #: Dataset size for the tree-vs-KDE density-evaluation speedup bench.
 N_SPEEDUP = 200_000
@@ -35,6 +37,12 @@ N_SPEEDUP = 200_000
 #: the table route fails it (measured 7.5-12x). The speedup over the
 #: KDE is recorded too, as information only.
 DESCENT_SPEEDUP_FLOOR = 4.0
+
+#: Required median speedup of the cell-pruned ``count_within`` over
+#: the per-pair count (every distance, in 256-row blocks) on 16,384
+#: outlier-dataset rows against 600 of them at the dataset's outlier
+#: radius. Losing the pruning fails it (measured 5.5-5.9x).
+COUNT_WITHIN_SPEEDUP_FLOOR = 3.0
 
 #: Ceiling on the tree backend's median fit time at ``N_SPEEDUP`` rows,
 #: as a multiple of one evaluation of the same rows. The fit is two
@@ -162,6 +170,45 @@ def test_tree_fit_200k(benchmark, speedup_case):
     benchmark.extra_info["eval_median_seconds"] = eval_median
     benchmark.extra_info["fit_over_eval"] = fit_median / eval_median
     assert fit_median / eval_median <= TREE_FIT_EVAL_CEILING
+
+
+def _per_pair_counts(centres, points, radius_sq):
+    """Every (point, centre) distance, in 256-row blocks, then ``<=``."""
+    counts = np.zeros(centres.shape[0], dtype=np.int64)
+    for lo in range(0, points.shape[0], 256):
+        dists = pair_sq_distances(points[lo : lo + 256], centres)
+        counts += (dists <= radius_sq).sum(axis=0)
+    return counts
+
+
+def test_count_within_16k(benchmark):
+    """Exact neighbour counts of 600 candidates over 16,384 rows: the
+    gate entry that pins the cell-pruned ``count_within`` at
+    ``COUNT_WITHIN_SPEEDUP_FLOOR`` times the per-pair count.
+
+    The reference is re-timed in the same process (median of three
+    warm rounds) and recorded in the JSON via ``extra_info``.
+    """
+    data = make_outlier_dataset(n_points=16_384, n_outliers=50, random_state=0)
+    points = data.points
+    rng = np.random.default_rng(3)
+    centres = points[rng.choice(points.shape[0], 600, replace=False)]
+    radius_sq = data.guaranteed_radius**2
+    expected = _per_pair_counts(centres, points, radius_sq)
+    reference_median = _median_seconds(
+        lambda: _per_pair_counts(centres, points, radius_sq)
+    )
+    counts = benchmark.pedantic(
+        lambda: count_within(centres, points, radius_sq),
+        warmup_rounds=1,
+        rounds=5,
+        iterations=1,
+    )
+    np.testing.assert_array_equal(counts, expected)
+    speedup = reference_median / benchmark.stats.stats.median
+    benchmark.extra_info["per_pair_median_seconds"] = reference_median
+    benchmark.extra_info["speedup_vs_per_pair"] = speedup
+    assert speedup >= COUNT_WITHIN_SPEEDUP_FLOOR
 
 
 def test_biased_sampling_end_to_end(benchmark, dataset, fitted_kde):

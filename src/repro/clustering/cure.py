@@ -30,10 +30,17 @@ cluster-cluster distances indexed by slot (a merged cluster takes the
 slot of the cluster popped from the heap). A cluster whose nearest
 neighbour was merged away then finds its new one by reading one cache
 row; above the cap it re-sweeps the pool instead, with the same bits.
-Per-cluster nearest neighbours live in an indexed min-heap, and ties go
-to the smallest cluster id. CURE's optional outlier elimination (drop
-slow-growing singleton clusters part-way through the hierarchy) is
-included and enabled by default, as the noise experiments rely on it.
+Per-cluster nearest neighbours live in an indexed min-heap. A cluster's
+nearest neighbour, at start-up and in rescans, is the smallest id among
+those at the minimum distance. Which cluster the next merge pops is the
+heap's root: among equal keys (a merge pair usually shares its key) that
+is whichever cluster :class:`IndexedMinHeap`'s sift order left on top,
+often not the smaller id. The order follows from the sequence of pushes
+and updates alone, so it is deterministic.
+
+CURE's optional outlier elimination (drop slow-growing singleton
+clusters part-way through the hierarchy) is included and enabled by
+default, as the noise experiments rely on it.
 """
 
 from __future__ import annotations

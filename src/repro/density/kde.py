@@ -32,6 +32,7 @@ from repro.density.reservoir import ReservoirSampler
 from repro.exceptions import ParameterError
 from repro.obs import get_recorder
 from repro.sharding import ShardPlan, fit_shards, merge_partials, resolve_shards
+from repro.utils.geometry import cell_order, cell_tiles
 from repro.utils.streams import DataStream
 from repro.utils.validation import check_random_state
 
@@ -271,14 +272,9 @@ class KernelDensityEstimator(DensityEstimator):
         # candidate-centre set stays small. Each row's value is
         # row-local, so the permutation leaves every output byte
         # unchanged.
-        with np.errstate(over="ignore", invalid="ignore"):
-            cells = np.floor(points / (self.bandwidths_ * self.kernel.support))
-        order = np.lexsort(cells.T)
-        cells = cells[order]
-        # A cell starts wherever a key differs from the previous row's
-        # (a NaN key differs from everything: such a row is its own
-        # cell).
-        starts = np.flatnonzero(np.any(cells[1:] != cells[:-1], axis=1)) + 1
+        order, starts = cell_order(
+            points, self.bandwidths_ * self.kernel.support
+        )
         out = np.empty(points.shape[0], dtype=np.float64)
         out[order] = self._evaluate_block(points[order], starts)
         return out
@@ -342,7 +338,7 @@ class KernelDensityEstimator(DensityEstimator):
         # axis-1 pairwise sum are row-local, so the output is
         # byte-identical to an untiled evaluation for any tiling.
         tile_rows = max(1, _EVAL_TILE_ELEMENTS // m)
-        tiles = _cell_tiles(cell_starts, rows, tile_rows)
+        tiles = cell_tiles(cell_starts, rows, tile_rows)
         # Every (r, k) block below has r * k <= max(budget, m) elements.
         size = min(rows * m, max(_EVAL_TILE_ELEMENTS, m))
         u, prof, weights = np.empty((3, size))
@@ -446,31 +442,3 @@ class KernelDensityEstimator(DensityEstimator):
                 ww *= pp
         return ww
 
-
-def _cell_tiles(
-    cell_starts: np.ndarray | None, rows: int, tile_rows: int
-) -> list[tuple[int, int]]:
-    """Row tiles of a block in cell order, as ``(start, stop)`` pairs.
-
-    A tile is a run of whole cells. A cell of at least ``tile_rows``
-    rows is a tile of its own; consecutive smaller cells merge while
-    the tile stays within ``tile_rows`` rows. ``cell_starts`` lists
-    the rows where a new cell begins; ``None`` makes every row its own
-    cell, which gives plain ``tile_rows``-row tiles.
-    """
-    if cell_starts is None:
-        return [(t, min(rows, t + tile_rows)) for t in range(0, rows, tile_rows)]
-    tiles = []
-    start = 0
-    bounds = [0, *cell_starts.tolist(), rows]
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi - start > tile_rows and lo > start:
-            # The cell would overfill the open tile: close it first.
-            tiles.append((start, lo))
-            start = lo
-        if hi - start >= tile_rows:
-            tiles.append((start, hi))
-            start = hi
-    if start < rows:
-        tiles.append((start, rows))
-    return tiles

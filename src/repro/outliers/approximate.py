@@ -48,9 +48,9 @@ class ApproximateOutlierDetector(OutlierDetector):
 
     Memory: O(n) — the screen's sparsest-quota selection may hold every
     point when ``candidate_quantile`` is 1; fitting is O(m), and
-    verification holds the O(b) surviving candidates plus three tile
+    verification holds the O(b) surviving candidates, three tile
     buffers of ``max(256 * b, 32768)`` cells (about 4.3 kB per
-    candidate).
+    candidate) and the cell order of one chunk, O(chunk).
 
     Parameters
     ----------
@@ -146,7 +146,7 @@ class ApproximateOutlierDetector(OutlierDetector):
         with recorder.phase("screen"):
             candidate_idx, candidate_pts = self._screen(source, estimator, p)
         with recorder.phase("verify"):
-            counts = self._verify(source, candidate_pts)
+            counts = self._verify(source, candidate_pts, p)
         keep = counts <= p
         return OutlierResult(
             indices=candidate_idx[keep],
@@ -243,26 +243,33 @@ class ApproximateOutlierDetector(OutlierDetector):
         return indices, points[first]
 
     def _verify(
-        self, source: DataStream, candidates: np.ndarray
+        self, source: DataStream, candidates: np.ndarray, p: int | None = None
     ) -> np.ndarray:
-        """Exact neighbour counts of the candidates in one pass.
+        """Neighbour counts of the candidates in one pass, exact up to ``p``.
 
-        Each chunk is counted in row tiles by :func:`count_within`, so
-        the pass holds the candidates plus ``O(tile * b)`` scratch.
+        Each chunk is counted by :func:`count_within`, which skips the
+        cell tiles beyond ``k`` of a candidate. A candidate stops being
+        counted once it has more than ``p`` neighbours: its count is then
+        some value above ``p`` (a known non-outlier), while every count
+        up to ``p`` is exact. ``p`` defaults to the detector's own
+        threshold. The pass holds the candidates, ``O(tile * b)``
+        distance scratch and the chunk's ``O(chunk)`` cell order.
         """
         counts = np.zeros(candidates.shape[0], dtype=np.int64)
         if candidates.shape[0] == 0:
             return counts
-        recorder = get_recorder()
+        if p is None:
+            p = resolve_p(self.p, self.fraction, len(source))
         k_sq = self.k * self.k
+        open_rows = np.arange(candidates.shape[0])
         for chunk in source:
-            recorder.count(
-                "distance_evals", candidates.shape[0] * chunk.shape[0]
-            )
-            counts += count_within(candidates, chunk, k_sq)
-        # A candidate is its own zero-distance neighbour in the scan.
+            if open_rows.size == 0:
+                continue
+            counts[open_rows] += count_within(candidates[open_rows], chunk, k_sq)
+            # A candidate is its own zero-distance neighbour in the
+            # scan, so more than p neighbours is a count above p + 1.
+            open_rows = open_rows[counts[open_rows] <= p + 1]
         return counts - 1
-
 
 def _keep_sparsest(kept, offered, quota: int):
     """The ``quota`` lowest ``(value, row)`` entries of two selections.

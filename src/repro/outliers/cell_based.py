@@ -25,7 +25,6 @@ import math
 import numpy as np
 
 from repro.exceptions import ParameterError
-from repro.obs import get_recorder
 from repro.outliers.base import OutlierDetector, OutlierResult, resolve_p
 from repro.utils.geometry import count_within
 from repro.utils.streams import DataStream, as_stream
@@ -147,7 +146,6 @@ class CellBasedOutlierDetector(OutlierDetector):
         pts: np.ndarray, rows: list[int], candidate_rows: list[int], k_sq: float
     ) -> np.ndarray:
         """Neighbours among ``candidate_rows`` of each of ``rows``."""
-        get_recorder().count("distance_evals", len(rows) * len(candidate_rows))
         return count_within(pts[rows], pts[candidate_rows], k_sq)
 
 

@@ -23,7 +23,6 @@ from functools import partial
 import numpy as np
 
 from repro.exceptions import ParameterError
-from repro.obs import get_recorder
 from repro.outliers.base import OutlierDetector, OutlierResult, resolve_p
 from repro.parallel import parallel_map_chunks
 from repro.utils.geometry import count_within
@@ -53,10 +52,8 @@ def _count_outer_block(
     a_stop = min(a_start + block_size, n)
     counts = np.zeros(a_stop - a_start, dtype=np.int64)
     open_rows = np.arange(a_start, a_stop)
-    recorder = get_recorder()
     for b_start in range(0, n, block_size):
         b_stop = min(b_start + block_size, n)
-        recorder.count("distance_evals", open_rows.size * (b_stop - b_start))
         within = count_within(pts[open_rows], pts[b_start:b_stop], k_sq)
         # Points do not count themselves as neighbours.
         overlap = (open_rows >= b_start) & (open_rows < b_stop)

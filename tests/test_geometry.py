@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.obs import Recorder, use_recorder
 from repro.utils.geometry import (
     ball_volume,
     count_within,
@@ -30,6 +33,15 @@ class TestBallVolume:
             ball_volume(1.0, 0)
         with pytest.raises(ValueError):
             ball_volume(-1.0, 2)
+
+    @pytest.mark.parametrize(
+        "radius, n_dims", [(1e200, 2), (1e300, 2), (1e160, 3), (math.inf, 2)]
+    )
+    def test_overflow_is_infinite(self, radius, n_dims):
+        assert ball_volume(radius, n_dims) == math.inf
+
+    def test_large_finite_volume_stays_finite(self):
+        assert math.isfinite(ball_volume(1e150, 2))
 
 
 def naive_sq_distances(a, b):
@@ -170,6 +182,124 @@ class TestNearest:
         for k in (0, 1):
             joined = np.concatenate([part[k] for part in parts])
             np.testing.assert_array_equal(joined, whole[k])
+
+
+def _reference_counts(centres, points, radius_sq):
+    """The per-pair count: every (point, centre) distance, then ``<=``."""
+    return (pair_sq_distances(points, centres) <= radius_sq).sum(axis=0)
+
+
+def _counted(centres, points, radius_sq):
+    """``count_within`` and the ``distance_evals`` it records."""
+    recorder = Recorder()
+    with use_recorder(recorder):
+        counts = count_within(centres, points, radius_sq)
+    return counts, recorder.counters.get("distance_evals", 0)
+
+
+@st.composite
+def count_cases(draw):
+    """Rows, centres and a radius for the ``count_within`` oracle.
+
+    At least 128 centres make a 256-row tile, so more rows than that
+    take the cell-pruned route; fewer take the plain tile loop.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 5))
+    n = draw(st.sampled_from([0, 1, 40, 257, 700, 700]))
+    c = draw(st.sampled_from([0, 1, 128, 200, 200]))
+    layout = draw(st.sampled_from(["grid", "duplicates", "blobs", "spread"]))
+    if layout == "grid":
+        # Integer coordinates and integer radii: many pairs sit
+        # exactly on the radius.
+        pool = rng.integers(-4, 5, size=(n + c, d)).astype(float)
+        radius_sq = float(draw(st.sampled_from([1, 2, 4, 9])))
+    else:
+        if layout == "duplicates":
+            base = rng.normal(size=(6, d))
+            pool = base[rng.integers(0, 6, size=n + c)]
+        elif layout == "blobs":
+            pool = rng.normal(size=(n + c, d)) * 0.05 + rng.integers(
+                0, 4, size=(n + c, 1)
+            )
+        else:
+            pool = rng.uniform(-3, 3, size=(n + c, d))
+        # From one-row cells (tiny radius) to one cell for everything.
+        radius_sq = draw(st.sampled_from([1e-12, 0.01, 0.3, 4.0, 1e4]))
+    radius_sq = draw(st.sampled_from([radius_sq, radius_sq, 0.0, math.inf]))
+    pool = pool + draw(st.sampled_from([0.0, 1e6, 1e8]))
+    if n + c and draw(st.booleans()):
+        special = [1e300, -1e300, math.inf, -math.inf, math.nan]
+        rows = rng.integers(0, n + c, size=rng.integers(1, 6))
+        cols = rng.integers(0, d, size=rows.size)
+        pool[rows, cols] = rng.choice(special, size=rows.size)
+    # Centres are drawn from the same pool, so some coincide with rows.
+    picks = rng.integers(0, n + c, size=c) if n + c else np.zeros(0, int)
+    return pool[picks], pool[:n], radius_sq
+
+
+class TestCountWithin:
+    @settings(deadline=None, max_examples=150)
+    @given(case=count_cases())
+    def test_matches_per_pair_count(self, case):
+        centres, points, radius_sq = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            counts, evals = _counted(centres, points, radius_sq)
+            expected = _reference_counts(centres, points, radius_sq)
+        np.testing.assert_array_equal(counts, expected)
+        assert counts.dtype == np.int64
+        assert evals <= points.shape[0] * centres.shape[0]
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    def test_pruned_equals_split_plain_calls(self, offset):
+        """One pruned call over 3,000 rows equals the sum of 256-row
+        calls, each small enough for the plain tile loop."""
+        rng = np.random.default_rng(11)
+        points = offset + np.vstack(
+            [rng.normal(size=(2_000, 2)) * 0.1, rng.uniform(-2, 2, (1_000, 2))]
+        )
+        centres = points[rng.integers(0, 3_000, size=300)]
+        radius_sq = 0.01
+        whole, evals = _counted(centres, points, radius_sq)
+        parts = []
+        for lo in range(0, 3_000, 256):
+            part, part_evals = _counted(centres, points[lo : lo + 256], radius_sq)
+            assert part_evals == part.size * points[lo : lo + 256].shape[0]
+            parts.append(part)
+        np.testing.assert_array_equal(whole, np.sum(parts, axis=0))
+        np.testing.assert_array_equal(
+            whole, _reference_counts(centres, points, radius_sq)
+        )
+        # The pruned call computed a fraction of the pairs.
+        assert evals < 0.5 * points.shape[0] * centres.shape[0]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("radius_sq", [1.0, 2.0, 4.0, 9.0])
+    def test_grid_ties_on_the_radius(self, d, radius_sq):
+        """Integer grid rows against integer radii: many pairs sit
+        exactly on the radius, and box edges sit exactly one radius
+        from centres, on the cell-pruned route."""
+        side = {1: 900, 2: 30, 3: 10}[d]
+        axes = [np.arange(side, dtype=float)] * d
+        points = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, d)
+        rng = np.random.default_rng(d)
+        centres = points[rng.choice(points.shape[0], 200, replace=False)]
+        counts, evals = _counted(centres, points, radius_sq)
+        np.testing.assert_array_equal(
+            counts, _reference_counts(centres, points, radius_sq)
+        )
+        assert evals < points.shape[0] * centres.shape[0]
+
+    def test_large_cell_runs_in_tiles(self):
+        """Every row in one cell: the cell is cut into tile-sized pieces."""
+        rng = np.random.default_rng(12)
+        points = rng.uniform(0, 1, (1_000, 3))
+        centres = np.vstack([points[:150], points[:50] + 5.0])
+        counts, evals = _counted(centres, points, 3.0)
+        np.testing.assert_array_equal(
+            counts, _reference_counts(centres, points, 3.0)
+        )
+        assert evals == 1_000 * 150
 
 
 @pytest.mark.parametrize(

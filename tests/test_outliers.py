@@ -16,6 +16,7 @@ from repro.outliers import (
     is_db_outlier_count,
 )
 from repro.outliers.base import resolve_p
+from repro.utils.geometry import count_within
 from repro.utils.streams import DataStream
 
 
@@ -166,6 +167,17 @@ class TestApproximateDetector:
         ).detect(data)
         assert len(result) == 0
 
+    def test_huge_radius_agrees_with_nested_loop(self):
+        """A radius whose ball volume overflows screens every point as
+        dense, and the verify confirms: no outliers, as the oracle says."""
+        data = np.random.default_rng(0).random((300, 2))
+        approx = ApproximateOutlierDetector(
+            k=1e300, p=5, random_state=0
+        ).detect(data)
+        exact = NestedLoopOutlierDetector(k=1e300, p=5).detect(data)
+        np.testing.assert_array_equal(approx.indices, exact.indices)
+        assert approx.indices.size == 0
+
     def test_rejects_bad_screen(self):
         with pytest.raises(ParameterError, match="screen"):
             ApproximateOutlierDetector(k=0.1, p=0, screen="exact")
@@ -217,10 +229,23 @@ class TestFarFromOrigin:
         np.testing.assert_array_equal(result.neighbor_counts, truth[expected])
 
     def test_verify_counts(self, shifted):
+        """Counts up to ``p`` are exact; the rest stop somewhere above it."""
         points, k, truth = shifted
         detector = ApproximateOutlierDetector(k=k, p=self.P)
-        counts = detector._verify(DataStream(points, chunk_size=512), points)
-        np.testing.assert_array_equal(counts, truth)
+        counts = detector._verify(
+            DataStream(points, chunk_size=512), points, self.P
+        )
+        low = truth <= self.P
+        np.testing.assert_array_equal(counts[low], truth[low])
+        assert (counts[~low] > self.P).all()
+        assert (counts[~low] <= truth[~low]).all()
+
+    def test_count_within(self, shifted):
+        """Full exact counts at every offset, self included."""
+        points, k, truth = shifted
+        np.testing.assert_array_equal(
+            count_within(points, points, k * k), truth + 1
+        )
 
     def test_approximate(self, shifted, planted):
         points, k, truth = shifted
@@ -247,6 +272,37 @@ class TestFarFromOrigin:
         points, k, truth = shifted
         result = CellBasedOutlierDetector(k=k, p=self.P).detect(points)
         self._assert_exact(result, truth)
+
+
+class TestVerifyEarlyExit:
+    """A candidate past ``p`` neighbours leaves the verify early."""
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 64])
+    def test_counts_exact_up_to_p(self, chunk_size):
+        rng = np.random.default_rng(9)
+        points = rng.random((200, 2))
+        k, p = 0.08, 3
+        truth = _brute_counts(points, k)
+        assert (truth == p).any() and (truth == p + 1).any()
+        counts = ApproximateOutlierDetector(k=k, p=p)._verify(
+            DataStream(points, chunk_size=chunk_size), points, p
+        )
+        low = truth <= p
+        np.testing.assert_array_equal(counts[low], truth[low])
+        assert (counts[~low] > p).all()
+        assert (counts[~low] <= truth[~low]).all()
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 64])
+    def test_detect_matches_nested_loop(self, chunk_size):
+        points = np.random.default_rng(9).random((200, 2))
+        result = ApproximateOutlierDetector(
+            k=0.08, p=3, candidate_quantile=1.0, random_state=0
+        ).detect(None, stream=DataStream(points, chunk_size=chunk_size))
+        exact = NestedLoopOutlierDetector(k=0.08, p=3).detect(points)
+        np.testing.assert_array_equal(result.indices, exact.indices)
+        np.testing.assert_array_equal(
+            result.neighbor_counts, exact.neighbor_counts
+        )
 
 
 class TestVerifyMemory:
