@@ -1,13 +1,13 @@
 # Convenience targets mirroring the CI gates. `make lint` runs every
-# static analyser (ruff + repro-lint + the whole-program repro-audit);
+# static analyser (ruff + the repo's own repro-audit, RL and RA rules);
 # `make test` runs the tier-1 suite. PYTHON can be overridden, e.g.
 # `make lint PYTHON=python3.12`.
 
 PYTHON ?= python
 
-.PHONY: lint ruff repro-lint repro-audit test audit-baseline
+.PHONY: lint ruff repro-audit test
 
-lint: ruff repro-lint repro-audit
+lint: ruff repro-audit
 
 ruff:
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -16,16 +16,8 @@ ruff:
 	    echo "ruff not installed; skipping (the CI ruff job still gates)"; \
 	fi
 
-repro-lint:
-	$(PYTHON) -m tools.repro_lint src tools benchmarks
-
 repro-audit:
-	$(PYTHON) -m tools.repro_audit src/repro tools benchmarks
-
-# Refresh the accepted-findings baseline after a deliberate contract
-# change (review the diff of tools/repro_audit/baseline.txt!).
-audit-baseline:
-	$(PYTHON) -m tools.repro_audit src/repro tools benchmarks --write-baseline
+	$(PYTHON) -m tools.repro_audit src tools benchmarks
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q

@@ -8,9 +8,8 @@ Commands
     Run one experiment and print its tables.
 ``repro run all [--scale S] [--seed N]``
     Run the full suite in registry order.
-``repro trace export <manifest> --format chrome|prometheus``
-    Export a recorded manifest as a Chrome/Perfetto trace or a
-    Prometheus scrape.
+``repro trace export <manifest>``
+    Export a recorded manifest as a Chrome/Perfetto trace.
 ``repro trace diff <baseline> <candidate>``
     Compare two manifests phase-by-phase; exit 1 on regression.
 ``repro trace coverage <manifest>``
@@ -18,7 +17,7 @@ Commands
 """
 # The CLI is the terminal surface: stdout IS its output channel, so
 # bare print() is the sanctioned sink here.
-# repro-lint: disable=RL007
+# repro-audit: disable=RL007
 
 from __future__ import annotations
 
@@ -141,16 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
 
     export = trace_sub.add_parser(
-        "export", help="export a manifest as a trace/scrape file"
+        "export",
+        help="export a manifest as Perfetto-loadable trace-event JSON",
     )
     export.add_argument("manifest", help="manifest file (.jsonl or .json)")
-    export.add_argument(
-        "--format",
-        choices=("chrome", "prometheus"),
-        default="chrome",
-        help="chrome: Perfetto-loadable trace-event JSON; "
-        "prometheus: text exposition (default: chrome)",
-    )
     export.add_argument(
         "--output",
         metavar="PATH",
@@ -167,8 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument(
         "--validate",
         action="store_true",
-        help="validate the export (Chrome: B/E pairing and event shape; "
-        "Prometheus: round-trip through the minimal parser) and fail "
+        help="validate the export (B/E pairing and event shape) and fail "
         "on any problem",
     )
 
@@ -291,10 +283,8 @@ def _load_one_manifest(path: str, run: str | None = None):
 def _trace_main(args) -> int:
     from repro.obs import (
         diff_manifests,
-        parse_prometheus,
         span_coverage,
         to_chrome_trace,
-        to_prometheus,
         validate_chrome_trace,
     )
 
@@ -302,29 +292,20 @@ def _trace_main(args) -> int:
         import json
 
         manifest = _load_one_manifest(args.manifest, args.run)
-        if args.format == "chrome":
-            trace = to_chrome_trace(manifest)
-            if args.validate:
-                problems = validate_chrome_trace(trace)
-                if problems:
-                    for problem in problems:
-                        print(f"invalid trace: {problem}", file=sys.stderr)
-                    return 1
-            text = json.dumps(trace, indent=2) + "\n"
-        else:
-            text = to_prometheus(manifest)
-            if args.validate:
-                try:
-                    parse_prometheus(text)
-                except ValueError as exc:
-                    print(f"invalid exposition: {exc}", file=sys.stderr)
-                    return 1
+        trace = to_chrome_trace(manifest)
+        if args.validate:
+            problems = validate_chrome_trace(trace)
+            if problems:
+                for problem in problems:
+                    print(f"invalid trace: {problem}", file=sys.stderr)
+                return 1
+        text = json.dumps(trace, indent=2) + "\n"
         if args.output is None:
             sys.stdout.write(text)
         else:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)
-            print(f"wrote {args.format} export to {args.output}")
+            print(f"wrote chrome export to {args.output}")
         return 0
 
     if args.trace_command == "diff":

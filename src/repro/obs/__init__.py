@@ -15,10 +15,9 @@ Zero-dependency observability for the sampling->mining pipeline:
 * :class:`RunManifest` — a JSON-lines-serialisable record of one run
   (seed, parameters, versions, platform, all recorded metrics),
   versioned and loadable across schema generations.
-* Exporters — :func:`to_chrome_trace` (Perfetto-loadable trace-event
-  JSON) and :func:`to_prometheus` (text exposition), plus
-  :func:`diff_manifests` for phase-by-phase regression checks; all
-  three back the ``repro trace`` CLI.
+* Exporter and diff — :func:`to_chrome_trace` (Perfetto-loadable
+  trace-event JSON) and :func:`diff_manifests` for phase-by-phase
+  regression checks; both back the ``repro trace`` CLI.
 
 Enable from code::
 
@@ -36,11 +35,6 @@ from repro.obs.export_chrome import (
     to_chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
-)
-from repro.obs.export_prometheus import (
-    parse_prometheus,
-    to_prometheus,
-    write_prometheus,
 )
 from repro.obs.histogram import Histogram
 from repro.obs.manifest import (
@@ -92,15 +86,12 @@ __all__ = [
     "histogram_names",
     "load_manifests",
     "merge_profiles",
-    "parse_prometheus",
     "profile_summary",
     "recording",
     "span_coverage",
     "to_chrome_trace",
-    "to_prometheus",
     "trace_memory",
     "use_recorder",
     "validate_chrome_trace",
     "write_chrome_trace",
-    "write_prometheus",
 ]

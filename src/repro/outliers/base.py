@@ -61,7 +61,7 @@ class OutlierDetector(abc.ABC):
     detectors as interchangeable: anything with this surface can be
     swapped into the outlier experiments. Conformance (method presence
     *and* signature compatibility) is additionally enforced statically
-    by the repro-lint RL005 rule.
+    by the repro-audit RL005 rule.
     """
 
     @abc.abstractmethod

@@ -26,7 +26,7 @@ The determinism contract: results are byte-identical for any
 the caller's single main-process generator, consumed in stream order.
 
 Direct use of ``multiprocessing`` / ``concurrent.futures`` elsewhere in
-the library is forbidden by repro-lint rule RL008 — new parallel code
+the library is forbidden by repro-audit rule RL008 — new parallel code
 goes through this package so counters merge, determinism holds and
 every task runs under the coordinator's run configuration.
 """

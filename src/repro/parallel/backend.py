@@ -3,7 +3,7 @@
 The paper's pipeline is dominated by embarrassingly parallel passes —
 density evaluation over dataset chunks, the nested-loop detector's
 outer block scan — and this module decides *how* those passes execute.
-Callers never touch ``concurrent.futures`` directly (repro-lint rule
+Callers never touch ``concurrent.futures`` directly (repro-audit rule
 RL008 forbids it outside this package); they ask for a backend by
 worker count and kind and hand it an ordered list of tasks.
 

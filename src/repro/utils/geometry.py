@@ -73,7 +73,8 @@ def pair_sq_distances(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """
     _check_columns(points, targets)
     out = np.empty((points.shape[0], targets.shape[0]))
-    return _sq_distances_into(points, targets, out, np.empty_like(out))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _sq_distances_into(points, targets, out, np.empty_like(out))
 
 
 def nearest(
@@ -101,11 +102,12 @@ def nearest(
     _check_columns(points, anchors)
     index = np.empty(points.shape[0], dtype=np.int64)
     sq_dist = np.empty(points.shape[0])
-    for lo, dists in _tiles(points, anchors):
-        best = dists.argmin(axis=1)
-        rows = best.shape[0]
-        index[lo : lo + rows] = best
-        sq_dist[lo : lo + rows] = dists[np.arange(rows), best]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, dists in _tiles(points, anchors):
+            best = dists.argmin(axis=1)
+            rows = best.shape[0]
+            index[lo : lo + rows] = best
+            sq_dist[lo : lo + rows] = dists[np.arange(rows), best]
     return index, sq_dist
 
 
@@ -154,6 +156,16 @@ def count_within(
     array([1, 0])
     """
     _check_columns(centres, points)
+    # Infinite or huge coordinates give inf - inf or an overflowing
+    # square; the IEEE result (NaN or inf) is the answer, so the
+    # warnings are noise. One errstate covers every tile of the call.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _count_within(centres, points, radius_sq)
+
+
+def _count_within(
+    centres: np.ndarray, points: np.ndarray, radius_sq: float
+) -> np.ndarray:
     n, c = points.shape[0], centres.shape[0]
     counts = np.zeros(c, dtype=np.int64)
     tile = _tile_rows(c)

@@ -228,11 +228,14 @@ class TestModelPlumbing:
         assert module_name(mod) == "pkg.sub.leaf"
 
     def test_parse_suppressions_tool_scoped(self):
-        src = "# repro-audit: disable=RA005, RA006\n# repro-lint: disable=RL001\n"
-        assert parse_suppressions(src, tool="repro-audit") == frozenset(
-            {"RA005", "RA006"}
+        # One prefix serves both rule families; other tools' comments
+        # are not honoured.
+        src = (
+            "# repro-audit: disable=RA005, RA006\n"
+            "# repro-audit: disable=RL001\n"
+            "# other-tool: disable=RL002\n"
         )
-        assert parse_suppressions(src) == frozenset({"RL001"})
+        assert parse_suppressions(src) == frozenset({"RA005", "RA006", "RL001"})
 
     def test_syntax_error_becomes_issue(self, tmp_path):
         bad = tmp_path / "bad.py"

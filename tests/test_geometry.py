@@ -302,6 +302,53 @@ class TestCountWithin:
         assert evals == 1_000 * 150
 
 
+def _special_case(n, c):
+    """Rows and centres holding +-inf, NaN and +-1e300 in each column."""
+    rng = np.random.default_rng(n + c)
+    points = rng.uniform(-2, 2, (n, 2))
+    centres = rng.uniform(-2, 2, (c, 2))
+    special = [math.inf, -math.inf, math.nan, 1e300, -1e300]
+    for k, value in enumerate(special):
+        points[2 * k, 0] = points[2 * k + 1, 1] = value
+        centres[2 * k, 1] = centres[2 * k + 1, 0] = value
+    points[-1] = [math.inf, 0.0]
+    return centres, points
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "n, c",
+    [(12, 12), (700, 150)],
+    ids=["plain-tiles", "cell-pruned"],
+)
+class TestNonFiniteInputsAreQuiet:
+    """Non-finite and huge coordinates give the per-pair oracle's values
+    and raise no numpy warning."""
+
+    def test_pair_sq_distances(self, n, c):
+        centres, points = _special_case(n, c)
+        np.testing.assert_array_equal(
+            pair_sq_distances(points, centres),
+            naive_sq_distances(points, centres),
+        )
+
+    def test_nearest(self, n, c):
+        centres, points = _special_case(n, c)
+        expected = naive_sq_distances(points, centres)
+        best = expected.argmin(axis=1)
+        index, sq_dist = nearest(points, centres)
+        np.testing.assert_array_equal(index, best)
+        np.testing.assert_array_equal(sq_dist, expected[np.arange(n), best])
+
+    @pytest.mark.parametrize("radius_sq", [0.5, 4.0, math.inf])
+    def test_count_within(self, n, c, radius_sq):
+        centres, points = _special_case(n, c)
+        expected = (naive_sq_distances(points, centres) <= radius_sq).sum(axis=0)
+        np.testing.assert_array_equal(
+            count_within(centres, points, radius_sq), expected
+        )
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -1,8 +1,8 @@
-"""Tests for tools/repro_audit: every rule positive + negative +
-suppression, why-traces, the SARIF reporter (validated against an
-embedded SARIF 2.1.0 subset schema), the CLI exit codes, and the tier
-gates that pin ``src/repro`` audit-clean and the samplers' static pass
-counts."""
+"""Tests for tools/repro_audit: every whole-program rule positive +
+negative + suppression, why-traces, the SARIF reporter (validated
+against an embedded SARIF 2.1.0 subset schema), the CLI exit codes, and
+the tier gates that pin ``src/repro`` audit-clean and the samplers'
+static pass counts. The per-file RL rules are in test_repro_lint.py."""
 
 from __future__ import annotations
 
@@ -1504,6 +1504,20 @@ class TestReporters:
         assert result["ruleId"] == "RA001"
         assert "reproAudit/v1" in result["partialFingerprints"]
 
+    def test_sarif_one_driver_carries_every_rule(self, tmp_path):
+        # Per-file (RL) and whole-program (RA) findings share one run.
+        found = _sample_findings(tmp_path) + audit_snippet(
+            tmp_path, "def f(acc=[]):\n    return acc\n", select=["RL003"]
+        )
+        log = json.loads(render_sarif(found, iter_rules()))
+        (run,) = log["runs"]
+        assert run["tool"]["driver"]["name"] == "repro-audit"
+        rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
+        assert rule_ids == [f"RA{i:03d}" for i in range(1, 12)] + [
+            f"RL{i:03d}" for i in range(1, 9)
+        ]
+        assert {r["ruleId"] for r in run["results"]} == {"RA001", "RL003"}
+
     def test_sarif_code_flow_mirrors_trace(self, tmp_path):
         found = audit_snippet(
             tmp_path,
@@ -1538,14 +1552,17 @@ class TestReporters:
 class TestCli:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         path = tmp_path / "ok.py"
-        path.write_text(textwrap.dedent(ONE_SCAN_SAMPLER))
-        assert main([str(path), "--no-baseline"]) == 0
+        # __all__ keeps the per-file RL004 quiet on the fixture.
+        path.write_text(
+            '__all__ = ["GoodSampler"]\n' + textwrap.dedent(ONE_SCAN_SAMPLER)
+        )
+        assert main([str(path)]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_findings_exit_one(self, tmp_path, capsys):
         path = tmp_path / "bad.py"
         path.write_text("class StreamReadError(OSError):\n    pass\n")
-        assert main([str(path), "--no-baseline"]) == 1
+        assert main([str(path)]) == 1
         assert "RA003" in capsys.readouterr().out
 
     def test_unknown_rule_exits_two(self, tmp_path, capsys):
@@ -1556,16 +1573,6 @@ class TestCli:
     def test_missing_path_exits_two(self, tmp_path):
         assert main([str(tmp_path / "absent.py")]) == 2
 
-    def test_baseline_accepts_existing_findings(self, tmp_path, capsys):
-        path = tmp_path / "bad.py"
-        path.write_text("class StreamReadError(OSError):\n    pass\n")
-        baseline = tmp_path / "baseline.txt"
-        assert main([str(path), "--baseline", str(baseline), "--write-baseline"]) == 0
-        capsys.readouterr()
-        assert main([str(path), "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "clean" in out
-
     def test_sarif_output_to_file(self, tmp_path):
         path = tmp_path / "bad.py"
         path.write_text("class StreamReadError(OSError):\n    pass\n")
@@ -1574,7 +1581,6 @@ class TestCli:
             main(
                 [
                     str(path),
-                    "--no-baseline",
                     "--format",
                     "sarif",
                     "--output",
@@ -1594,8 +1600,7 @@ class TestCli:
 @pytest.fixture(scope="module")
 def src_graph():
     project, issues = build_model(
-        collect_python_files([REPO_ROOT / "src" / "repro"]),
-        tool="repro-audit",
+        collect_python_files([REPO_ROOT / "src" / "repro"])
     )
     assert issues == []
     return CallGraph(project)

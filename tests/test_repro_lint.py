@@ -1,6 +1,7 @@
-"""Tests for tools/repro_lint: every rule positive + negative +
-suppression, the reporters, the CLI, and the tier gate that keeps
-``src/repro`` itself clean."""
+"""Tests for the per-file rules of tools/repro_audit (RL001-RL008):
+every rule positive + negative + suppression, the reporters and CLI
+on their findings, and the tier gate that keeps ``src/repro`` itself
+clean."""
 
 from __future__ import annotations
 
@@ -15,21 +16,21 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
-from tools.repro_lint import (  # noqa: E402
-    lint_paths,
+from tools.repro_audit import audit_paths, iter_rules  # noqa: E402
+from tools.repro_audit.__main__ import main  # noqa: E402
+from tools.repro_audit.reporting import (  # noqa: E402
     render_json,
     render_sarif,
     render_text,
 )
-from tools.repro_lint.__main__ import main  # noqa: E402
-from tools.repro_lint.rules_docstrings import documented_parameters  # noqa: E402
+from tools.repro_audit.rules_docstrings import documented_parameters  # noqa: E402
 
 
 def lint_snippet(tmp_path: Path, source: str, *, select=None, name="mod.py"):
     """Write ``source`` to a scratch module and lint it."""
     path = tmp_path / name
     path.write_text(textwrap.dedent(source))
-    return lint_paths([path], select=select)
+    return audit_paths([path], select=select)
 
 
 def codes(violations) -> list[str]:
@@ -115,7 +116,7 @@ class TestRL001:
         found = lint_snippet(
             tmp_path,
             """
-            # repro-lint: disable=RL001
+            # repro-audit: disable=RL001
             import numpy as np
 
             def f():
@@ -220,7 +221,7 @@ class TestRL002:
         found = lint_snippet(
             tmp_path,
             """
-            # repro-lint: disable=RL002
+            # repro-audit: disable=RL002
             def draw(n, random_state=None):
                 return random_state.random(n)
             """,
@@ -275,7 +276,7 @@ class TestRL003:
         found = lint_snippet(
             tmp_path,
             """
-            # repro-lint: disable=RL003
+            # repro-audit: disable=RL003
             def f(x, acc=[]):
                 return acc
             """,
@@ -354,7 +355,7 @@ class TestRL004:
         (pkg / "mod.py").write_text(
             '__all__ = ["here"]\n\ndef here():\n    return 1\n'
         )
-        found = lint_paths([pkg], select=["RL004"])
+        found = audit_paths([pkg], select=["RL004"])
         assert codes(found) == ["RL004"]
         assert "does not resolve" in found[0].message
 
@@ -368,7 +369,7 @@ class TestRL004:
         (pkg / "mod.py").write_text(
             '__all__ = ["here"]\n\ndef here():\n    return 1\n'
         )
-        assert lint_paths([pkg], select=["RL004"]) == []
+        assert audit_paths([pkg], select=["RL004"]) == []
 
     def test_main_and_conftest_exempt(self, tmp_path):
         found = lint_snippet(
@@ -386,7 +387,7 @@ class TestRL004:
         found = lint_snippet(
             tmp_path,
             """
-            # repro-lint: disable=RL004
+            # repro-audit: disable=RL004
             def public():
                 return 1
             """,
@@ -509,7 +510,7 @@ class Good(Base):
                 """
             )
         )
-        assert lint_paths([pkg], select=["RL005"]) == []
+        assert audit_paths([pkg], select=["RL005"]) == []
 
     def test_abstract_intermediate_exempt(self, tmp_path):
         found = lint_snippet(
@@ -527,7 +528,7 @@ class StillAbstract(Base, abc.ABC):
     def test_suppression_comment(self, tmp_path):
         found = lint_snippet(
             tmp_path,
-            "# repro-lint: disable=RL005\n"
+            "# repro-audit: disable=RL005\n"
             + _BASE
             + """
 
@@ -670,7 +671,7 @@ class TestRL006:
         found = lint_snippet(
             tmp_path,
             '''
-            # repro-lint: disable=RL006
+            # repro-audit: disable=RL006
             def f(x):
                 """Do.
 
@@ -809,7 +810,7 @@ class TestRL007:
         found = lint_snippet(
             tmp_path,
             """
-            # repro-lint: disable=RL007
+            # repro-audit: disable=RL007
             def f(x):
                 print(x)
             """,
@@ -896,7 +897,7 @@ class TestRL008:
         found = lint_snippet(
             tmp_path,
             """
-            # repro-lint: disable=RL008
+            # repro-audit: disable=RL008
             import multiprocessing
             """,
             select=["RL008"],
@@ -917,7 +918,7 @@ class TestReporting:
         text = render_text(found)
         assert "RL003" in text
         assert ":1:" in text  # file:line anchor
-        assert "1 violation(s)" in text
+        assert "1 finding(s) [RL003 x1]" in text
 
     def test_text_reporter_clean(self):
         assert "clean" in render_text([])
@@ -927,55 +928,35 @@ class TestReporting:
             tmp_path, "def f(acc=[]):\n    return acc\n", select=["RL003"]
         )
         payload = json.loads(render_json(found))
-        assert payload["total"] == 1
+        assert payload["count"] == 1
         assert payload["counts"] == {"RL003": 1}
-        record = payload["violations"][0]
+        record = payload["findings"][0]
         assert record["rule"] == "RL003"
         assert record["line"] == 1
 
     def test_unknown_select_raises(self, tmp_path):
         with pytest.raises(KeyError):
-            lint_paths([tmp_path], select=["RL999"])
+            audit_paths([tmp_path], select=["RL999"])
 
     def test_sarif_reporter_driver_and_results(self, tmp_path):
         found = lint_snippet(
             tmp_path, "def f(acc=[]):\n    return acc\n", select=["RL003"]
         )
-        log = json.loads(render_sarif(found))
+        log = json.loads(render_sarif(found, iter_rules()))
         assert log["version"] == "2.1.0"
+        # One run, one driver: the per-file and whole-program rules
+        # share a single code-scanning log.
         (run,) = log["runs"]
-        # The driver name is the contract that keeps this tool
-        # distinguishable from repro-audit in the merged CI upload.
-        assert run["tool"]["driver"]["name"] == "repro-lint"
+        assert run["tool"]["driver"]["name"] == "repro-audit"
         assert {r["id"] for r in run["tool"]["driver"]["rules"]} >= {
             "RL001",
             "RL003",
             "RL007",
         }
         (result,) = [r for r in run["results"] if r["ruleId"] == "RL003"]
-        assert "reproLint/v1" in result["partialFingerprints"]
+        assert "reproAudit/v1" in result["partialFingerprints"]
         location = result["locations"][0]["physicalLocation"]
         assert location["region"]["startLine"] == 1
-
-    def test_sarif_merge_keeps_distinct_tool_names(self, tmp_path):
-        from tools.merge_sarif import merge_logs
-        from tools.repro_audit import iter_rules as audit_rules
-        from tools.repro_audit.reporting import (
-            render_sarif as render_audit_sarif,
-        )
-
-        lint_log = tmp_path / "lint.sarif"
-        lint_log.write_text(render_sarif([]))
-        audit_log = tmp_path / "audit.sarif"
-        audit_log.write_text(render_audit_sarif([], audit_rules()))
-        merged, warnings = merge_logs(
-            [lint_log, audit_log, tmp_path / "absent.sarif"]
-        )
-        assert len(warnings) == 1 and "absent.sarif" in warnings[0]
-        names = [
-            run["tool"]["driver"]["name"] for run in merged["runs"]
-        ]
-        assert names == ["repro-lint", "repro-audit"]
 
 
 class TestCli:
@@ -1018,7 +999,7 @@ class TestCli:
         )
         assert capsys.readouterr().out == ""
         log = json.loads(out_file.read_text())
-        assert log["runs"][0]["tool"]["driver"]["name"] == "repro-lint"
+        assert log["runs"][0]["tool"]["driver"]["name"] == "repro-audit"
         assert log["runs"][0]["results"]
 
     def test_unknown_select_exit_two(self, tmp_path):
@@ -1039,7 +1020,7 @@ class TestCli:
         bad = tmp_path / "broken.py"
         bad.write_text("def f(:\n")
         assert main([str(bad)]) == 1
-        assert "RL000" in capsys.readouterr().out
+        assert "RA000" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -1049,15 +1030,25 @@ class TestCli:
 
 class TestSourceTreeClean:
     def test_src_repro_is_clean(self):
-        found = lint_paths([REPO_ROOT / "src" / "repro"])
+        per_file = [r.code for r in iter_rules() if r.code.startswith("RL")]
+        found = audit_paths([REPO_ROOT / "src" / "repro"], select=per_file)
         assert found == [], "\n" + "\n".join(v.format() for v in found)
 
     def test_all_rules_exercised_by_src_scan(self):
         # The scan must actually run every registered rule (a regression
         # here would silently hollow out the gate).
-        from tools.repro_lint import iter_rules
-
         assert [r.code for r in iter_rules()] == [
+            "RA001",
+            "RA002",
+            "RA003",
+            "RA004",
+            "RA005",
+            "RA006",
+            "RA007",
+            "RA008",
+            "RA009",
+            "RA010",
+            "RA011",
             "RL001",
             "RL002",
             "RL003",

@@ -1,10 +1,9 @@
-"""Tests for the trace exporters, the manifest diff, and `repro trace`.
+"""Tests for the trace exporter, the manifest diff, and `repro trace`.
 
-The exporters are contracts with external consumers — Perfetto /
-chrome://tracing for the Chrome trace-event JSON, any Prometheus
-scraper for the text exposition — so these tests validate the *formats*
-(against the embedded JSON schema and by round-tripping through the
-minimal parser), not just our own reading of them.
+The exporter is a contract with external consumers — Perfetto /
+chrome://tracing read the Chrome trace-event JSON — so these tests
+validate the *format* against the embedded JSON schema, not just our
+own reading of it.
 """
 
 import json
@@ -16,10 +15,8 @@ from repro.obs import (
     Recorder,
     RunManifest,
     diff_manifests,
-    parse_prometheus,
     span_coverage,
     to_chrome_trace,
-    to_prometheus,
     validate_chrome_trace,
 )
 from repro.cli import main as cli_main
@@ -105,36 +102,6 @@ class TestChromeTrace:
         ], "displayTimeUnit": "ms"}
         problems = validate_chrome_trace(trace)
         assert problems and any("never closed" in p for p in problems)
-
-
-class TestPrometheus:
-    def test_round_trips_through_parser(self):
-        manifest = recorded_manifest()
-        metrics = parse_prometheus(to_prometheus(manifest))
-        run_label = ("run", manifest.name)
-        for counter, value in manifest.counters.items():
-            assert metrics[f"repro_{counter}_total"][(run_label,)] == value
-
-    def test_histogram_series_are_cumulative(self):
-        text = to_prometheus(recorded_manifest())
-        metrics = parse_prometheus(text)
-        buckets = {
-            labels: value
-            for name, series in metrics.items()
-            if name == "repro_kde_eval_chunk_seconds_bucket"
-            for labels, value in series.items()
-        }
-        values = [v for _, v in sorted(
-            buckets.items(),
-            key=lambda kv: float("inf")
-            if dict(kv[0])["le"] == "+Inf" else float(dict(kv[0])["le"]),
-        )]
-        assert values == sorted(values)  # cumulative, monotone
-        assert values[-1] == 1  # one observation total
-
-    def test_parser_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_prometheus("this is not an exposition\n")
 
 
 class TestDiff:
@@ -230,18 +197,11 @@ class TestTraceCli:
 
     def test_export_chrome_validates(self, manifest_path, tmp_path, capsys):
         out = tmp_path / "trace.json"
-        rc = cli_main(["trace", "export", manifest_path,
-                       "--format", "chrome", "--validate",
+        rc = cli_main(["trace", "export", manifest_path, "--validate",
                        "--output", str(out)])
         assert rc == 0
         trace = json.loads(out.read_text())
         assert validate_chrome_trace(trace) == []
-
-    def test_export_prometheus_round_trips(self, manifest_path, capsys):
-        rc = cli_main(["trace", "export", manifest_path,
-                       "--format", "prometheus", "--validate"])
-        assert rc == 0
-        parse_prometheus(capsys.readouterr().out)
 
     def test_diff_exit_codes(self, tmp_path, capsys):
         base = tmp_path / "base.jsonl"

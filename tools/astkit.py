@@ -1,12 +1,10 @@
 """Shared AST toolkit for the repo's static-analysis passes.
 
-Both in-house analysers — ``tools/repro_lint`` (per-file rule lint) and
-``tools/repro_audit`` (whole-program call-graph audit) — need the same
+The in-house analyser, ``tools/repro_audit``, stands on this
 substrate: walk paths for Python files, parse them without importing
 anything, name each file as a dotted module, collect per-file
 suppression comments, and address sibling modules through a light
-project model. This module is that substrate; the tools layer their
-rule machinery on top.
+project model. The analyser layers its rule machinery on top.
 
 The whole kit is import-free with respect to the analysed code: files
 are only ever read and parsed, so broken or dependency-missing trees
@@ -42,22 +40,18 @@ __all__ = [
 LIBRARY_EXCLUDED_PARTS = frozenset({"tests", "benchmarks", "examples"})
 
 
-def _suppress_re(tool: str) -> re.Pattern:
-    """Suppression-comment pattern for ``tool`` (e.g. ``repro-lint``).
-
-    Matches ``# <tool>: disable=XX001,XX004`` where the rule prefix is
-    any run of capital letters.
-    """
-    return re.compile(
-        rf"#\s*{re.escape(tool)}\s*:\s*disable\s*=\s*"
-        r"(?P<codes>[A-Z]+\d{3}(?:\s*,\s*[A-Z]+\d{3})*)"
-    )
+#: Matches ``# repro-audit: disable=<codes>``: comma-separated codes
+#: such as ``RA001,RL004``, any run of capital letters then 3 digits.
+_SUPPRESS_RE = re.compile(
+    r"#\s*repro-audit\s*:\s*disable\s*=\s*"
+    r"(?P<codes>[A-Z]+\d{3}(?:\s*,\s*[A-Z]+\d{3})*)"
+)
 
 
-def parse_suppressions(source: str, tool: str = "repro-lint") -> frozenset[str]:
-    """Rule codes disabled for a file via ``# <tool>: disable=...``."""
+def parse_suppressions(source: str) -> frozenset[str]:
+    """Rule codes disabled for a file via ``# repro-audit: disable=...``."""
     codes: set[str] = set()
-    for match in _suppress_re(tool).finditer(source):
+    for match in _SUPPRESS_RE.finditer(source):
         codes.update(c.strip() for c in match.group("codes").split(","))
     return frozenset(codes)
 
@@ -788,14 +782,11 @@ class SyntaxIssue:
     message: str
 
 
-def build_model(
-    files: Iterable[Path], tool: str = "repro-lint"
-) -> tuple[ProjectModel, list[SyntaxIssue]]:
+def build_model(files: Iterable[Path]) -> tuple[ProjectModel, list[SyntaxIssue]]:
     """Parse ``files`` into a :class:`ProjectModel`.
 
     Syntax errors become :class:`SyntaxIssue` records rather than
-    aborting the run; ``tool`` selects which suppression comments
-    (``# <tool>: disable=...``) are honoured.
+    aborting the run.
     """
     infos: list[ModuleInfo] = []
     errors: list[SyntaxIssue] = []
@@ -820,7 +811,7 @@ def build_model(
                 module=module_name(path),
                 tree=tree,
                 source=source,
-                suppressed=parse_suppressions(source, tool),
+                suppressed=parse_suppressions(source),
                 is_library=not (
                     LIBRARY_EXCLUDED_PARTS & set(path.resolve().parts)
                 ),

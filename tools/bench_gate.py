@@ -28,7 +28,7 @@ Usage::
 # CLI entry point: stdout IS the user interface here, and the
 # calibration workload is deliberately pinned to a fixed seed — it is
 # a timing probe, not a statistical draw.
-# repro-lint: disable=RL007,RL002
+# repro-audit: disable=RL007,RL002
 
 from __future__ import annotations
 

@@ -22,7 +22,7 @@ Usage::
 """
 
 # CLI entry point: stdout IS the user interface here.
-# repro-lint: disable=RL007
+# repro-audit: disable=RL007
 
 from __future__ import annotations
 

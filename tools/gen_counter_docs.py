@@ -13,7 +13,7 @@ markers in README.md so docs can never drift from the code:
 """
 
 # CLI entry point: stdout IS the user interface here.
-# repro-lint: disable=RL007
+# repro-audit: disable=RL007
 
 from __future__ import annotations
 

@@ -1,7 +1,11 @@
-"""repro-audit: whole-program static contract auditing.
+"""repro-audit: the repo's static contract analysis.
+
+Run over the analysed tree::
+
+    python -m tools.repro_audit src tools benchmarks
 
 See :mod:`tools.repro_audit.core` for the architecture overview and
-DESIGN.md §10 for rule semantics and known approximations. Public
+DESIGN.md §6 for rule semantics and known approximations. Public
 surface: :func:`audit_paths`, :class:`Finding`, the rule registry, and
 the renderers in :mod:`tools.repro_audit.reporting`.
 """
@@ -10,6 +14,7 @@ from tools.repro_audit.core import (
     RULES,
     AuditRule,
     Finding,
+    ModuleRule,
     audit_paths,
     iter_rules,
     register,
@@ -18,6 +23,7 @@ from tools.repro_audit.core import (
 __all__ = [
     "AuditRule",
     "Finding",
+    "ModuleRule",
     "RULES",
     "audit_paths",
     "iter_rules",

@@ -2,9 +2,8 @@
 
 Exit codes (stable, scripted against by CI):
 
-* ``0`` — no findings (after baseline filtering), or ``--list-rules`` /
-  ``--write-baseline`` completed;
-* ``1`` — at least one new finding;
+* ``0`` — no findings, or ``--list-rules`` completed;
+* ``1`` — at least one finding;
 * ``2`` — usage error (unknown rule code, missing path).
 """
 
@@ -14,12 +13,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from tools.repro_audit.baseline import (
-    DEFAULT_BASELINE,
-    filter_baselined,
-    load_baseline,
-    write_baseline,
-)
 from tools.repro_audit.core import audit_paths, iter_rules
 from tools.repro_audit.reporting import (
     render_json,
@@ -33,8 +26,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.repro_audit",
         description=(
-            "Whole-program static audit of pass-count, parallel-"
-            "determinism, exception and counter-schema contracts."
+            "Static audit of the repo's contracts: per-file determinism, "
+            "observability and estimator-API discipline (RL001-RL008) and "
+            "whole-program pass-count, space, parallel-determinism, "
+            "exception, counter-schema and lifecycle rules (RA001-RA011)."
         ),
     )
     parser.add_argument(
@@ -60,26 +55,6 @@ def main(argv: list[str] | None = None) -> int:
         help="list registered rules and exit",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        type=Path,
-        default=None,
-        help=(
-            "baseline file of accepted findings (default: "
-            "tools/repro_audit/baseline.txt when it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
         "--output",
         metavar="FILE",
         type=Path,
@@ -95,32 +70,23 @@ def main(argv: list[str] | None = None) -> int:
     try:
         rules = iter_rules(select)
     except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
+        print(f"repro-audit: {exc.args[0]}", file=sys.stderr)
         return 2
 
     if args.list_rules:
         print(rule_listing(rules))
         return 0
 
-    for raw in args.paths:
-        if not Path(raw).exists():
-            print(f"error: path does not exist: {raw}", file=sys.stderr)
-            return 2
+    missing = [raw for raw in args.paths if not Path(raw).exists()]
+    if missing:
+        # A typo'd path must not look like a clean run.
+        print(
+            "repro-audit: no such file or directory: " + ", ".join(missing),
+            file=sys.stderr,
+        )
+        return 2
 
     findings = audit_paths(args.paths, select=select)
-
-    baseline_path = args.baseline
-    if baseline_path is None and DEFAULT_BASELINE.exists():
-        baseline_path = DEFAULT_BASELINE
-    if args.write_baseline:
-        target = args.baseline or DEFAULT_BASELINE
-        write_baseline(findings, target)
-        print(
-            f"repro-audit: wrote {len(findings)} fingerprint(s) to {target}"
-        )
-        return 0
-    if baseline_path is not None and not args.no_baseline:
-        findings = filter_baselined(findings, load_baseline(baseline_path))
 
     if args.format == "json":
         report = render_json(findings)

@@ -1,9 +1,28 @@
 """Core machinery for repro-audit: finding model, rule registry, runner.
 
-repro-audit is the repo's *whole-program* static analysis. Where
-repro-lint checks per-file discipline (RL001..RL008), repro-audit
-parses the analysed tree into a project call graph (:mod:`.graph`) and
-runs flow-sensitive contract checks on top of it:
+repro-audit is the repo's static analysis. It parses the analysed tree
+once into a project call graph (:mod:`.graph`) and runs two families of
+rules over it.
+
+The per-file rules (:class:`ModuleRule`) check one module at a time:
+
+* ``RL001`` — no global-state or unseeded numpy randomness in library
+  code.
+* ``RL002`` — randomness parameters route through
+  ``check_random_state``; no hardcoded seeds.
+* ``RL003`` — no mutable default argument values.
+* ``RL004`` — ``__all__`` exists in every library module and resolves;
+  package re-exports resolve.
+* ``RL005`` — concrete subclasses of in-tree ABCs implement the
+  abstract surface with call-compatible signatures.
+* ``RL006`` — numpydoc ``Parameters`` sections match the signature.
+* ``RL007`` — no bare ``print()`` and no ``time.time()`` in library
+  code.
+* ``RL008`` — ``multiprocessing`` / ``concurrent.futures`` only inside
+  ``repro.parallel``.
+
+The whole-program rules run flow-sensitive contract checks on the call
+graph:
 
 * ``RA001`` — pass-count audit: statically count the dataset scans
   reachable from each sampler/estimator/detector entry point and check
@@ -32,6 +51,9 @@ runs flow-sensitive contract checks on top of it:
 * ``RA007`` — merge-safety audit: worker-mutated per-shard state needs
   a called merge-style combiner, and worker counters must round-trip
   through the harness's dynamic re-emission loop.
+* ``RA008`` — histogram-schema audit: every observed histogram name
+  is registered in ``HISTOGRAM_SCHEMA``, and every registered one is
+  observed somewhere.
 * ``RA009`` — shared-state race audit: per-function effect summaries
   prove dispatched workers never write coordinator-visible state
   (globals, closures, mutable defaults, shipped objects, read-only
@@ -45,10 +67,12 @@ runs flow-sensitive contract checks on top of it:
   included, via :func:`tools.astkit.build_cfg`) or ownership-transferred
   to a releasing owner.
 
-Every finding carries a call-graph "why" trace: the chain of calls
-from the audited entry point (or dispatch/try site) to the offending
-statement. Suppression is per file (``# repro-audit: disable=RA001``)
-plus an optional baseline file of accepted findings (:mod:`.baseline`).
+Every whole-program finding carries a call-graph "why" trace: the
+chain of calls from the audited entry point (or dispatch/try site) to
+the offending statement. Suppression is per file, for either family:
+a comment anywhere in the file of the form
+``# repro-audit: disable=<codes>``, with comma-separated rule codes
+such as ``RA001,RL004``, disables those rules for that file only.
 """
 
 from __future__ import annotations
@@ -58,12 +82,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from tools.astkit import ModuleInfo, build_model, collect_python_files
+from tools.astkit import (
+    ModuleInfo,
+    ProjectModel,
+    build_model,
+    collect_python_files,
+)
 from tools.repro_audit.graph import CallGraph
 
 __all__ = [
     "AuditRule",
     "Finding",
+    "ModuleRule",
     "RULES",
     "audit_paths",
     "iter_rules",
@@ -84,12 +114,12 @@ class Finding:
     col:
         0-based column offset.
     rule:
-        Rule code, e.g. ``"RA001"``.
+        Rule code, e.g. ``"RA001"`` or ``"RL003"``.
     message:
         Human-readable description of the contract violation.
     anchor:
         Stable symbol the finding is about (class/function qualname or
-        counter name) — used for baseline fingerprints, which must
+        counter name) — used for the SARIF fingerprint, which must
         survive unrelated line drift.
     trace:
         Call-graph "why" trace: frames from the audited entry point to
@@ -112,7 +142,7 @@ class Finding:
         return "\n".join(lines)
 
     def fingerprint(self) -> str:
-        """Line-independent identity used by the baseline file."""
+        """Line-independent identity used by the SARIF fingerprint."""
         return f"{self.rule}\t{self.path}\t{self.anchor or self.message}"
 
     def to_dict(self) -> dict:
@@ -131,10 +161,10 @@ class Finding:
 class AuditRule:
     """Base class for audit rules. Subclasses set ``code``/``summary``.
 
-    Unlike repro-lint rules (checked file by file), an audit rule runs
-    once per analysis over the whole :class:`~tools.repro_audit.graph.CallGraph`
-    and yields findings anywhere in the project; per-file suppression is
-    applied by the runner afterwards.
+    A rule runs once per analysis over the whole
+    :class:`~tools.repro_audit.graph.CallGraph` and yields findings
+    anywhere in the project; per-file suppression is applied by the
+    runner afterwards.
     """
 
     code: str = "RA000"
@@ -168,6 +198,26 @@ class AuditRule:
         )
 
 
+class ModuleRule(AuditRule):
+    """Base class for per-file rules: ``check_module`` sees one file.
+
+    The project model is passed along so a rule can resolve sibling
+    modules (re-exports, base classes defined elsewhere).
+    """
+
+    def check(self, graph: CallGraph) -> Iterator[Finding]:
+        """Run :meth:`check_module` over every parsed file."""
+        for info in graph.project.modules:
+            yield from self.check_module(info, graph.project)
+
+    def check_module(
+        self, info: ModuleInfo, project: ProjectModel
+    ) -> Iterator[Finding]:
+        """Yield findings for one file. Override in subclasses."""
+        raise NotImplementedError
+        yield  # pragma: no cover
+
+
 #: Global registry, code -> rule instance, populated by :func:`register`.
 RULES: dict[str, AuditRule] = {}
 
@@ -196,13 +246,20 @@ def _load_rules() -> None:
     """Import the rule modules (registers them as a side effect)."""
     from tools.repro_audit import (  # noqa: F401
         rules_counters,
+        rules_defaults,
+        rules_docstrings,
+        rules_estimator,
         rules_exceptions,
+        rules_exports,
         rules_histograms,
         rules_lifecycle,
         rules_merge,
+        rules_observability,
         rules_parallel,
+        rules_parallel_imports,
         rules_passes,
         rules_races,
+        rules_randomness,
         rules_rng,
         rules_space,
     )
@@ -225,9 +282,7 @@ def audit_paths(
         Restrict the run to these rule codes (default: all).
     """
     rules = iter_rules(select)
-    project, issues = build_model(
-        collect_python_files(paths), tool="repro-audit"
-    )
+    project, issues = build_model(collect_python_files(paths))
     findings = [
         Finding(
             path=issue.path,

@@ -7,7 +7,7 @@ call-target resolution inside function bodies, and a BFS reachability
 engine that records a per-edge "why" trace for diagnostics.
 
 Everything here is a *static under/over-approximation* of runtime
-behaviour — the trade-offs are documented in DESIGN.md §10. The model
+behaviour — the trade-offs are documented in DESIGN.md §6. The model
 never imports the analysed code.
 
 Resolution handles the idioms the repro codebase actually uses:

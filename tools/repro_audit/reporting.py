@@ -1,8 +1,9 @@
 """Renderers for repro-audit findings: text, JSON, SARIF 2.1.0.
 
 The text form is for humans and CI logs (one location line per finding
-plus the indented call-graph "why" trace); JSON is for scripting; SARIF
-feeds GitHub code scanning, with each finding's trace encoded as a
+plus the indented call-graph "why" trace, then a per-rule summary);
+JSON is for scripting; SARIF feeds GitHub code scanning, with every
+rule under one driver and each finding's trace encoded as a
 ``codeFlow`` so the UI can walk the call chain from the audited entry
 point to the offending statement.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from typing import Iterable, Sequence
 
 from tools.repro_audit.core import AuditRule, Finding
@@ -24,21 +26,29 @@ SARIF_VERSION = "2.1.0"
 _FRAME_RE = re.compile(r"^(?P<label>.*)\((?P<path>[^()]+):(?P<line>\d+)\)\s*$")
 
 
+def _rule_counts(findings: Sequence[Finding]) -> dict[str, int]:
+    return dict(sorted(Counter(f.rule for f in findings).items()))
+
+
 def render_text(findings: Sequence[Finding]) -> str:
     """Human-readable report, one block per finding."""
     if not findings:
         return "repro-audit: clean (0 findings)"
     lines = [finding.format() for finding in findings]
-    lines.append(f"repro-audit: {len(findings)} finding(s)")
+    summary = ", ".join(
+        f"{code} x{n}" for code, n in _rule_counts(findings).items()
+    )
+    lines.append(f"repro-audit: {len(findings)} finding(s) [{summary}]")
     return "\n".join(lines)
 
 
 def render_json(findings: Sequence[Finding]) -> str:
-    """Machine-readable report."""
+    """Machine-readable report with per-rule counts."""
     return json.dumps(
         {
             "findings": [finding.to_dict() for finding in findings],
             "count": len(findings),
+            "counts": _rule_counts(findings),
         },
         indent=2,
         sort_keys=True,

@@ -12,13 +12,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from tools.repro_lint.core import (
-    ModuleInfo,
-    ProjectModel,
-    Rule,
-    Violation,
-    register,
-)
+from tools.astkit import ModuleInfo, ProjectModel
+from tools.repro_audit.core import Finding, ModuleRule, register
 
 __all__ = ["NoMutableDefaults"]
 
@@ -39,7 +34,7 @@ def _is_mutable_default(node: ast.expr) -> bool:
 
 
 @register
-class NoMutableDefaults(Rule):
+class NoMutableDefaults(ModuleRule):
     """RL003: default argument values must not be mutable containers.
 
     Flags list/dict/set/comprehension literals and bare
@@ -51,7 +46,9 @@ class NoMutableDefaults(Rule):
     code = "RL003"
     summary = "no mutable default argument values"
 
-    def check(self, info: ModuleInfo, project: ProjectModel) -> Iterator[Violation]:
+    def check_module(
+        self, info: ModuleInfo, project: ProjectModel
+    ) -> Iterator[Finding]:
         for node in ast.walk(info.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
@@ -69,7 +66,7 @@ class NoMutableDefaults(Rule):
             label = getattr(node, "name", "<lambda>")
             for param, default in zip(names, defaults):
                 if _is_mutable_default(default):
-                    yield self.violation(
+                    yield self.finding(
                         info,
                         default,
                         f"mutable default for parameter '{param}' of "

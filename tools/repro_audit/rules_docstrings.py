@@ -16,14 +16,9 @@ import ast
 import re
 from typing import Iterator
 
-from tools.repro_lint.core import (
-    ModuleInfo,
-    ProjectModel,
-    Rule,
-    Violation,
-    register,
-)
-from tools.repro_lint.rules_randomness import iter_public_callables
+from tools.astkit import ModuleInfo, ProjectModel
+from tools.repro_audit.core import Finding, ModuleRule, register
+from tools.repro_audit.rules_randomness import iter_public_callables
 
 __all__ = ["DocstringSignatureMatch", "documented_parameters"]
 
@@ -103,7 +98,7 @@ def _signature_parameters(
 
 
 @register
-class DocstringSignatureMatch(Rule):
+class DocstringSignatureMatch(ModuleRule):
     """RL006: when a ``Parameters`` section exists, it must be exact.
 
     For public callables (and public classes, whose docstring documents
@@ -121,7 +116,9 @@ class DocstringSignatureMatch(Rule):
     code = "RL006"
     summary = "numpydoc Parameters sections must match the signature"
 
-    def check(self, info: ModuleInfo, project: ProjectModel) -> Iterator[Violation]:
+    def check_module(
+        self, info: ModuleInfo, project: ProjectModel
+    ) -> Iterator[Finding]:
         if not info.is_library:
             return
 
@@ -163,11 +160,11 @@ class DocstringSignatureMatch(Rule):
         documented: list[str],
         ordered: list[str],
         acceptable: set[str],
-    ) -> Iterator[Violation]:
+    ) -> Iterator[Finding]:
         stripped = [n.lstrip("*") for n in documented]
         for name in stripped:
             if name not in acceptable:
-                yield self.violation(
+                yield self.finding(
                     info,
                     anchor,
                     f"'{display}' documents parameter '{name}' which is not "
@@ -176,7 +173,7 @@ class DocstringSignatureMatch(Rule):
         documented_set = set(stripped)
         for name in ordered:
             if name not in documented_set:
-                yield self.violation(
+                yield self.finding(
                     info,
                     anchor,
                     f"'{display}' has a Parameters section but omits "
@@ -185,7 +182,7 @@ class DocstringSignatureMatch(Rule):
         in_sig_order = [n for n in stripped if n in set(ordered)]
         expected = [n for n in ordered if n in documented_set]
         if in_sig_order != expected:
-            yield self.violation(
+            yield self.finding(
                 info,
                 anchor,
                 f"'{display}' documents parameters out of signature order "

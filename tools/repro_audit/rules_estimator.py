@@ -19,13 +19,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from tools.repro_lint.core import (
-    ModuleInfo,
-    ProjectModel,
-    Rule,
-    Violation,
-    register,
-)
+from tools.astkit import ModuleInfo, ProjectModel
+from tools.repro_audit.core import Finding, ModuleRule, register
 
 __all__ = ["EstimatorConformance"]
 
@@ -152,7 +147,7 @@ def _signature_problems(
 
 
 @register
-class EstimatorConformance(Rule):
+class EstimatorConformance(ModuleRule):
     """RL005: concrete subclasses must satisfy their ABC, compatibly.
 
     For every top-level class whose (transitively resolved, in-tree)
@@ -171,7 +166,9 @@ class EstimatorConformance(Rule):
     code = "RL005"
     summary = "subclasses must implement base abstract methods compatibly"
 
-    def check(self, info: ModuleInfo, project: ProjectModel) -> Iterator[Violation]:
+    def check_module(
+        self, info: ModuleInfo, project: ProjectModel
+    ) -> Iterator[Finding]:
         if not info.is_library:
             return
         for cls in info.tree.body:
@@ -205,7 +202,7 @@ class EstimatorConformance(Rule):
                         impl = method
                         break
                 if impl is None:
-                    yield self.violation(
+                    yield self.finding(
                         info,
                         cls,
                         f"class '{cls.name}' subclasses '{base_cls.name}' but "
@@ -213,7 +210,7 @@ class EstimatorConformance(Rule):
                     )
                     continue
                 for problem in _signature_problems(base_method, impl):
-                    yield self.violation(
+                    yield self.finding(
                         info,
                         impl,
                         f"'{cls.name}.{name}' is incompatible with "

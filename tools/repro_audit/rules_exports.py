@@ -14,13 +14,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from tools.repro_lint.core import (
-    ModuleInfo,
-    ProjectModel,
-    Rule,
-    Violation,
-    register,
-)
+from tools.astkit import ModuleInfo, ProjectModel
+from tools.repro_audit.core import Finding, ModuleRule, register
 
 __all__ = ["ExplicitExports"]
 
@@ -57,7 +52,7 @@ def _find_all(tree: ast.Module) -> tuple[ast.stmt | None, list[str] | None]:
 
 
 @register
-class ExplicitExports(Rule):
+class ExplicitExports(ModuleRule):
     """RL004: ``__all__`` must exist, be static, and resolve.
 
     Checks, for every library module (``conftest.py``, ``setup.py`` and
@@ -79,20 +74,22 @@ class ExplicitExports(Rule):
 
     _EXEMPT_FILES = frozenset({"__main__.py", "conftest.py", "setup.py"})
 
-    def check(self, info: ModuleInfo, project: ProjectModel) -> Iterator[Violation]:
+    def check_module(
+        self, info: ModuleInfo, project: ProjectModel
+    ) -> Iterator[Finding]:
         if not info.is_library or info.path.name in self._EXEMPT_FILES:
             return
 
         node, names = _find_all(info.tree)
         if node is None:
-            yield self.violation(
+            yield self.finding(
                 info,
                 None,
                 f"module '{info.module}' does not declare __all__; list its "
                 f"public API explicitly",
             )
         elif names is None:
-            yield self.violation(
+            yield self.finding(
                 info,
                 node,
                 "__all__ must be a static list/tuple of string literals",
@@ -102,12 +99,12 @@ class ExplicitExports(Rule):
             seen: set[str] = set()
             for name in names:
                 if name in seen:
-                    yield self.violation(
+                    yield self.finding(
                         info, node, f"duplicate name '{name}' in __all__"
                     )
                 seen.add(name)
                 if name not in bound:
-                    yield self.violation(
+                    yield self.finding(
                         info,
                         node,
                         f"__all__ lists '{name}' which is not defined or "
@@ -128,7 +125,7 @@ class ExplicitExports(Rule):
                     for m in project.by_name
                 ):
                     continue  # outside the scanned tree (stdlib, numpy, ...)
-                yield self.violation(
+                yield self.finding(
                     info,
                     stmt,
                     f"import from '{source}' cannot resolve: package has no "
@@ -143,7 +140,7 @@ class ExplicitExports(Rule):
                     continue
                 if project.has_submodule(source, alias.name):
                     continue
-                yield self.violation(
+                yield self.finding(
                     info,
                     stmt,
                     f"'from {source} import {alias.name}' does not resolve: "

@@ -15,13 +15,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from tools.repro_lint.core import (
-    ModuleInfo,
-    ProjectModel,
-    Rule,
-    Violation,
-    register,
-)
+from tools.astkit import ModuleInfo, ProjectModel
+from tools.repro_audit.core import Finding, ModuleRule, register
 
 __all__ = ["ObservabilityDiscipline"]
 
@@ -38,7 +33,7 @@ def _time_aliases(tree: ast.Module) -> set[str]:
 
 
 @register
-class ObservabilityDiscipline(Rule):
+class ObservabilityDiscipline(ModuleRule):
     """RL007: no bare ``print()`` and no ``time.time()`` in library code.
 
     Flags, outside ``tests/``/``benchmarks/``/``examples/`` and
@@ -55,7 +50,9 @@ class ObservabilityDiscipline(Rule):
     code = "RL007"
     summary = "no bare print() or time.time() in library code"
 
-    def check(self, info: ModuleInfo, project: ProjectModel) -> Iterator[Violation]:
+    def check_module(
+        self, info: ModuleInfo, project: ProjectModel
+    ) -> Iterator[Finding]:
         if not info.is_library or info.is_main:
             return
         time_aliases = _time_aliases(info.tree)
@@ -63,7 +60,7 @@ class ObservabilityDiscipline(Rule):
             if isinstance(node, ast.ImportFrom) and node.module == "time":
                 for alias in node.names:
                     if alias.name == "time":
-                        yield self.violation(
+                        yield self.finding(
                             info,
                             node,
                             "import of 'time.time' in library code; use "
@@ -76,7 +73,7 @@ class ObservabilityDiscipline(Rule):
             func = node.func
             if isinstance(func, ast.Name) and func.id == "print":
                 if not any(kw.arg == "file" for kw in node.keywords):
-                    yield self.violation(
+                    yield self.finding(
                         info,
                         node,
                         "bare print() writes to global stdout in library "
@@ -89,7 +86,7 @@ class ObservabilityDiscipline(Rule):
                 and isinstance(func.value, ast.Name)
                 and func.value.id in time_aliases
             ):
-                yield self.violation(
+                yield self.finding(
                     info,
                     node,
                     "time.time() reads the ambient wall clock in library "

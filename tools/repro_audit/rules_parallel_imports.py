@@ -17,13 +17,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from tools.repro_lint.core import (
-    ModuleInfo,
-    ProjectModel,
-    Rule,
-    Violation,
-    register,
-)
+from tools.astkit import ModuleInfo, ProjectModel
+from tools.repro_audit.core import Finding, ModuleRule, register
 
 __all__ = ["ParallelismDiscipline"]
 
@@ -36,7 +31,7 @@ def _root(name: str) -> str:
 
 
 @register
-class ParallelismDiscipline(Rule):
+class ParallelismDiscipline(ModuleRule):
     """RL008: no direct ``multiprocessing`` / ``concurrent.futures`` use.
 
     Flags, in library code outside the ``repro.parallel`` package:
@@ -56,7 +51,9 @@ class ParallelismDiscipline(Rule):
         "multiprocessing/concurrent.futures only inside repro.parallel"
     )
 
-    def check(self, info: ModuleInfo, project: ProjectModel) -> Iterator[Violation]:
+    def check_module(
+        self, info: ModuleInfo, project: ProjectModel
+    ) -> Iterator[Finding]:
         if not info.is_library:
             return
         if info.module == "repro.parallel" or info.module.startswith(
@@ -67,7 +64,7 @@ class ParallelismDiscipline(Rule):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if _root(alias.name) in _FORBIDDEN_ROOTS:
-                        yield self.violation(
+                        yield self.finding(
                             info,
                             node,
                             f"direct import of {alias.name!r}; route "
@@ -77,7 +74,7 @@ class ParallelismDiscipline(Rule):
                         )
             elif isinstance(node, ast.ImportFrom):
                 if node.module and _root(node.module) in _FORBIDDEN_ROOTS:
-                    yield self.violation(
+                    yield self.finding(
                         info,
                         node,
                         f"direct import from {node.module!r}; route "

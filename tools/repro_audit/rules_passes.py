@@ -28,7 +28,7 @@ current phase. A *dynamically-typed* ``obj.fit(<stream>)`` call that
 resolution cannot pin down is charged the estimator ABC's declared
 contract (``DensityEstimator.__n_passes__``, default 1) — the audited
 guarantee is then "one pass assuming the estimator honours its own
-contract", a documented under-approximation (DESIGN.md §10).
+contract", a documented under-approximation (DESIGN.md §6).
 """
 
 from __future__ import annotations

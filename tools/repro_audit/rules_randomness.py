@@ -19,13 +19,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from tools.repro_lint.core import (
-    ModuleInfo,
-    ProjectModel,
-    Rule,
-    Violation,
-    register,
-)
+from tools.astkit import ModuleInfo, ProjectModel
+from tools.repro_audit.core import Finding, ModuleRule, register
 
 __all__ = ["NoGlobalRandomness", "RandomStateContract"]
 
@@ -94,7 +89,7 @@ def _is_unseeded(call: ast.Call) -> bool:
 
 
 @register
-class NoGlobalRandomness(Rule):
+class NoGlobalRandomness(ModuleRule):
     """RL001: no global-state or unseeded randomness in library code.
 
     Flags, outside ``tests/``/``benchmarks/``/``examples/``:
@@ -110,7 +105,9 @@ class NoGlobalRandomness(Rule):
     code = "RL001"
     summary = "no global-state or unseeded numpy randomness in library code"
 
-    def check(self, info: ModuleInfo, project: ProjectModel) -> Iterator[Violation]:
+    def check_module(
+        self, info: ModuleInfo, project: ProjectModel
+    ) -> Iterator[Finding]:
         if not info.is_library:
             return
         numpy_aliases, random_aliases = _numpy_random_aliases(info.tree)
@@ -118,7 +115,7 @@ class NoGlobalRandomness(Rule):
             if isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
                 for alias in node.names:
                     if alias.name not in _NEW_STYLE_API and alias.name != "*":
-                        yield self.violation(
+                        yield self.finding(
                             info,
                             node,
                             f"import of legacy global-state RNG function "
@@ -134,7 +131,7 @@ class NoGlobalRandomness(Rule):
             if not _is_np_random(func.value, numpy_aliases, random_aliases):
                 continue
             if func.attr not in _NEW_STYLE_API:
-                yield self.violation(
+                yield self.finding(
                     info,
                     node,
                     f"call to 'np.random.{func.attr}' uses numpy's global "
@@ -142,7 +139,7 @@ class NoGlobalRandomness(Rule):
                     f"check_random_state instead",
                 )
             elif func.attr in ("default_rng", "RandomState") and _is_unseeded(node):
-                yield self.violation(
+                yield self.finding(
                     info,
                     node,
                     f"'np.random.{func.attr}()' without a seed draws fresh "
@@ -242,7 +239,7 @@ def _direct_rng_use(
 
 
 @register
-class RandomStateContract(Rule):
+class RandomStateContract(ModuleRule):
     """RL002: randomness parameters must route through check_random_state.
 
     For every public callable with a ``random_state``/``rng`` parameter:
@@ -261,7 +258,9 @@ class RandomStateContract(Rule):
     code = "RL002"
     summary = "randomness parameters must route through check_random_state"
 
-    def check(self, info: ModuleInfo, project: ProjectModel) -> Iterator[Violation]:
+    def check_module(
+        self, info: ModuleInfo, project: ProjectModel
+    ) -> Iterator[Finding]:
         if not info.is_library:
             return
         numpy_aliases, random_aliases = _numpy_random_aliases(info.tree)
@@ -275,7 +274,7 @@ class RandomStateContract(Rule):
                 if direct is not None and not _calls_check_random_state(
                     func.body, param
                 ):
-                    yield self.violation(
+                    yield self.finding(
                         info,
                         direct,
                         f"'{display}' uses parameter '{param}' as a raw RNG "
@@ -283,7 +282,7 @@ class RandomStateContract(Rule):
                         f"(ints and None would break)",
                     )
                 elif direct is None and not _routes_param(func.body, param):
-                    yield self.violation(
+                    yield self.finding(
                         info,
                         func,
                         f"'{display}' accepts randomness parameter '{param}' "
@@ -306,7 +305,7 @@ class RandomStateContract(Rule):
                 continue
             seed = node.args[0]
             if isinstance(seed, ast.Constant) and isinstance(seed.value, int):
-                yield self.violation(
+                yield self.finding(
                     info,
                     node,
                     f"hardcoded seed default_rng({seed.value}) hides the "
