@@ -25,7 +25,7 @@ import pytest
 from repro.density import KernelDensityEstimator
 from repro.density.reservoir import ReservoirSampler
 from repro.parallel import use_n_jobs
-from repro.sharding import ShardPlan, eval_shards
+from repro.sharding import SHARD_EVAL_PHASE, ShardPlan, shard_map
 from repro.utils.streams import DataStream
 
 N_ROWS = 200_000
@@ -100,10 +100,11 @@ def fitted_kde(stream_chunks):
 def _eval_scan(kde, queries, n_jobs):
     """One unsharded eval scan of ``queries`` in ``CHUNK``-row chunks."""
     plan = ShardPlan(DataStream(queries, chunk_size=CHUNK), 1)
-    densities = np.empty(queries.shape[0])
     with use_n_jobs(n_jobs):
-        eval_shards(plan, kde.evaluate).fill(densities)
-    return densities
+        values = shard_map(
+            plan, kde.evaluate, phase=SHARD_EVAL_PHASE, row_local=True
+        )
+    return np.concatenate(values)
 
 
 def test_kde_parallel_matches_serial(fitted_kde, stream_chunks):

@@ -33,9 +33,10 @@ from repro.density.base import DensityEstimator
 from repro.exceptions import DataValidationError, ParameterError
 from repro.obs import get_recorder
 from repro.sharding import (
+    SHARD_EVAL_PHASE,
     ShardPlan,
-    eval_shards,
     resolve_shards,
+    shard_map,
     sharded_gather,
 )
 from repro.utils.streams import DataStream, as_stream
@@ -242,24 +243,31 @@ class DensityBiasedSampler:
     ) -> np.ndarray:
         """Pass 2: density of every dataset point, in stream order.
 
-        One :class:`~repro.sharding.ShardPlan` scan over the ambient
+        One :func:`~repro.sharding.shard_map` scan over the ambient
         shard count: each shard evaluates its own chunk range (fanned
-        out over the ambient worker count at ``S = 1``), and the folded
-        slices fill the preallocated per-point array, so the normaliser
-        and every probability derived from it are exact and
-        byte-identical for any shard or worker count (DESIGN.md §13).
+        out over the ambient worker count at ``S = 1``), and the
+        per-chunk values, in stream order, fill the preallocated
+        per-point array, so the normaliser and every probability
+        derived from it are exact and byte-identical for any shard or
+        worker count (DESIGN.md §13). Raises
+        :class:`DataValidationError` when the scan yields a row count
+        other than ``len(source)``.
         """
         plan = ShardPlan(source, resolve_shards(None))
-        shard = eval_shards(plan, estimator.evaluate)
-        if shard.row_start != 0 or shard.seen != len(source):
+        values = shard_map(
+            plan, estimator.evaluate, phase=SHARD_EVAL_PHASE, row_local=True
+        )
+        seen = sum(part.shape[0] for part in values)
+        if seen != len(source):
             raise DataValidationError(
-                f"stream yielded {shard.seen} rows in the density pass but "
+                f"stream yielded {seen} rows in the density pass but "
                 f"advertises n_points={len(source)}; offset-keyed buffers "
                 "would be misaligned (a hardened stream must deliver its "
                 "exact surviving-row count every pass)."
             )
         densities = np.empty(len(source))
-        shard.fill(densities)
+        if values:
+            np.concatenate(values, out=densities)
         return densities
 
     def compute_probabilities(self, densities: np.ndarray) -> np.ndarray:

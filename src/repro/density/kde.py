@@ -23,6 +23,8 @@ every (row, centre) pair (DESIGN.md, the ``"kde"`` backend).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.density.bandwidth import resolve_bandwidth
@@ -31,7 +33,7 @@ from repro.density.kernels import get_kernel
 from repro.density.reservoir import ReservoirSampler
 from repro.exceptions import ParameterError
 from repro.obs import get_recorder
-from repro.sharding import ShardPlan, fit_shards, merge_partials, resolve_shards
+from repro.sharding import ShardPlan, resolve_shards, shard_map
 from repro.utils.geometry import cell_order, cell_tiles
 from repro.utils.streams import DataStream
 from repro.utils.validation import check_random_state
@@ -67,6 +69,19 @@ def chunk_moment_stats(chunk: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
         mean_b = chunk.mean(axis=0)
         m2_b = ((chunk - mean_b) ** 2).sum(axis=0)
     return chunk.shape[0], mean_b, m2_b
+
+
+def _fit_chunk(wanted: np.ndarray, offset: int, chunk: np.ndarray):
+    """One chunk of the fit scan: ``(moment stats, indices, rows)``.
+
+    ``wanted`` holds the sorted absolute row indices the reservoir
+    acceptance plan needs; ``rows[i]`` is the chunk's row at absolute
+    index ``indices[i]``. Generator-free: the coordinator drew the plan
+    up front, and it folds the moment statistics itself.
+    """
+    lo, hi = np.searchsorted(wanted, (offset, offset + chunk.shape[0]))
+    indices = wanted[lo:hi]
+    return chunk_moment_stats(chunk), indices, chunk[indices - offset]
 
 
 class _StreamingMoments:
@@ -165,50 +180,43 @@ class KernelDensityEstimator(DensityEstimator):
     def fit(self, data=None, *, stream: DataStream | None = None):
         """Fit in a single pass: reservoir centers + streaming moments.
 
-        The pass is a :class:`~repro.sharding.ShardPlan` scan over the
+        The pass is one :func:`~repro.sharding.shard_map` scan over the
         ambient shard count (``repro run --shards`` / ``REPRO_SHARDS``
         / :func:`repro.sharding.use_shards`, default ``1``). The
-        coordinator draws the data-free reservoir acceptance plan, the
-        scan fetches the planned rows and per-chunk moment statistics,
-        and :meth:`fit_from_partials` assembles them — byte-identical
+        coordinator draws the data-free reservoir acceptance plan; the
+        scan returns each chunk's moment statistics and planned rows in
+        stream order; the coordinator then folds the moments and
+        assembles the reservoir in global chunk order — byte-identical
         for any shard count (DESIGN.md §13). At ``S = 1`` the scan runs
-        inline on the caller.
+        inline on the caller. Raises :class:`ParameterError` when the
+        stream is empty or yields a row count other than the one its
+        ``chunk_sizes()`` advertised (the plan was drawn against it).
         """
         source = self._as_stream(data, stream)
         rng = check_random_state(self.random_state)
         reservoir = ReservoirSampler(self.n_kernels, random_state=rng)
         plan = ShardPlan(source, resolve_shards(None))
         accept_plan = reservoir.plan(plan.n_rows)
-        state = fit_shards(plan, accept_plan.wanted_indices())
+        chunks = shard_map(
+            plan, partial(_fit_chunk, accept_plan.wanted_indices()), fit=True
+        )
         get_recorder().count("reservoir_accepts", accept_plan.accepts)
-        return self.fit_from_partials([state], accept_plan)
-
-    def fit_from_partials(self, partials, plan):
-        """Assemble a fitted estimator from shard partial-fit states.
-
-        Parameters
-        ----------
-        partials:
-            ``ShardFitState`` partials in shard (stream) order — one
-            per shard, or a single already-folded state.
-        plan:
-            The :class:`~repro.density.reservoir.ReservoirPlan` the
-            shard row fetches were planned against.
-        """
-        state = merge_partials(list(partials))
         moments = _StreamingMoments()
-        for count, mean, m2 in state.chunk_stats:
-            moments.merge_stats(count, mean, m2)
+        for stats, _indices, _rows in chunks:
+            moments.merge_stats(*stats)
         if moments.count == 0:
             raise ParameterError("cannot fit a density estimator on no data.")
-        if moments.count != plan.n_rows:
+        if moments.count != accept_plan.n_rows:
             raise ParameterError(
-                f"shard partials cover {moments.count} row(s) but the "
-                f"reservoir plan was drawn for {plan.n_rows}; the plan "
-                "must be drawn against the same stream the shards read."
+                f"the fit scan covered {moments.count} row(s) but the "
+                f"reservoir plan was drawn for {accept_plan.n_rows}; the "
+                "stream must yield the rows its chunk_sizes() advertise."
             )
         self.n_points_ = moments.count
-        self.centers_ = plan.assemble(*state.fetched_rows())
+        self.centers_ = accept_plan.assemble(
+            np.concatenate([indices for _stats, indices, _rows in chunks]),
+            np.concatenate([rows for _stats, _indices, rows in chunks]),
+        )
         self.n_dims_ = self.centers_.shape[1]
         self.bandwidths_ = resolve_bandwidth(
             self.bandwidth,

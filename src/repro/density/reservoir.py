@@ -211,7 +211,7 @@ class ReservoirSampler:
         self._buffer_pos += 1
         return float(value)
 
-    # -- sharding & merging --------------------------------------------------
+    # -- sharding ------------------------------------------------------------
 
     def plan(self, n_rows: int) -> ReservoirPlan:
         """Plan one pass over ``n_rows`` rows without seeing any data.
@@ -248,90 +248,6 @@ class ReservoirSampler:
             fill=fill,
             events=tuple(events),
         )
-
-    def merge(self, other: "ReservoirSampler") -> "ReservoirSampler":
-        """Fold another reservoir into this one.
-
-        The merged reservoir is a uniform sample (without replacement)
-        of the union of both input streams: the number of survivors
-        kept from each side follows the hypergeometric split of a
-        uniform draw over the union, and the subsets themselves are
-        drawn uniformly from each reservoir. All randomness comes from
-        *this* sampler's generator, so the result is seeded and
-        order-deterministic; ``other`` is not mutated. The Algorithm L
-        continuation state is re-derived by a data-free replay, so
-        :meth:`extend` stays exact after merging.
-
-        This is the statistical merge for reservoirs fitted over
-        genuinely independent streams. The sharded fit path does not
-        use it — byte-identity there comes from :meth:`plan` instead.
-        """
-        if not isinstance(other, ReservoirSampler):
-            raise TypeError(
-                f"can only merge another ReservoirSampler; got "
-                f"{type(other).__name__}."
-            )
-        if other.capacity != self.capacity:
-            raise ValueError(
-                f"cannot merge reservoirs of different capacities "
-                f"({self.capacity} vs {other.capacity})."
-            )
-        if other.n_seen == 0:
-            return self
-        if (
-            self._reservoir is not None
-            and other._reservoir is not None
-            and self._reservoir.shape[1] != other._reservoir.shape[1]
-        ):
-            raise ValueError(
-                f"cannot merge reservoirs over different dimensionalities "
-                f"({self._reservoir.shape[1]} vs "
-                f"{other._reservoir.shape[1]})."
-            )
-        n_a, n_b = self.n_seen, other.n_seen
-        total = n_a + n_b
-        size = min(self.capacity, total)
-        # Hypergeometric split: how many of the merged sample's rows
-        # come from this reservoir's stream. Bounded by each side's
-        # survivor count automatically (t <= min(size, n_a), and
-        # size - t <= n_b).
-        take_a = int(self._rng.hypergeometric(n_a, n_b, size)) if n_a else 0
-        take_b = size - take_a
-        rows_a = (
-            self._reservoir[
-                np.sort(self._rng.permutation(self._filled)[:take_a])
-            ]
-            if take_a
-            else np.empty((0, other._reservoir.shape[1]))
-        )
-        rows_b = other._reservoir[
-            np.sort(self._rng.permutation(other._filled)[:take_b])
-        ]
-        merged = np.vstack([rows_a, rows_b])
-        if self._reservoir is None:
-            self._reservoir = np.empty(
-                (self.capacity, merged.shape[1])
-            )
-        self._reservoir[:size] = merged
-        self._filled = size
-        self.n_seen = total
-        if self._filled == self.capacity:
-            self._replay_schedule(total)
-        return self
-
-    def _replay_schedule(self, n_seen: int) -> None:
-        """Re-derive (w, next_accept) as a fresh pass over ``n_seen``.
-
-        After a merge the continuation state must be distributed as if
-        a single sampler had streamed all ``n_seen`` rows; replaying
-        the schedule data-free (consuming only this sampler's
-        generator) produces exactly that distribution.
-        """
-        self._w = 1.0
-        self._schedule_next(self.capacity - 1)
-        while self._next_accept < n_seen:
-            self._uniform()  # the slot draw of the replayed acceptance
-            self._schedule_next(self._next_accept)
 
     @property
     def sample(self) -> np.ndarray:

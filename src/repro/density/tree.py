@@ -22,8 +22,9 @@ thresholds. Both the counting scan and evaluation route through those
 tables; the level-by-level :func:`tree_leaf_indices` descent is only
 the fallback for forests too fine to tabulate (``_EVAL_CELL_CAP``).
 The counting scan is pure integer accumulation.
-Integer addition is exactly associative, so the counting scan's shard
-partials merge byte-identically for any shard count (DESIGN.md §14) —
+Integer addition is exactly associative, so each shard of the counting
+scan may pre-reduce its chunks' tables and the coordinator adds the
+shard totals byte-identically for any shard count (DESIGN.md §14) —
 unlike the FP moment folds of the KDE fit, no ordering discipline is
 needed.
 """
@@ -31,6 +32,7 @@ needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Iterator
 
 import numpy as np
@@ -38,12 +40,7 @@ import numpy as np
 from repro.density.base import DensityEstimator
 from repro.exceptions import ParameterError
 from repro.obs import get_recorder
-from repro.sharding import (
-    ShardPlan,
-    bounds_shards,
-    resolve_shards,
-    tree_count_shards,
-)
+from repro.sharding import ShardPlan, resolve_shards, shard_map
 from repro.utils.streams import DataStream
 from repro.utils.validation import check_random_state
 
@@ -301,6 +298,29 @@ def forest_leaf_counts(
     return counts.reshape(n_trees, n_leaves)
 
 
+def _chunk_box(_offset: int, chunk: np.ndarray):
+    """One chunk of the box scan: its ``(mins, maxs)``."""
+    return chunk.min(axis=0), chunk.max(axis=0)
+
+
+def _join_boxes(left, right):
+    """Join two ``(mins, maxs)`` boxes; elementwise min/max is exact."""
+    return np.minimum(left[0], right[0]), np.maximum(left[1], right[1])
+
+
+def _chunk_leaf_counts(features, thresholds, tables, _offset, chunk):
+    """One chunk of the counting scan: ``(leaf counts, rows)``."""
+    return (
+        forest_leaf_counts(chunk, features, thresholds, tables),
+        chunk.shape[0],
+    )
+
+
+def _add_counts(left, right):
+    """Add two ``(leaf counts, rows)`` tallies; integer addition is exact."""
+    return left[0] + right[0], left[1] + right[1]
+
+
 class TreeDensityEstimator(DensityEstimator):
     """Forest of random axis-aligned partitions routed by lookup tables.
 
@@ -335,9 +355,9 @@ class TreeDensityEstimator(DensityEstimator):
     Fitting takes *two* passes when the bounding box is unknown (one to
     find the box, one to count); pass ``bounds=(mins, maxs)`` to fit in
     a single pass like the paper's kernel estimator. Both scans run
-    over the ambient shard count (one by default), and their partials
-    merge exactly: elementwise min/max for the box, integer leaf-count
-    addition for the occupancies.
+    over the ambient shard count (one by default), and their shard
+    results join exactly: elementwise min/max for the box, integer
+    leaf-count addition for the occupancies.
 
     Examples
     --------
@@ -394,37 +414,48 @@ class TreeDensityEstimator(DensityEstimator):
     def fit(self, data=None, *, stream: DataStream | None = None):
         """Fit in two scans: bounding box, then integer leaf counts.
 
-        Both scans are :class:`~repro.sharding.ShardPlan` scans over
-        the ambient shard count (``repro run --shards`` /
-        ``REPRO_SHARDS`` / :func:`repro.sharding.use_shards`, default
-        ``1``). Their partials merge exactly — elementwise min/max for
-        the box, integer addition for the counts — so the fit is
-        byte-identical for any shard count (DESIGN.md §14). Tree
-        structure and its :class:`OverlayTables` are built once, on the
-        coordinator, between the two scans; the counting scan routes
-        every row through those tables (the descent only above
-        ``_EVAL_CELL_CAP``), so neither fit nor evaluation walks the
-        trees. At ``S = 1`` both scans run inline on the caller; the
-        ambient ``n_jobs`` only sizes the shard fan-out when ``S > 1``.
+        Both scans are :func:`~repro.sharding.shard_map` scans over the
+        ambient shard count (``repro run --shards`` / ``REPRO_SHARDS``
+        / :func:`repro.sharding.use_shards`, default ``1``). Their
+        algebras are exact — elementwise min/max for the box, integer
+        addition for the counts — so each shard pre-reduces its chunks
+        and the coordinator joins the shard boxes and adds the shard
+        tables: the fit is byte-identical for any shard count
+        (DESIGN.md §14). Tree structure and its :class:`OverlayTables`
+        are built once, on the coordinator, between the two scans; the
+        counting scan routes every row through those tables (the
+        descent only above ``_EVAL_CELL_CAP``), so neither fit nor
+        evaluation walks the trees. At ``S = 1`` both scans run inline
+        on the caller; the ambient ``n_jobs`` only sizes the shard
+        fan-out when ``S > 1``.
         """
         source = self._as_stream(data, stream)
         plan = ShardPlan(source, resolve_shards(None))
         if self.bounds is not None:
             mins, maxs = self._explicit_bounds()
         else:
-            box = bounds_shards(plan)
-            if box.seen == 0:
+            boxes = shard_map(plan, _chunk_box, combine=_join_boxes)
+            if not boxes:
                 raise ParameterError(
                     "cannot fit a density estimator on no data."
                 )
-            mins, maxs = box.mins, box.maxs
+            mins, maxs = reduce(_join_boxes, boxes)
         self._build_trees(mins, maxs)
-        state = tree_count_shards(
-            plan, self.features_, self.thresholds_, self._tables
+        tallies = shard_map(
+            plan,
+            partial(
+                _chunk_leaf_counts,
+                self.features_,
+                self.thresholds_,
+                self._tables,
+            ),
+            fit=True,
+            combine=_add_counts,
         )
-        if state.seen == 0:
+        counts, seen = reduce(_add_counts, tallies, (0, 0))
+        if seen == 0:
             raise ParameterError("cannot fit a density estimator on no data.")
-        self._finalize(state.counts, state.seen)
+        self._finalize(counts, seen)
         return self
 
     def _explicit_bounds(self) -> tuple[np.ndarray, np.ndarray]:

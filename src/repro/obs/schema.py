@@ -145,17 +145,17 @@ COUNTER_SCHEMA: dict[str, CounterSpec] = {
     ),
     "shards_fitted": CounterSpec(
         name="shards_fitted",
-        incremented_by="`repro.sharding.fit_shards`",
+        incremented_by="`repro.sharding.shard_map` (`fit=True` scans)",
         meaning="shard tasks dispatched by sharded fit scans",
     ),
     "shard_merges": CounterSpec(
         name="shard_merges",
-        incremented_by="`repro.sharding.merge_partials`",
-        meaning="left-fold steps combining shard partial-fit states",
+        incremented_by="`repro.sharding.shard_map`",
+        meaning="shard results joined after the first, per sharded scan",
     ),
     "shard_rows": CounterSpec(
         name="shard_rows",
-        incremented_by="`repro.sharding` scan coordinators",
+        incremented_by="`repro.sharding.shard_map`",
         meaning="rows covered by sharded scans (fit, eval, gather)",
     ),
 }

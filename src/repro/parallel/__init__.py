@@ -13,10 +13,12 @@ with the machine. It has two layers:
   :class:`repro.obs.Recorder` counters back into the caller's ambient
   recorder.
 
-Callers fan out through :mod:`repro.sharding`: shard scans go through
-:func:`~repro.sharding.shard_map`, and every per-chunk density
-evaluation through :func:`~repro.sharding.evaluate_chunks`, the one
-place it is parallelised; estimators and samplers take no ``n_jobs``.
+Callers fan out through :mod:`repro.sharding`: every dataset scan maps
+its per-chunk function over a shard plan with
+:func:`~repro.sharding.shard_map`, which dispatches one task per shard
+here when ``S > 1``, and every per-chunk density evaluation goes
+through :func:`~repro.sharding.evaluate_chunks`, the one place it is
+parallelised; estimators and samplers take no ``n_jobs``.
 Only the nested-loop outlier detector, which maps blocks of an
 in-memory array, calls :func:`parallel_map_chunks` with its own.
 

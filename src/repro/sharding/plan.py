@@ -150,8 +150,8 @@ class ShardPlan:
         """One :class:`ShardView` per non-empty shard, in plan order.
 
         A stream with no chunks still gets the first (empty) shard's
-        view, so every scan yields one partial to fold and an empty
-        input reaches the caller's own no-data check.
+        view, so its scan runs inline, returns no results and the
+        empty input reaches the caller's own no-data check.
         """
         views = [
             ShardView(parent=self.stream, spec=spec)

@@ -26,7 +26,12 @@ from repro.density import KernelDensityEstimator, get_kernel
 from repro.density import kde as kde_module
 from repro.obs import Recorder, use_recorder
 from repro.parallel import use_n_jobs
-from repro.sharding import ShardPlan, eval_shards, evaluate_chunks
+from repro.sharding import (
+    SHARD_EVAL_PHASE,
+    ShardPlan,
+    evaluate_chunks,
+    shard_map,
+)
 from repro.utils.streams import DataStream
 
 KERNEL_NAMES = (
@@ -229,10 +234,10 @@ def _eval_scan(estimator, queries, n_jobs):
     recorder = Recorder()
     with use_recorder(recorder), use_n_jobs(n_jobs):
         plan = ShardPlan(DataStream(queries, chunk_size=4_096), 1)
-        shard = eval_shards(plan, estimator.evaluate)
-    densities = np.empty(queries.shape[0])
-    shard.fill(densities)
-    return densities, dict(recorder.counters)
+        values = shard_map(
+            plan, estimator.evaluate, phase=SHARD_EVAL_PHASE, row_local=True
+        )
+    return np.concatenate(values), dict(recorder.counters)
 
 
 @pytest.mark.parametrize("n_jobs", [1, 2, 4])

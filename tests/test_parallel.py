@@ -23,7 +23,7 @@ from repro.parallel import (
     resolve_n_jobs,
     use_n_jobs,
 )
-from repro.sharding import ShardPlan, eval_shards
+from repro.sharding import SHARD_EVAL_PHASE, ShardPlan, shard_map
 from repro.utils.streams import DataStream
 
 
@@ -194,9 +194,10 @@ class TestNJobsEquivalence:
 
         def scan():
             plan = ShardPlan(DataStream(queries, chunk_size=2048), 1)
-            densities = np.empty(queries.shape[0])
-            eval_shards(plan, kde.evaluate).fill(densities)
-            return densities
+            values = shard_map(
+                plan, kde.evaluate, phase=SHARD_EVAL_PHASE, row_local=True
+            )
+            return np.concatenate(values)
 
         serial, serial_counters = _run_recorded(scan, 1)
         parallel, parallel_counters = _run_recorded(scan, n_jobs)

@@ -267,6 +267,49 @@ class TestRA002:
         assert codes(found) == ["RA002"]
         assert "use_config" in found[0].message
 
+    @pytest.mark.parametrize("bound", ["per_chunk", "combine"])
+    def test_rng_in_callable_forwarded_through_partial_flagged(
+        self, tmp_path, bound
+    ):
+        # shard_map's shape: the caller's per-chunk function and fold
+        # reach the worker only as arguments a partial binds.
+        per_chunk, combine = "_count", "_add"
+        if bound == "per_chunk":
+            per_chunk = "_noisy"
+        else:
+            combine = "_noisy"
+        found = audit_snippet(
+            tmp_path,
+            f"""
+            from functools import partial
+
+            import numpy as np
+
+            def _noisy(*args):
+                return np.random.default_rng().random()
+
+            def _count(offset, chunk):
+                return chunk.shape[0]
+
+            def _add(left, right):
+                return left + right
+
+            def _run(per_chunk, combine, view):
+                return [per_chunk(0, chunk) for chunk in view]
+
+            def scan(views, per_chunk, *, combine=None):
+                return parallel_map_chunks(
+                    partial(_run, per_chunk, combine), views
+                )
+
+            def fit(views):
+                return scan(views, {per_chunk}, combine={combine})
+            """,
+            select=["RA002"],
+        )
+        assert codes(found) == ["RA002"]
+        assert any("worker bound at" in hop for hop in found[0].trace)
+
     def test_rng_outside_worker_not_flagged(self, tmp_path):
         found = audit_snippet(
             tmp_path,

@@ -199,72 +199,6 @@ class TestReservoirPlan:
             plan.fill = 99
 
 
-class TestReservoirMerge:
-    def test_merge_is_uniform_over_the_union(self):
-        capacity, n_a, n_b = 5, 12, 8
-        total = n_a + n_b
-        hits = np.zeros(total)
-        n_runs = 3000
-        data = np.arange(total, dtype=float).reshape(total, 1)
-        for seed in range(n_runs):
-            a = ReservoirSampler(capacity, random_state=seed)
-            a.extend(data[:n_a])
-            b = ReservoirSampler(capacity, random_state=seed + 10_000)
-            b.extend(data[n_a:])
-            a.merge(b)
-            for value in a.sample.ravel():
-                hits[int(value)] += 1
-        rates = hits / n_runs
-        assert (np.abs(rates - capacity / total) < 0.05).all()
-
-    def test_merge_is_deterministic_under_a_seed(self):
-        def build(seed):
-            a = ReservoirSampler(6, random_state=seed)
-            a.extend(np.arange(30, dtype=float).reshape(15, 2))
-            b = ReservoirSampler(6, random_state=seed + 1)
-            b.extend(100 + np.arange(40, dtype=float).reshape(20, 2))
-            return a.merge(b)
-
-        first, second = build(42), build(42)
-        np.testing.assert_array_equal(first.sample, second.sample)
-        assert first.n_seen == second.n_seen == 35
-
-    def test_merge_under_filled_reservoirs_then_extend(self):
-        a = ReservoirSampler(10, random_state=0)
-        a.extend(np.zeros((3, 2)))
-        b = ReservoirSampler(10, random_state=1)
-        b.extend(np.ones((4, 2)))
-        a.merge(b)
-        assert a.n_seen == 7
-        assert a.sample.shape == (7, 2)
-        a.extend(2 * np.ones((50, 2)))
-        assert a.n_seen == 57
-        assert a.sample.shape == (10, 2)
-
-    def test_merge_with_empty_other_is_identity(self):
-        a = ReservoirSampler(4, random_state=0)
-        a.extend(np.arange(10, dtype=float).reshape(5, 2))
-        before = a.sample
-        a.merge(ReservoirSampler(4, random_state=1))
-        np.testing.assert_array_equal(a.sample, before)
-
-    def test_merge_rejects_capacity_mismatch(self):
-        with pytest.raises(ValueError, match="capacities"):
-            ReservoirSampler(4).merge(ReservoirSampler(5))
-
-    def test_merge_rejects_dimension_mismatch(self):
-        a = ReservoirSampler(4, random_state=0)
-        a.extend(np.zeros((4, 2)))
-        b = ReservoirSampler(4, random_state=1)
-        b.extend(np.zeros((4, 3)))
-        with pytest.raises(ValueError, match="dimensionalities"):
-            a.merge(b)
-
-    def test_merge_rejects_non_sampler(self):
-        with pytest.raises(TypeError, match="ReservoirSampler"):
-            ReservoirSampler(4).merge(object())
-
-
 class TestReservoirSampleFunction:
     def test_one_pass(self):
         stream = DataStream(np.random.default_rng(0).normal(size=(50, 2)))

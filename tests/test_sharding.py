@@ -25,12 +25,10 @@ from repro.exceptions import ParameterError
 from repro.obs import Recorder, use_recorder
 from repro.parallel import use_n_jobs
 from repro.sharding import (
-    GatherShard,
-    NormalizerShard,
     ShardPlan,
     ShardView,
-    merge_partials,
     resolve_shards,
+    shard_map,
     use_shards,
 )
 from repro.utils.filestreams import CsvFileStream, NpyFileStream
@@ -134,36 +132,96 @@ class TestShardPlan:
             ShardPlan(DataStream(array), 0)
 
 
-class TestPartials:
-    def test_merge_partials_left_folds_in_order(self):
-        a = NormalizerShard(row_start=0)
-        a.add_values(np.array([1.0, 2.0]))
-        b = NormalizerShard(row_start=2)
-        b.add_values(np.array([3.0]))
-        folded = merge_partials([a, b])
-        out = np.empty(3)
-        folded.fill(out)
-        np.testing.assert_array_equal(out, [1.0, 2.0, 3.0])
+def _offset_and_rows(offset, chunk):
+    return offset, chunk.shape[0]
 
-    def test_merge_partials_rejects_empty(self):
-        with pytest.raises(ValueError, match="no shard partials"):
-            merge_partials([])
 
-    def test_normalizer_shards_must_be_adjacent(self):
-        a = NormalizerShard(row_start=0)
-        a.add_values(np.array([1.0]))
-        b = NormalizerShard(row_start=5)
-        with pytest.raises(ValueError, match="adjacent|starts at"):
-            a.merge(b)
+def _add_rows(left, right):
+    return left[0], left[1] + right[1]
 
-    def test_gather_shard_counts_all_rows_keeps_selected(self):
-        shard = GatherShard()
-        chunk = np.arange(8, dtype=float).reshape(4, 2)
-        shard.add_chunk(chunk, np.array([True, False, False, True]))
-        shard.add_chunk(chunk, np.zeros(4, dtype=bool))
-        assert shard.seen == 8
+
+def _row_sums(chunk):
+    return chunk.sum(axis=1)
+
+
+#: ``(rows, S)`` -> the ``shard*`` counters one scan records, for a
+#: plain and a ``fit=True`` scan. 611 rows in 89-row chunks are seven
+#: chunks, so ``S = 9`` leaves two shards empty; an empty stream still
+#: scans one (empty) shard. Manifests compare these names and values
+#: across runs, so they are pinned exactly.
+_SCAN_COUNTERS = {
+    (611, 1): ({}, {}),
+    (611, 2): (
+        {"shard_rows": 611, "shard_merges": 1},
+        {"shard_rows": 611, "shard_merges": 1, "shards_fitted": 2},
+    ),
+    (611, 3): (
+        {"shard_rows": 611, "shard_merges": 2},
+        {"shard_rows": 611, "shard_merges": 2, "shards_fitted": 3},
+    ),
+    (611, 9): (
+        {"shard_rows": 611, "shard_merges": 6},
+        {"shard_rows": 611, "shard_merges": 6, "shards_fitted": 7},
+    ),
+    (0, 3): ({"shard_rows": 0}, {"shard_rows": 0, "shards_fitted": 1}),
+}
+
+
+class TestShardMap:
+    @pytest.mark.parametrize("fit", [False, True], ids=["scan", "fit"])
+    @pytest.mark.parametrize("n_rows, shards", sorted(_SCAN_COUNTERS))
+    def test_results_in_stream_order_with_shard_counters(
+        self, tmp_path, n_rows, shards, fit
+    ):
+        data = np.random.default_rng(7).normal(size=(n_rows, 3))
+        path = os.path.join(tmp_path, "data.npy")
+        np.save(path, data)
+        stream = NpyFileStream(path, chunk_size=89)
+        serial = [
+            (offset, chunk.shape[0])
+            for offset, chunk in NpyFileStream(
+                path, chunk_size=89
+            ).iter_with_offsets()
+        ]
+        recorder = Recorder()
+        with use_recorder(recorder):
+            results = shard_map(
+                ShardPlan(stream, shards), _offset_and_rows, fit=fit
+            )
+        assert results == serial
+        assert stream.passes == 1
+        assert recorder.counters["data_passes"] == 1
+        shard_counters = {
+            name: value
+            for name, value in recorder.counters.items()
+            if name.startswith("shard")
+        }
+        assert shard_counters == _SCAN_COUNTERS[n_rows, shards][fit]
+
+    @pytest.mark.parametrize("shards", [1, 3, 9])
+    def test_combine_pre_reduces_each_shard(self, array, shards):
+        stream = DataStream(array, chunk_size=89)
+        plan = ShardPlan(stream, shards)
+        results = shard_map(plan, _offset_and_rows, combine=_add_rows)
+        views = plan.views()
+        assert results == [
+            (view.spec.row_start, view.spec.n_rows) for view in views
+        ]
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_row_local_scan_returns_per_chunk_values(
+        self, array, shards, n_jobs
+    ):
+        with use_n_jobs(n_jobs):
+            values = shard_map(
+                ShardPlan(DataStream(array, chunk_size=89), shards),
+                _row_sums,
+                row_local=True,
+            )
+        assert [part.shape[0] for part in values] == [89] * 6 + [77]
         np.testing.assert_array_equal(
-            np.vstack(shard.parts), chunk[[0, 3]]
+            np.concatenate(values), _row_sums(array)
         )
 
 
@@ -415,41 +473,28 @@ class TestShardedEquivalenceProperty:
 
 
 # ---------------------------------------------------------------------------
-# fit_from_partials / runner integration
+# Fit scan integration
 # ---------------------------------------------------------------------------
 
 
-class TestFitFromPartials:
-    def test_partials_fold_matches_direct_fit(self, array):
-        from repro.sharding import fit_shards
+class _OverAdvertisedStream(DataStream):
+    """Advertises five rows more in its last chunk than it yields."""
 
-        stream = DataStream(array, chunk_size=89)
-        planner = ReservoirSampler(32, random_state=11)
-        plan = ShardPlan(stream, 3)
-        accept_plan = planner.plan(plan.n_rows)
-        state = fit_shards(plan, accept_plan.wanted_indices())
-        kde = KernelDensityEstimator(
-            n_kernels=32, random_state=11
-        ).fit_from_partials([state], accept_plan)
-        serial = KernelDensityEstimator(n_kernels=32, random_state=11).fit(
-            DataStream(array, chunk_size=89)
-        )
-        np.testing.assert_array_equal(kde.centers_, serial.centers_)
-        np.testing.assert_array_equal(kde.bandwidths_, serial.bandwidths_)
+    def chunk_sizes(self):
+        sizes = list(super().chunk_sizes())
+        sizes[-1] += 5
+        return tuple(sizes)
 
-    def test_row_count_mismatch_raises(self, array):
-        from repro.sharding import fit_shards
 
-        stream = DataStream(array, chunk_size=89)
-        planner = ReservoirSampler(8, random_state=0)
-        wrong_plan = planner.plan(len(array) + 5)
-        state = fit_shards(
-            ShardPlan(stream, 2),
-            wrong_plan.wanted_indices(),
-        )
-        with pytest.raises(ParameterError, match="reservoir plan"):
-            KernelDensityEstimator(n_kernels=8).fit_from_partials(
-                [state], wrong_plan
+class TestKdeFitScan:
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_row_count_mismatch_names_the_reservoir_plan(self, array, shards):
+        stream = _OverAdvertisedStream(array, chunk_size=89)
+        with use_shards(shards), pytest.raises(
+            ParameterError, match="reservoir plan was drawn for 616"
+        ):
+            KernelDensityEstimator(n_kernels=8, random_state=0).fit(
+                stream=stream
             )
 
 

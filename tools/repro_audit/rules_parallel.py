@@ -99,15 +99,19 @@ def _chase_param_workers(
 ) -> list[tuple[CallTarget, str]]:
     """Worker targets bound to ``param`` by in-project callers of ``func``.
 
-    ``shard_map(worker, tasks)`` forwards a caller-supplied callable
-    into ``parallel_map_chunks``; the dispatched worker is whatever each
-    call site passes. One level of indirection is chased: the matching
-    positional/keyword argument at every call resolving to ``func`` is
-    unwrapped in the *caller's* context.
+    ``shard_map(plan, per_chunk, ...)`` forwards a caller-supplied
+    callable into ``parallel_map_chunks``; the dispatched per-chunk
+    function is whatever each call site passes. One level of
+    indirection is chased: the matching positional/keyword argument at
+    every call resolving to ``func`` is unwrapped in the *caller's*
+    context.
     """
-    try:
-        position = _param_names(func.node).index(param)
-    except ValueError:
+    positional = _param_names(func.node)
+    if param in positional:
+        position: int | None = positional.index(param)
+    elif param in [a.arg for a in func.node.args.kwonlyargs]:
+        position = None
+    else:
         return []
     if func.cls is not None:
         # Bound-call positions are receiver-shifted; the repo's
@@ -123,7 +127,7 @@ def _chase_param_workers(
             ):
                 continue
             arg: ast.expr | None = None
-            if position < len(call.args):
+            if position is not None and position < len(call.args):
                 arg = call.args[position]
             else:
                 for kw in call.keywords:
@@ -166,15 +170,35 @@ def worker_roots(
             targets = expand_dynamic(graph, worker_expr)
         for target in targets:
             roots.append((func, target, (dispatch_frame,)))
-        if targets or not isinstance(worker_expr, ast.Name):
-            continue
-        if worker_expr.id not in _param_names(func.node):
-            continue
-        for target, bound_frame in _chase_param_workers(
-            graph, func, worker_expr.id
-        ):
-            roots.append((func, target, (dispatch_frame, bound_frame)))
+        params = _param_names(func.node)
+        params += [arg.arg for arg in func.node.args.kwonlyargs]
+        for name in _forwarded_names(worker_expr, resolved=bool(targets)):
+            if name not in params:
+                continue
+            for target, bound_frame in _chase_param_workers(
+                graph, func, name
+            ):
+                roots.append((func, target, (dispatch_frame, bound_frame)))
     return roots
+
+
+def _forwarded_names(worker_expr: ast.expr, *, resolved: bool) -> list[str]:
+    """Names a dispatched worker expression may forward from its caller.
+
+    An unresolved bare name is itself the forwarded callable; a
+    ``partial(f, ...)`` forwards every name it binds as an argument
+    (``shard_map`` binds the caller's per-chunk function and fold into
+    its shard runner), which run inside the worker too.
+    """
+    if isinstance(worker_expr, ast.Name):
+        return [] if resolved else [worker_expr.id]
+    if isinstance(worker_expr, ast.Call):
+        chain = attr_chain(worker_expr.func)
+        if chain and chain[-1] == "partial":
+            bound = [*worker_expr.args[1:]]
+            bound += [kw.value for kw in worker_expr.keywords]
+            return [arg.id for arg in bound if isinstance(arg, ast.Name)]
+    return []
 
 
 def _rng_call(chain: list[str]) -> str | None:
