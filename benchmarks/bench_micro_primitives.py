@@ -15,6 +15,7 @@ cannot drag the way it drags a mean.
 import copy
 import statistics
 import time
+import types
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from repro.clustering.base import ClusteringResult
 from repro.core import DensityBiasedSampler
 from repro.datasets import make_outlier_dataset
 from repro.density import KernelDensityEstimator, TreeDensityEstimator
-from repro.outliers import IndexedOutlierDetector
+from repro.density.base import DensityEstimator
+from repro.outliers import ApproximateOutlierDetector, IndexedOutlierDetector
 from repro.utils.geometry import count_within, pair_sq_distances
+from repro.utils.streams import DataStream
 
 #: Dataset size for the tree-vs-KDE density-evaluation speedup bench.
 N_SPEEDUP = 200_000
@@ -43,6 +46,13 @@ DESCENT_SPEEDUP_FLOOR = 4.0
 #: outlier-dataset rows against 600 of them at the dataset's outlier
 #: radius. Losing the pruning fails it (measured 5.5-5.9x).
 COUNT_WITHIN_SPEEDUP_FLOOR = 3.0
+
+#: Required median speedup of the DB(p, k) volume screen with the
+#: KDE's density lower bound over the same screen with a zero bound
+#: (every row evaluated) on the 25,050-row outlier dataset, in
+#: 16,384-row chunks. Losing the pruning fails it (measured 11.4x
+#: on a 2-vCPU host).
+SCREEN_SPEEDUP_FLOOR = 2.0
 
 #: Ceiling on the tree backend's median fit time at ``N_SPEEDUP`` rows,
 #: as a multiple of one evaluation of the same rows. The fit is two
@@ -209,6 +219,41 @@ def test_count_within_16k(benchmark):
     benchmark.extra_info["per_pair_median_seconds"] = reference_median
     benchmark.extra_info["speedup_vs_per_pair"] = speedup
     assert speedup >= COUNT_WITHIN_SPEEDUP_FLOOR
+
+
+def test_outlier_screen_25k(benchmark):
+    """The bound-pruned outlier screen on the ``outliers-kde`` input:
+    the gate entry that pins it at ``SCREEN_SPEEDUP_FLOOR`` times the
+    unpruned screen.
+
+    The unpruned screen is the same detector over a copy of the fitted
+    KDE whose lower bound is the base class's zero. It is re-timed in
+    the same process (median of three warm rounds) and recorded in the
+    JSON via ``extra_info``.
+    """
+    data = make_outlier_dataset(n_points=25_000, n_outliers=50, random_state=0)
+    kde = KernelDensityEstimator(n_kernels=1000, random_state=0).fit(data.points)
+    unpruned = copy.copy(kde)
+    unpruned.density_lower_bound = types.MethodType(
+        DensityEstimator.density_lower_bound, unpruned
+    )
+    detector = ApproximateOutlierDetector(k=data.guaranteed_radius, p=5)
+
+    def screen(estimator):
+        stream = DataStream(data.points, chunk_size=16_384)
+        return detector._screen(stream, estimator, 5)
+
+    expected = screen(unpruned)
+    unpruned_median = _median_seconds(lambda: screen(unpruned))
+    indices, points = benchmark.pedantic(
+        lambda: screen(kde), warmup_rounds=1, rounds=5, iterations=1
+    )
+    np.testing.assert_array_equal(indices, expected[0])
+    np.testing.assert_array_equal(points, expected[1])
+    speedup = unpruned_median / benchmark.stats.stats.median
+    benchmark.extra_info["unpruned_median_seconds"] = unpruned_median
+    benchmark.extra_info["speedup_vs_unpruned"] = speedup
+    assert speedup >= SCREEN_SPEEDUP_FLOOR
 
 
 def test_biased_sampling_end_to_end(benchmark, dataset, fitted_kde):

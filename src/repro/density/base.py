@@ -65,16 +65,18 @@ class DensityEstimator(abc.ABC):
         Returns an array of non-negative values that integrate
         (approximately) to ``n_points_`` over the data domain.
         """
-        self._require_fitted()
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim == 1:
-            points = points.reshape(1, -1)
-        if points.shape[1] != self.n_dims_:
-            raise ValueError(
-                f"query points have {points.shape[1]} dims; estimator was "
-                f"fit on {self.n_dims_}."
-            )
-        return self._evaluate(points)
+        return self._evaluate(self._query_points(points))
+
+    def density_lower_bound(self, points) -> np.ndarray:
+        """A cheap per-row lower bound ``L(x) <= evaluate(x)``.
+
+        The inequality holds for the floating-point values themselves,
+        so a caller may skip evaluating a row whose bound already
+        decides its fate (the DB(p, k) screen does). Estimators that
+        can bound their density override this; the base bound is zero,
+        which clears nothing.
+        """
+        return np.zeros(self._query_points(points).shape[0])
 
     def __call__(self, points) -> np.ndarray:
         return self.evaluate(points)
@@ -124,6 +126,19 @@ class DensityEstimator(abc.ABC):
         return float(self.n_points_)
 
     # -- helpers ---------------------------------------------------------------
+
+    def _query_points(self, points) -> np.ndarray:
+        """Query rows as a validated float64 ``(r, d)`` array."""
+        self._require_fitted()
+        points = np.asarray(points, dtype=np.float64)
+        if points.ndim == 1:
+            points = points.reshape(1, -1)
+        if points.shape[1] != self.n_dims_:
+            raise ValueError(
+                f"query points have {points.shape[1]} dims; estimator was "
+                f"fit on {self.n_dims_}."
+            )
+        return points
 
     def _require_fitted(self) -> None:
         if self.n_points_ is None:

@@ -23,13 +23,20 @@ every (row, centre) pair (DESIGN.md, the ``"kde"`` backend).
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 import numpy as np
 
 from repro.density.bandwidth import resolve_bandwidth
 from repro.density.base import DensityEstimator
-from repro.density.kernels import get_kernel
+from repro.density.kernels import (
+    BiweightKernel,
+    EpanechnikovKernel,
+    TriangularKernel,
+    UniformKernel,
+    get_kernel,
+)
 from repro.density.reservoir import ReservoirSampler
 from repro.exceptions import ParameterError
 from repro.obs import get_recorder
@@ -51,6 +58,38 @@ _EVAL_TILE_ELEMENTS = 65536
 #: A row tile with more than this fraction of the ``m`` centres as
 #: candidates evaluates all ``m`` columns, without gather or scatter.
 _DENSE_FRACTION = 0.5
+
+#: Finest subdivision ``Q`` of the density lower bound's grid: its
+#: cells are ``h_j * support / Q`` wide in attribute ``j``. The grid
+#: takes the finest ``Q`` from this cap down to 2 that fits the cell
+#: budget. The cap keeps ``d * Q <= 128``, which the bound's rounding
+#: margin relies on (DESIGN.md §4, "Screen bound").
+_BOUND_SUBDIVISION = 64
+
+#: Cell budget of the padded bound grid: 4 MB of float64. A finer grid
+#: clears more of the rows just above the outlier screen's quota
+#: cutoff, whose number varies most from one input to the next.
+_BOUND_GRID_CELLS = 2**19
+
+#: Cells per block of the bound grid's banded convolution (see
+#: :func:`_convolve_axis`); at least the largest ``Q - 2``.
+_CONVOLVE_BLOCK = 64
+
+#: The bound is scaled by this relative margin below 1. It absorbs the
+#: rounding of the evaluation (about ``m`` ulps for a sum of ``m``
+#: non-negative terms) and of the bound itself, for any ``m`` below
+#: 10**9 (DESIGN.md §4, "Screen bound").
+_BOUND_MARGIN = 1.0 - 2.0**-20
+
+#: Profiles non-increasing in ``|u|`` on their compact support: the
+#: kernel factor of a pair is at least the profile at the pair's
+#: largest possible offset.
+_MONOTONE_PROFILES = (
+    EpanechnikovKernel,
+    UniformKernel,
+    TriangularKernel,
+    BiweightKernel,
+)
 
 
 def chunk_moment_stats(chunk: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -127,6 +166,8 @@ class KernelDensityEstimator(DensityEstimator):
 
     Memory: O(m) — the reservoir of ``n_kernels`` centers plus
     per-attribute moment vectors; evaluation works block by block.
+    :meth:`density_lower_bound` caches a grid of at most
+    ``_BOUND_GRID_CELLS`` cells (4 MB) on first use.
 
     Parameters
     ----------
@@ -174,6 +215,7 @@ class KernelDensityEstimator(DensityEstimator):
         self.bandwidths_: np.ndarray | None = None
         self.n_points_: int | None = None
         self.n_dims_: int | None = None
+        self._bound_grid_: tuple | None = None
 
     # -- fitting ---------------------------------------------------------------
 
@@ -193,6 +235,7 @@ class KernelDensityEstimator(DensityEstimator):
         ``chunk_sizes()`` advertised (the plan was drawn against it).
         """
         source = self._as_stream(data, stream)
+        self._bound_grid_ = None
         rng = check_random_state(self.random_state)
         reservoir = ReservoirSampler(self.n_kernels, random_state=rng)
         plan = ShardPlan(source, resolve_shards(None))
@@ -250,6 +293,7 @@ class KernelDensityEstimator(DensityEstimator):
             the centers), required when ``bandwidths`` is a rule name.
         """
         centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
+        self._bound_grid_ = None
         self.centers_ = centers
         self.n_points_ = int(n_points)
         self.n_dims_ = centers.shape[1]
@@ -286,6 +330,117 @@ class KernelDensityEstimator(DensityEstimator):
         out = np.empty(points.shape[0], dtype=np.float64)
         out[order] = self._evaluate_block(points[order], starts)
         return out
+
+    def density_lower_bound(self, points) -> np.ndarray:
+        """Per-row lower bound on :meth:`evaluate`, one grid lookup each.
+
+        The bound of a row is the cached grid value of its cell (see
+        :meth:`_bound_grid`); rows off the grid, NaN and infinite rows
+        get ``0.0``, and so does every row when the grid cannot be
+        built (Gaussian kernel, ``h <= 0`` in some attribute,
+        non-finite centres, or no grid within the cell budget). Every
+        value is at most the float64 value :meth:`evaluate` returns
+        for the row (DESIGN.md §4, "Screen bound").
+        """
+        points = self._query_points(points)
+        if self._bound_grid_ is None:
+            self._bound_grid_ = self._bound_grid()
+        origin, width, pad, table = self._bound_grid_
+        with np.errstate(over="ignore", invalid="ignore"):
+            cells = np.floor((points - origin) / width) + pad
+        # NaN compares false, so NaN cells are off the grid too.
+        inside = np.all((cells >= 0) & (cells < table.shape), axis=1)
+        bound = np.zeros(points.shape[0])
+        bound[inside] = table[tuple(cells[inside].astype(np.intp).T)]
+        return bound
+
+    def _bound_grid(self) -> tuple:
+        """``(origin, width, pad, table)`` of the density lower bound.
+
+        Attribute ``j`` is cut into cells ``width_j = h_j * support / Q``
+        wide from ``origin_j``, the smallest centre coordinate; a point's
+        cell is ``floor((x - origin) / width)``, and ``table`` is indexed
+        by that cell plus ``pad = Q - 2``. A row and a centre whose
+        cells differ by ``delta_j`` are less than ``(|delta_j| + 1) *
+        width_j`` apart, so their kernel factor is at least
+        ``K((|delta_j| + 1) * support / Q) / h_j``; in the last
+        attribute the centre's own place in its cell gives a tighter
+        reach (see below). The table holds, per cell, the sum over
+        centres of the products of those factors, over offsets
+        ``|delta_j| <= Q - 2``: the farthest such pair is ``(Q - 1) /
+        Q`` of the support apart, so rounding cannot carry it across
+        the support's edge. ``Q`` is the finest subdivision up to
+        :data:`_BOUND_SUBDIVISION` whose padded grid has at most
+        :data:`_BOUND_GRID_CELLS` cells. Without a usable grid the
+        table is empty and every bound is zero.
+        """
+        d = self.n_dims_
+        no_grid = (np.zeros(d), np.ones(d), 0, np.zeros((0,) * d))
+        centers, widths = self.centers_, self.bandwidths_
+        if not (
+            type(self.kernel) in _MONOTONE_PROFILES
+            and self._can_prune()
+            and np.all(np.isfinite(centers))
+        ):
+            return no_grid
+        support = self.kernel.support
+        origin = centers.min(axis=0)
+        # Every Q at once, finest first. Rounding and floor are
+        # monotone, so the largest coordinate gives the largest cell.
+        qs = np.arange(_BOUND_SUBDIVISION, 1, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            top = np.floor(
+                (centers.max(axis=0) - origin) / (widths * (support / qs[:, None]))
+            )
+            sizes = np.prod(top + 1 + 2 * (qs[:, None] - 2), axis=1)
+        fitting = np.flatnonzero(sizes <= _BOUND_GRID_CELLS)
+        if not fitting.size:
+            return no_grid
+        q = int(qs[fitting[0]])
+        pad = q - 2
+        width = widths * (support / q)
+        cells = np.floor((centers - origin) / width) + pad
+        shape = cells.max(axis=0) + 1 + pad
+        # factors[j][pad + delta] bounds attribute j's kernel factor at
+        # cell offset delta; index 0 (|delta| = pad) is the smallest.
+        u = (np.abs(np.arange(-pad, pad + 1)) + 1.0) * (support / q)
+        factors = [self.kernel.profile(u) / h for h in widths]
+        scale = _BOUND_MARGIN * self.n_points_ / centers.shape[0]
+        # Rounding errors are relative only for normal numbers: the cell
+        # width, and every factor, partial product and scaled product a
+        # counted pair goes through in the evaluation, must be normal.
+        weakest = np.array([f[0] for f in factors])
+        chain = np.cumprod(weakest)
+        tiny = np.finfo(np.float64).tiny
+        if min(width.min(), weakest.min(), chain.min(), chain[-1] * scale) < tiny:
+            return no_grid
+        shape = tuple(int(s) for s in shape)
+        # The last attribute is spread centre by centre along the
+        # centre's own line of cells, which the padding keeps on the
+        # grid, from the centre's place in its cell: ``frac`` cells past
+        # its low edge. A row ``delta`` cells away is less than the
+        # farther end of its cell, ``max(|delta + 1 - frac|, |delta -
+        # frac|) <= |delta| + 1`` cells, from the centre, so these
+        # factors are at least ``factors[-1]``. The other attributes
+        # are convolved, each along a leading axis of the C-ordered
+        # table, so no pass transposes it.
+        position = (centers[:, -1] - origin[-1]) / width[-1]
+        frac = (position - np.floor(position))[:, None]
+        delta = np.arange(-pad, pad + 1)
+        reach = np.maximum(np.abs(delta + 1.0 - frac), np.abs(delta - frac))
+        spread = self.kernel.profile(reach * (support / q)) / widths[-1]
+        line = np.ravel_multi_index(tuple(cells.astype(np.intp).T), shape)
+        table = np.bincount(
+            (line[:, None] + delta).ravel(),
+            weights=spread.ravel(),
+            minlength=math.prod(shape),
+        ).reshape(shape)
+        for j in range(d - 1):
+            table = _convolve_axis(table, factors[j], j)
+        table *= scale
+        if not np.all(np.isfinite(table)):
+            return no_grid
+        return origin, width, pad, table
 
     def _can_prune(self) -> bool:
         """Whether skipped columns are provably ``+0.0`` in the dense sum.
@@ -450,3 +605,40 @@ class KernelDensityEstimator(DensityEstimator):
                 ww *= pp
         return ww
 
+
+def _convolve_axis(
+    table: np.ndarray, factors: np.ndarray, axis: int
+) -> np.ndarray:
+    """``out[i] = sum_delta factors[delta] * table[i - delta]`` along ``axis``.
+
+    ``factors`` has odd length ``2 * pad + 1`` and is indexed by
+    ``delta + pad``; cells shifted past either end are dropped (the
+    bound grid's padding keeps every centre's reach on the grid). The
+    axis is cut into blocks of ``b`` cells, :data:`_CONVOLVE_BLOCK` or
+    the whole axis if shorter, and never fewer than ``pad``, so an
+    output block draws only on the input block at the same place and
+    its two neighbours: three banded ``(b, b)`` matrices, each one
+    matrix product over all blocks, make ``3 * b`` multiply-adds per
+    cell. A fixed ``b`` keeps the cost per cell the same for every
+    ``pad``. Every term is non-negative, so the order of the sum does
+    not matter to the bound (DESIGN.md §4, "Screen bound").
+    """
+    pad = factors.shape[0] // 2
+    src = np.moveaxis(table, axis, 0)
+    n = src.shape[0]
+    b = max(pad, min(n, _CONVOLVE_BLOCK))
+    n_blocks = -(-n // b)
+    # One block of zeros either side stands in for the dropped cells.
+    padded = np.zeros(((n_blocks + 2) * b, *src.shape[1:]))
+    padded[b : b + n] = src
+    blocks = padded.reshape(n_blocks + 2, b, -1)
+    # bands[t][r, s]: the factor from row s of the input block t - 1
+    # places after an output block to that block's row r.
+    delta = (1 - np.arange(3))[:, None, None] * b + np.subtract.outer(
+        np.arange(b), np.arange(b)
+    )
+    near = np.abs(delta) <= pad
+    bands = np.where(near, factors[np.where(near, delta + pad, 0)], 0.0)
+    out = sum(bands[t] @ blocks[t : t + n_blocks] for t in range(3))
+    out = out.reshape(n_blocks * b, *src.shape[1:])[:n]
+    return np.ascontiguousarray(np.moveaxis(out, 0, axis))

@@ -73,6 +73,11 @@ COUNTER_SCHEMA: dict[str, CounterSpec] = {
         incremented_by="KDE evaluation, `Kernel.__call__`",
         meaning="kernel profile evaluations (points × centers)",
     ),
+    "screen_rows_pruned": CounterSpec(
+        name="screen_rows_pruned",
+        incremented_by="`ApproximateOutlierDetector` volume screen",
+        meaning="rows whose density lower bound cleared them, never evaluated",
+    ),
     "distance_evals": CounterSpec(
         name="distance_evals",
         incremented_by="CURE merges, `count_within` (outlier verify and oracles)",
@@ -130,7 +135,7 @@ COUNTER_SCHEMA: dict[str, CounterSpec] = {
     ),
     "reservoir_accepts": CounterSpec(
         name="reservoir_accepts",
-        incremented_by="`ReservoirSampler.extend`",
+        incremented_by="`ReservoirSampler.extend`, `KernelDensityEstimator.fit` (its acceptance plan)",
         meaning="rows accepted into a reservoir (fills + replacements)",
     ),
     "tree_nodes_built": CounterSpec(

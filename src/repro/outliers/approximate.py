@@ -5,11 +5,19 @@ The idea: a DB(p, k) outlier has at most ``p`` points within distance
 
 ``N'(O, k) = integral over Ball(O, k) of f``,
 
-must be small. One pass over the data evaluates ``N'`` for every point
-and keeps the ones below a slack-scaled threshold as *likely outliers*;
-a second pass verifies the true neighbour count of each candidate. The
-density fit itself takes one earlier pass, matching the paper's "at most
-two dataset passes plus the pass that computes the density estimator".
+must be small. One pass over the data keeps the points whose ``N'`` is
+below a slack-scaled threshold as *likely outliers*; a second pass
+verifies the true neighbour count of each candidate. The density fit
+itself takes one earlier pass, matching the paper's "at most two dataset
+passes plus the pass that computes the density estimator".
+
+The volume screen evaluates ``N'`` only where it can matter. A cheap
+per-row lower bound on the density
+(:meth:`~repro.density.base.DensityEstimator.density_lower_bound`)
+clears rows whose ``N'`` provably exceeds both the threshold and the
+sparsest quota's cutoff, much as Knorr and Ng's cell-based algorithm
+clears whole cells without computing a distance; the candidate set is
+exactly the one evaluating every row would give.
 
 The same screening machinery also estimates the *number* of DB(p, k)
 outliers in a single pass — the paper highlights this as a cheap way to
@@ -47,7 +55,9 @@ class ApproximateOutlierDetector(OutlierDetector):
     exact neighbours of the surviving candidates.
 
     Memory: O(n) — the screen's sparsest-quota selection may hold every
-    point when ``candidate_quantile`` is 1; fitting is O(m), and
+    point when ``candidate_quantile`` is 1, beside the O(chunk) bounds
+    of one chunk and the estimator's cached bound grid (at most 4 MB
+    for the KDE); fitting is O(m), and
     verification holds the O(b) surviving candidates, three tile
     buffers of ``max(256 * b, 32768)`` cells (about 4.3 kB per
     candidate) and the cell order of one chunk, O(chunk).
@@ -168,9 +178,8 @@ class ApproximateOutlierDetector(OutlierDetector):
         estimator = self._resolve_estimator(source)
         p = resolve_p(self.p, self.fraction, len(source))
         count = 0
-        for _start, _chunk, expected in self._expected_neighbors(
-            source.iter_with_offsets(), estimator
-        ):
+        for _start, chunk in source.iter_with_offsets():
+            _rows, expected = self._expected_neighbors(chunk, estimator, p + 1)
             count += int((expected <= p + 1).sum())
         return count
 
@@ -187,23 +196,73 @@ class ApproximateOutlierDetector(OutlierDetector):
         self.estimator_ = estimator
         return estimator
 
-    def _expected_neighbors(self, chunks, estimator: DensityEstimator):
-        """``(offset, chunk, N'(O, k))`` per chunk, in stream order.
+    def _expected_neighbors(
+        self,
+        chunk: np.ndarray,
+        estimator: DensityEstimator,
+        threshold: float,
+        quota: int = 0,
+        kept: np.ndarray = np.empty(0),
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, N'(O, k))`` of the chunk rows that can matter.
 
-        The volume screen fans out through :func:`evaluate_chunks`; the
-        Monte-Carlo screen may draw from a shared generator, so it stays
-        serial.
+        A row left out has ``N'`` above ``threshold`` and, when
+        ``quota`` is positive, above the ``quota``-th smallest of the
+        values in ``kept`` (the running selection's) and those found
+        here: it is neither below the threshold nor among the sparsest
+        ``quota`` rows. The volume screen bounds every row by
+        ``density_lower_bound(x) * Vol(Ball(k))``, a lower bound on the
+        float64 ``N'`` itself, and evaluates through
+        :func:`evaluate_chunks` only rows the bound cannot clear, in
+        rounds: first those at most ``threshold`` plus the ``quota``
+        smallest bounds (stable order) at most that cutoff, then the
+        next smallest bounds still at most the cutoff the values found
+        so far give, twice as many each round, until none is left. The
+        rounds stop close to the rows that decide the cutoff, however
+        loose the bound. Which rows are evaluated depends only on the
+        data, never on the worker count. The Monte-Carlo screen may draw
+        from a shared generator, so it evaluates every row, serially.
         """
-        if self.screen == "volume":
-            volume = ball_volume(self.k, estimator.n_dims_)
-            evaluated = evaluate_chunks(chunks, estimator.evaluate)
-            return ((at, chunk, f * volume) for at, chunk, f in evaluated)
-        return (
-            (at, chunk, estimator.ball_mass(
+        if self.screen == "montecarlo":
+            return np.arange(chunk.shape[0]), estimator.ball_mass(
                 chunk, self.k, n_mc=self.n_mc, random_state=self.random_state
-            ))
-            for at, chunk in chunks
-        )
+            )
+        volume = ball_volume(self.k, estimator.n_dims_)
+        bound = _density_lower_bound(estimator, chunk) * volume
+        # ``not >`` keeps NaN bounds: only a proven bound clears a row.
+        first = np.flatnonzero(~(bound > threshold))
+        # The other rows in ascending bound order (stable); the rounds
+        # take them from the front while their bound is at most the
+        # cutoff.
+        rest = np.flatnonzero(bound > threshold) if quota else first[:0]
+        rest = rest[np.argsort(bound[rest], kind="stable")]
+        ranked = bound[rest]
+        # ``kept`` is sorted with NaN last, and a NaN cutoff clears
+        # nothing: ``searchsorted`` places NaN after every bound.
+        cutoff = kept[quota - 1] if quota and kept.size >= quota else np.inf
+        row_parts = [first[:0]]
+        value_parts = [np.empty(0)]
+        taken, batch = 0, quota
+        while True:
+            stop = min(taken + batch, np.searchsorted(ranked, cutoff, "right"))
+            new = np.sort(np.concatenate([first, rest[taken : max(taken, stop)]]))
+            first, taken = first[:0], max(taken, stop)
+            if not new.size:
+                break
+            row_parts.append(new)
+            value_parts.append(_evaluate_rows(estimator, chunk, new) * volume)
+            if not quota:
+                break
+            # Fewer than ``quota`` values means every open row is in.
+            values = np.concatenate([kept, *value_parts])
+            if values.size >= quota:
+                # NaN values sort last.
+                kth = np.partition(values, quota - 1)[quota - 1]
+                cutoff = np.fmin(cutoff, kth)
+            batch *= 2
+        rows = np.concatenate(row_parts)
+        get_recorder().count("screen_rows_pruned", chunk.shape[0] - rows.size)
+        return rows, np.concatenate(value_parts)
 
     def _screen(
         self, source: DataStream, estimator: DensityEstimator, p: int
@@ -215,7 +274,9 @@ class ApproximateOutlierDetector(OutlierDetector):
         sparsest points overall, ties going to the lower row index. (b)
         is a running selection merged with each chunk, so one pass
         suffices (the dataset cardinality is known up front, as the
-        paper assumes).
+        paper assumes). The selection's values, with those of the
+        chunk, cap the quota's cutoff, so rows whose density bound is
+        above it are never evaluated.
         """
         threshold = self.slack * (p + 1)
         quota = int(np.ceil(self.candidate_quantile * len(source)))
@@ -226,16 +287,15 @@ class ApproximateOutlierDetector(OutlierDetector):
             np.empty(0, dtype=np.int64),
             np.empty((0, source.n_dims)),
         )
-        for start, chunk, expected in self._expected_neighbors(
-            source.iter_with_offsets(), estimator
-        ):
-            keep = np.nonzero(expected <= threshold)[0]
+        for start, chunk in source.iter_with_offsets():
+            rows, expected = self._expected_neighbors(
+                chunk, estimator, threshold, quota, sparsest[0]
+            )
+            keep = rows[expected <= threshold]
             below_rows.append(start + keep)
             below_pts.append(chunk[keep])
             if quota:
-                offered = (
-                    expected, start + np.arange(chunk.shape[0]), chunk
-                )
+                offered = (expected, start + rows, chunk[rows])
                 sparsest = _keep_sparsest(sparsest, offered, quota)
         rows = np.concatenate([*below_rows, sparsest[1]])
         points = np.concatenate([*below_pts, sparsest[2]])
@@ -270,6 +330,29 @@ class ApproximateOutlierDetector(OutlierDetector):
             # scan, so more than p neighbours is a count above p + 1.
             open_rows = open_rows[counts[open_rows] <= p + 1]
         return counts - 1
+
+
+def _density_lower_bound(estimator, chunk: np.ndarray) -> np.ndarray:
+    """The estimator's density lower bound at the chunk rows.
+
+    Zero, which clears nothing, for a duck-typed estimator without one.
+    """
+    bound = getattr(estimator, "density_lower_bound", None)
+    return np.zeros(chunk.shape[0]) if bound is None else bound(chunk)
+
+
+def _evaluate_rows(
+    estimator: DensityEstimator, chunk: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """Densities at ``chunk[rows]``, through the one density fan-out."""
+    if rows.size == 0:
+        return np.empty(0)
+    subset = chunk if rows.size == chunk.shape[0] else chunk[rows]
+    [(_offset, _subset, values)] = evaluate_chunks(
+        [(0, subset)], estimator.evaluate
+    )
+    return values
+
 
 def _keep_sparsest(kept, offered, quota: int):
     """The ``quota`` lowest ``(value, row)`` entries of two selections.

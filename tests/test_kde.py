@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import make_fig5_dataset
 from repro.density import KernelDensityEstimator
@@ -182,6 +184,156 @@ class TestCompactSupportPruning:
         (span,) = recorder.spans
         tile_rows = kde_module._EVAL_TILE_ELEMENTS // kde.centers_.shape[0]
         assert span.attrs["tiles"] <= math.ceil(queries.shape[0] / tile_rows)
+
+
+KERNELS = ("epanechnikov", "gaussian", "uniform", "triangular", "biweight")
+
+
+def _assert_bound_holds(kde, queries):
+    """``density_lower_bound <= evaluate`` bit for bit; zero at NaN."""
+    bound = kde.density_lower_bound(queries)
+    values = kde.evaluate(queries)
+    nan = np.isnan(values)
+    assert (bound[nan] == 0.0).all()
+    assert (bound[~nan] <= values[~nan]).all()
+    return bound, values
+
+
+def _grid_edge_rows(kde, rng, count):
+    """Rows on (and one ulp either side of) the bound grid's cell edges."""
+    origin, width, pad, table = kde._bound_grid_
+    cells = rng.integers(0, table.shape, size=(count, len(table.shape)))
+    edges = origin + (cells - pad) * width
+    return np.vstack(
+        [edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)]
+    )
+
+
+@st.composite
+def bound_cases(draw):
+    """A fitted KDE (via ``fit_from_centers``) and a seed for its queries."""
+    return (
+        draw(st.sampled_from(KERNELS)),
+        draw(st.sampled_from([1, 2, 3])),
+        draw(st.sampled_from([0.0, 1e6, 1e8])),
+        draw(st.integers(1, 40)),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestDensityLowerBound:
+    """``density_lower_bound`` never exceeds the evaluated float64 density."""
+
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(case=bound_cases())
+    def test_bound_never_exceeds_evaluate(self, case):
+        kernel, d, offset, m, seed = case
+        rng = np.random.default_rng(seed)
+        widths = rng.uniform(0.3, 1.0, d)
+        # A few tight clusters, so cells hold several (or duplicate)
+        # centres and the bound is positive near them.
+        hubs = offset + rng.uniform(-2.0, 2.0, (3, d))
+        centers = hubs[rng.integers(0, 3, m)] + rng.normal(0.0, 0.3, (m, d))
+        centers[: m // 4] = centers[m // 4 : 2 * (m // 4)]
+        kde = KernelDensityEstimator(kernel=kernel).fit_from_centers(
+            centers, n_points=int(rng.integers(m, 20 * m)), bandwidths=widths
+        )
+        picks = centers[rng.integers(0, m, 60)]
+        axis = rng.integers(0, d, 60)
+        # Exactly one support (h) from a centre in one attribute.
+        at_edge = picks.copy()
+        at_edge[np.arange(60), axis] += widths[axis] * rng.choice([-1.0, 1.0], 60)
+        queries = np.vstack(
+            [
+                centers,
+                centers,
+                at_edge,
+                picks + rng.normal(0.0, 1.0, (60, d)) * widths,
+                np.full((1, d), np.nan),
+                np.full((1, d), np.inf),
+                np.full((1, d), -np.inf),
+            ]
+        )
+        bound, _values = _assert_bound_holds(kde, queries)
+        assert (bound[-3:] == 0.0).all()
+        has_grid = kde._bound_grid_[3].size > 0
+        assert has_grid == (kernel != "gaussian")
+        if has_grid:
+            assert bound[:m].all()
+            _assert_bound_holds(kde, _grid_edge_rows(kde, rng, 100))
+        else:
+            assert not bound.any()
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_tight_on_fig5(self, kernel):
+        """The bound is close to the density where centres are dense:
+        a zero bound would pass every ``<=`` check above."""
+        data = make_fig5_dataset(n_points=5_000, random_state=0).points
+        kde = KernelDensityEstimator(kernel=kernel, random_state=0).fit(data)
+        bound, values = _assert_bound_holds(kde, data)
+        if kernel == "gaussian":
+            assert not bound.any()
+        else:
+            assert np.median(bound[values > 0] / values[values > 0]) > 0.5
+
+    def test_zero_width_attribute_gives_zeros(self):
+        kde = KernelDensityEstimator().fit_from_centers(
+            [[0.0, 0.0], [0.1, 0.2]], n_points=10, bandwidths=0.5
+        )
+        kde.bandwidths_ = np.array([0.5, 0.0])
+        assert not kde.density_lower_bound([[0.0, 0.0], [0.1, 0.2]]).any()
+
+    def test_high_dimension_falls_back_to_zero(self):
+        rng = np.random.default_rng(0)
+        data = rng.uniform(0.0, 1.0, (2_000, 8))
+        kde = KernelDensityEstimator(n_kernels=200, random_state=0).fit(data)
+        bound, _values = _assert_bound_holds(kde, data[:500])
+        assert not bound.any()
+        assert kde._bound_grid_[3].size == 0
+
+    def test_refit_drops_the_cached_grid(self):
+        rng = np.random.default_rng(1)
+        first, second = rng.normal(size=(2, 3_000, 2))
+        second = 5.0 * second + 40.0
+        kde = KernelDensityEstimator(n_kernels=300, random_state=0).fit(first)
+        kde.density_lower_bound(first[:10])
+        kde.fit(second)
+        fresh = KernelDensityEstimator(n_kernels=300, random_state=0).fit(second)
+        np.testing.assert_array_equal(
+            kde.density_lower_bound(second), fresh.density_lower_bound(second)
+        )
+        assert kde.density_lower_bound(second).any()
+        kde.fit_from_centers(first[:50], n_points=3_000, bandwidths=0.3)
+        rebuilt = KernelDensityEstimator().fit_from_centers(
+            first[:50], n_points=3_000, bandwidths=0.3
+        )
+        np.testing.assert_array_equal(
+            kde.density_lower_bound(first), rebuilt.density_lower_bound(first)
+        )
+
+    @pytest.mark.parametrize("pad", [0, 1, 5, 63, 70])
+    @pytest.mark.parametrize("shape", [(1, 3), (9, 4), (200, 3), (130, 2, 5)])
+    def test_convolve_axis_matches_the_direct_sum(self, shape, pad):
+        """The blocked convolution of the grid build equals the sum over
+        offsets, across block edges and for pads past one block."""
+        rng = np.random.default_rng(pad)
+        table = rng.integers(0, 4, shape).astype(float)
+        factors = rng.uniform(0.0, 1.0, 2 * pad + 1)
+        for axis in range(len(shape)):
+            src = np.moveaxis(table, axis, 0)
+            expected = np.zeros_like(src)
+            n = src.shape[0]
+            for delta in range(-pad, pad + 1):
+                lo, hi = max(0, delta), n + min(0, delta)
+                if lo < hi:
+                    shifted = src[lo - delta : hi - delta]
+                    expected[lo:hi] += factors[delta + pad] * shifted
+            np.testing.assert_allclose(
+                kde_module._convolve_axis(table, factors, axis),
+                np.moveaxis(expected, 0, axis),
+                rtol=1e-13,
+                atol=0.0,
+            )
 
 
 class TestBallMass:

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from repro.datasets import make_outlier_dataset
+from repro.density import KernelDensityEstimator
 from repro.exceptions import ParameterError
+from repro.obs import Recorder, use_recorder
 from repro.outliers import (
     ApproximateOutlierDetector,
     CellBasedOutlierDetector,
@@ -16,7 +18,7 @@ from repro.outliers import (
     is_db_outlier_count,
 )
 from repro.outliers.base import resolve_p
-from repro.utils.geometry import count_within
+from repro.utils.geometry import ball_volume, count_within
 from repro.utils.streams import DataStream
 
 
@@ -337,6 +339,26 @@ class _FirstCoordinateDensity:
         return points[:, 0].copy()
 
 
+class _LooseBoundDensity(_FirstCoordinateDensity):
+    """The same density with a valid but loose lower bound: the first
+    coordinate scaled by 0.5 to 1 by the second (uniform in [0, 1)), so
+    the bound's order is far from the density's."""
+
+    def density_lower_bound(self, points):
+        return points[:, 0] * (0.5 + 0.5 * points[:, 1])
+
+
+class _HalfExactBoundDensity(_LooseBoundDensity):
+    """The loose bound where the second coordinate is below 0.5, the
+    density itself elsewhere: a row whose bound equals the quota cutoff
+    can tie with, and precede, rows ranked earlier on the bound, so it
+    must still be evaluated."""
+
+    def density_lower_bound(self, points):
+        loose = super().density_lower_bound(points)
+        return np.where(points[:, 1] < 0.5, loose, points[:, 0])
+
+
 class TestScreenSelection:
     def test_sparsest_quota_matches_reference(self):
         """The quota keeps the lowest ``(value, row index)`` pairs, with
@@ -361,3 +383,139 @@ class TestScreenSelection:
         by_rank = sorted(range(n), key=lambda i: (values[i], i))
         assert indices.tolist() == sorted(by_rank[: math.ceil(0.1 * n)])
         np.testing.assert_array_equal(points, data[indices])
+
+
+def _reference_detect(points, k, p, slack, quantile, estimator):
+    """The screen by its definition, every row evaluated, then an exact
+    count: ``(indices, neighbor_counts, n_candidates, estimate)``."""
+    expected = estimator.evaluate(points) * math.pi * k * k
+    rows = np.arange(points.shape[0])
+    quota = math.ceil(quantile * points.shape[0])
+    sparsest = np.lexsort((rows, expected))[:quota]
+    candidates = np.union1d(rows[expected <= slack * (p + 1)], sparsest)
+    counts = count_within(points[candidates], points, k * k) - 1
+    keep = counts <= p
+    estimate = int((expected <= p + 1).sum())
+    return candidates[keep], counts[keep], candidates.size, estimate
+
+
+class TestPrunedScreen:
+    """The bound-pruned volume screen equals evaluating every row."""
+
+    N = 1_000
+    QUOTA = math.ceil(0.02 * (N + 20))
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        data = make_outlier_dataset(
+            n_points=self.N, n_outliers=20, random_state=3
+        )
+        kde = KernelDensityEstimator(n_kernels=200, random_state=0)
+        kde.fit(data.points)
+        return data.points, data.guaranteed_radius, kde
+
+    @pytest.mark.parametrize("quantile", [0.0, 0.02, 1.0])
+    @pytest.mark.parametrize(
+        "chunk_size", [1, 7, QUOTA - 1, QUOTA, QUOTA + 1, 16_384]
+    )
+    def test_matches_full_evaluation(self, case, chunk_size, quantile):
+        points, k, kde = case
+        # At slack 1 the threshold keeps 17 rows and the quota 21,
+        # three of them outliers the threshold misses.
+        p, slack = 3, 1.0
+        detector = ApproximateOutlierDetector(
+            k=k, p=p, estimator=kde, slack=slack, candidate_quantile=quantile
+        )
+        recorder = Recorder()
+        with use_recorder(recorder):
+            result = detector.detect(
+                None, stream=DataStream(points, chunk_size=chunk_size)
+            )
+        estimate = detector.estimate_outlier_count(
+            None, stream=DataStream(points, chunk_size=chunk_size)
+        )
+        indices, counts, n_candidates, ref_estimate = _reference_detect(
+            points, k, p, slack, quantile, kde
+        )
+        np.testing.assert_array_equal(result.indices, indices)
+        np.testing.assert_array_equal(result.neighbor_counts, counts)
+        assert result.n_candidates == n_candidates
+        assert estimate == ref_estimate
+        pruned = recorder.counters["screen_rows_pruned"]
+        evaluated = recorder.counters["kernel_evals"] // kde.n_kernels
+        assert pruned + evaluated == points.shape[0]
+        assert (pruned == 0) == (quantile == 1.0)
+
+    def test_bound_clears_most_rows_of_the_benchmark_input(self):
+        data = make_outlier_dataset(
+            n_points=25_000, n_outliers=50, random_state=0
+        )
+        kde = KernelDensityEstimator(n_kernels=1000, random_state=0)
+        kde.fit(data.points)
+        detector = ApproximateOutlierDetector(
+            k=data.guaranteed_radius, p=5, estimator=kde
+        )
+        recorder = Recorder()
+        with use_recorder(recorder):
+            detector._screen(DataStream(data.points, chunk_size=16_384), kde, 5)
+        assert recorder.counters["screen_rows_pruned"] >= 0.6 * 25_050
+
+    def test_montecarlo_screen_is_not_pruned(self, case):
+        points, k, kde = case
+        recorder = Recorder()
+        with use_recorder(recorder):
+            ApproximateOutlierDetector(
+                k=k, p=3, estimator=kde, screen="montecarlo", n_mc=8,
+                random_state=0,
+            ).detect(points)
+        assert "screen_rows_pruned" not in recorder.counters
+
+    # Threshold 1 keeps about a tenth of the rows; at 0.25 it keeps none,
+    # and the quota alone selects.
+    @pytest.mark.parametrize(
+        ("quantile", "slack"), [(0.0, 1.0), (0.1, 0.25), (0.1, 1.0)]
+    )
+    @pytest.mark.parametrize("tied", [True, False])
+    @pytest.mark.parametrize("chunk_size", [1, 7, 37, 49, 50, 51, 500])
+    @pytest.mark.parametrize(
+        "density", [_LooseBoundDensity(), _HalfExactBoundDensity()],
+        ids=["loose", "half-exact"],
+    )
+    def test_any_valid_bound_keeps_the_selection(
+        self, density, chunk_size, tied, quantile, slack
+    ):
+        """A bound that orders rows differently from the density still
+        selects the reference candidates: rows are skipped only above
+        the threshold and a quota cutoff, never for ranking low on the
+        bound."""
+        rng = np.random.default_rng(7)
+        n = 500
+        if tied:
+            values = rng.integers(1, 6, n).astype(float)
+            values[rng.choice(np.arange(n // 2, n), 8, replace=False)] = 0.5
+        else:
+            values = 0.5 + 5.0 * rng.random(n)
+        data = np.column_stack([values, rng.random(n)])
+        k = 1.0 / math.sqrt(math.pi)
+        detector = ApproximateOutlierDetector(
+            k=k, p=0, estimator=density, slack=slack,
+            candidate_quantile=quantile,
+        )
+        recorder = Recorder()
+        with use_recorder(recorder):
+            indices, points = detector._screen(
+                DataStream(data, chunk_size=chunk_size), density, 0
+            )
+        estimate = detector.estimate_outlier_count(
+            None, stream=DataStream(data, chunk_size=chunk_size)
+        )
+        expected = values * ball_volume(k, 2)
+        assert estimate == int((expected <= 1.0).sum())
+        by_rank = np.lexsort((np.arange(n), expected))
+        reference = np.union1d(
+            np.flatnonzero(expected <= slack),
+            by_rank[: math.ceil(quantile * n)],
+        )
+        np.testing.assert_array_equal(indices, reference)
+        np.testing.assert_array_equal(points, data[indices])
+        assert recorder.counters["screen_rows_pruned"] > 0

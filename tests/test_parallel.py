@@ -291,6 +291,39 @@ class TestNJobsEquivalence:
         assert serial_count == parallel_count
         assert serial_counters == parallel_counters
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_pruned_screen_counters_match(self, blob_data, clean_env, backend):
+        # The screen picks the rows to evaluate on the coordinator, from
+        # the data alone, so the rows the workers evaluate, and every
+        # counter, are the same for any worker count and backend.
+        kde = KernelDensityEstimator(n_kernels=300, random_state=0)
+        kde.fit(blob_data)
+
+        def run(jobs):
+            detector = ApproximateOutlierDetector(
+                k=0.05, fraction=0.001, estimator=kde
+            )
+            stream = DataStream(blob_data, chunk_size=3000)
+            with use_config(parallel_backend=backend):
+                return _run_recorded(
+                    lambda: (
+                        detector.detect(None, stream=stream),
+                        detector.estimate_outlier_count(None, stream=stream),
+                    ),
+                    jobs,
+                )
+
+        (serial, serial_count), serial_counters = run(1)
+        (parallel, parallel_count), parallel_counters = run(2)
+        np.testing.assert_array_equal(serial.indices, parallel.indices)
+        np.testing.assert_array_equal(
+            serial.neighbor_counts, parallel.neighbor_counts
+        )
+        assert serial.n_candidates == parallel.n_candidates > 0
+        assert serial_count == parallel_count
+        assert serial_counters == parallel_counters
+        assert serial_counters["screen_rows_pruned"] > 0
+
     @pytest.mark.parametrize("n_jobs", [2, 4])
     def test_nested_loop_detector(self, n_jobs):
         rng = np.random.default_rng(9)
