@@ -60,10 +60,10 @@ class GridBiasedSampler:
         Seed for the hash mixing constants and the sampling draws.
     """
 
-    #: Dataset scans one sample() costs (audited statically by RA001).
+    #: Dataset scans one sample() costs (runtime-checked).
     __n_passes__ = 3
 
-    #: Peak working-memory bound of sample() (audited by RA005).
+    #: Peak working-memory bound of sample() (runtime-checked).
     __space__ = "O(m + chunk)"
 
     def __init__(

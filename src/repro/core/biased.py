@@ -161,10 +161,10 @@ class DensityBiasedSampler:
     True
     """
 
-    #: Per-phase dataset scans of sample() (audited statically by RA001).
+    #: Per-phase dataset scans of sample() (runtime-checked).
     __n_passes__ = {"fit_density": 1, "eval_density": 1, "draw": 1}
 
-    #: Per-phase peak-allocation bounds of sample() (audited by RA005).
+    #: Per-phase peak-allocation bounds of sample() (runtime-checked).
     __space__ = {
         "fit_density": "O(m)",
         "eval_density": "O(n)",

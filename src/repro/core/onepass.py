@@ -52,10 +52,10 @@ class OnePassBiasedSampler(DensityBiasedSampler):
         extra data is read).
     """
 
-    #: Per-phase scan ceilings of sample() (audited statically by RA001).
+    #: Per-phase scan ceilings of sample() (runtime-checked).
     __n_passes__ = {"fit_density": 1, "estimate_normalizer": 1, "draw": 1}
 
-    #: Per-phase peak-allocation bounds of sample() (audited by RA005).
+    #: Per-phase peak-allocation bounds of sample() (runtime-checked).
     __space__ = {
         "fit_density": "O(m)",
         "estimate_normalizer": "O(b + m)",
@@ -106,7 +106,7 @@ class OnePassBiasedSampler(DensityBiasedSampler):
         with recorder.phase("draw"):
             # The scan runner fans the deterministic density evaluations
             # out a bounded window of chunks at a time, so the scan never
-            # materialises the stream (RA005: draw stays O(b + chunk)).
+            # materialises the stream (the draw stays O(b + chunk)).
             # The Bernoulli draws stay on the single main-process
             # generator, consumed in stream order, so the sample is
             # byte-identical for any n_jobs.

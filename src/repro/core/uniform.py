@@ -41,10 +41,10 @@ class UniformSampler:
         Seed or generator for the draws.
     """
 
-    #: Per-phase dataset scans of sample() (audited statically by RA001).
+    #: Per-phase dataset scans of sample() (runtime-checked).
     __n_passes__ = {"draw": 1}
 
-    #: Peak working-memory bound of sample() (audited by RA005).
+    #: Peak working-memory bound of sample() (runtime-checked).
     __space__ = "O(n)"
 
     def __init__(

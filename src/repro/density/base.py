@@ -28,22 +28,22 @@ class DensityEstimator(abc.ABC):
 
     ``__n_passes__`` declares how many dataset scans :meth:`fit` costs;
     the class-level value of 1 is the *contract* assumed by callers that
-    receive an estimator dynamically (and by the ``repro-audit`` RA001
-    static check at such call sites). Subclasses whose fit needs more
-    scans (e.g. bounds pass + counting pass) must override it with
-    their true count. ``__space__`` is the matching peak-allocation
-    contract (RA005): fitting or evaluating an estimator costs at most
-    O(m) working memory in the summary size ``m`` — never O(n) in the
-    dataset — and dynamically-typed ``.fit()``/``.evaluate()`` call
-    sites are charged this bound.
+    receive an estimator dynamically: a sampler's ``fit_density`` phase
+    budgets for it. Subclasses whose fit needs more scans (e.g. bounds
+    pass + counting pass) must override it with their true count, and
+    the runtime contract test (``tests/test_runtime_contracts.py``)
+    charges a sampler's fit phase that count instead. ``__space__`` is
+    the matching peak-allocation contract: fitting or evaluating an
+    estimator costs at most O(m) working memory in the summary size
+    ``m`` — never O(n) in the dataset.
 
     Memory: O(m) — the fitted summary (centers/coefficients/cells).
     """
 
-    #: Dataset scans one fit() costs (audited statically by RA001).
+    #: Dataset scans one fit() costs (runtime-checked).
     __n_passes__ = 1
 
-    #: Peak working-memory bound of fit()/evaluate() (audited by RA005).
+    #: Peak working-memory bound of fit()/evaluate() (runtime-checked).
     __space__ = "O(m)"
 
     n_points_: int | None = None

@@ -39,7 +39,7 @@ class DctDensityEstimator(DensityEstimator):
 
     __n_passes__ = 2
 
-    #: Peak working-memory bound of fit()/evaluate() (audited by RA005).
+    #: Peak working-memory bound of fit()/evaluate() (runtime-checked).
     __space__ = "O(m)"
 
     def __init__(self, bins_per_dim: int = 32, n_coefficients: int = 1000):

@@ -48,7 +48,7 @@ class GridDensityEstimator(DensityEstimator):
 
     __n_passes__ = 2
 
-    #: Peak working-memory bound of fit()/evaluate() (audited by RA005).
+    #: Peak working-memory bound of fit()/evaluate() (runtime-checked).
     __space__ = "O(m)"
 
     def __init__(self, bins_per_dim: int = 32, bounds=None) -> None:

@@ -194,7 +194,7 @@ class KernelDensityEstimator(DensityEstimator):
 
     __n_passes__ = 1
 
-    #: Peak working-memory bound of fit()/evaluate() (audited by RA005).
+    #: Peak working-memory bound of fit()/evaluate() (runtime-checked).
     __space__ = "O(m)"
 
     def __init__(

@@ -49,7 +49,7 @@ class KnnDensityEstimator(DensityEstimator):
 
     __n_passes__ = 1
 
-    #: Peak working-memory bound of fit()/evaluate() (audited by RA005).
+    #: Peak working-memory bound of fit()/evaluate() (runtime-checked).
     __space__ = "O(m)"
 
     def __init__(self, n_sample: int = 1000, k: int = 10, random_state=None):

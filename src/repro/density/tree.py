@@ -371,7 +371,7 @@ class TreeDensityEstimator(DensityEstimator):
 
     __n_passes__ = 2
 
-    #: Peak working-memory bound of fit()/evaluate() (audited by RA005).
+    #: Peak working-memory bound of fit()/evaluate() (runtime-checked).
     __space__ = "O(m)"
 
     def __init__(

@@ -101,10 +101,10 @@ class ApproximateOutlierDetector(OutlierDetector):
         estimator's reservoir).
     """
 
-    #: Per-phase dataset scans of detect() (audited statically by RA001).
+    #: Per-phase dataset scans of detect() (runtime-checked).
     __n_passes__ = {"fit_density": 1, "screen": 1, "verify": 1}
 
-    #: Per-phase peak-allocation bounds of detect() (audited by RA005).
+    #: Per-phase peak-allocation bounds of detect() (runtime-checked).
     __space__ = {
         "fit_density": "O(m)",
         "screen": "O(n)",

@@ -67,10 +67,10 @@ class CellBasedOutlierDetector(OutlierDetector):
     [300]
     """
 
-    #: Dataset scans one detect() costs (audited statically by RA001).
+    #: Dataset scans one detect() costs (runtime-checked).
     __n_passes__ = 1
 
-    #: Peak working-memory bound of detect() (audited by RA005).
+    #: Peak working-memory bound of detect() (runtime-checked).
     __space__ = "O(n)"
 
     def __init__(

@@ -93,10 +93,10 @@ class NestedLoopOutlierDetector(OutlierDetector):
         for any value.
     """
 
-    #: Dataset scans one detect() costs (audited statically by RA001).
+    #: Dataset scans one detect() costs (runtime-checked).
     __n_passes__ = 1
 
-    #: Peak working-memory bound of detect() (audited by RA005).
+    #: Peak working-memory bound of detect() (runtime-checked).
     __space__ = "O(n)"
 
     def __init__(
@@ -148,10 +148,10 @@ class IndexedOutlierDetector(OutlierDetector):
     neighbourhood count into a fixed-radius query.
     """
 
-    #: Dataset scans one detect() costs (audited statically by RA001).
+    #: Dataset scans one detect() costs (runtime-checked).
     __n_passes__ = 1
 
-    #: Peak working-memory bound of detect() (audited by RA005).
+    #: Peak working-memory bound of detect() (runtime-checked).
     __space__ = "O(n)"
 
     def __init__(

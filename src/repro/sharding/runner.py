@@ -49,12 +49,10 @@ __all__ = [
     "sharded_gather",
 ]
 
-#: Span labels for the three scan kinds' fan-outs. They are module
-#: constants passed *by parameter* into :func:`shard_map`, so every
-#: fan-out opens its span under the same label while each call site
-#: stays free of a literal phase string: an audited entry's scan is
-#: then attributed to the phase the entry itself opened, which is what
-#: the declared ``__n_passes__`` tables describe.
+#: Span labels for the three scan kinds' fan-outs, passed into
+#: :func:`shard_map` by parameter. A fan-out's span opens inside its
+#: caller's phase, and the scan's ``data_passes`` count lands in that
+#: phase, which is what the declared ``__n_passes__`` tables describe.
 SHARD_FIT_PHASE = "shard_fit"
 SHARD_EVAL_PHASE = "shard_eval"
 SHARD_GATHER_PHASE = "shard_gather"

@@ -1037,11 +1037,9 @@ class TestSourceTreeClean:
         # The scan must actually run every registered rule (a regression
         # here would silently hollow out the gate).
         assert [r.code for r in iter_rules()] == [
-            "RA001",
             "RA002",
             "RA003",
             "RA004",
-            "RA005",
             "RA006",
             "RA007",
             "RA008",

@@ -41,7 +41,7 @@ LIBRARY_EXCLUDED_PARTS = frozenset({"tests", "benchmarks", "examples"})
 
 
 #: Matches ``# repro-audit: disable=<codes>``: comma-separated codes
-#: such as ``RA001,RL004``, any run of capital letters then 3 digits.
+#: such as ``RA002,RL004``, any run of capital letters then 3 digits.
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-audit\s*:\s*disable\s*=\s*"
     r"(?P<codes>[A-Z]+\d{3}(?:\s*,\s*[A-Z]+\d{3})*)"

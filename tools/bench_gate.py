@@ -10,8 +10,8 @@ ratio of the two calibrations before comparing medians (robust to a
 stray slow round in a way the mean is not). A benchmark fails the
 gate when its normalised median exceeds ``BUDGET`` (2x) of the
 baseline — generous enough to absorb scheduler noise, tight enough to
-catch an accidental quadratic (the RA006 pathologies are 10x+ at these
-sizes).
+catch an accidental quadratic (the patterns the static RA006 rule in
+``tools/repro_audit/rules_alloc.py`` flags are 10x+ at these sizes).
 
 Bootstrap mode mirrors ``tools/coverage_gate.py``: until the baseline
 file carries a ``calibration_seconds`` key (injected by

@@ -24,10 +24,6 @@ The per-file rules (:class:`ModuleRule`) check one module at a time:
 The whole-program rules run flow-sensitive contract checks on the call
 graph:
 
-* ``RA001`` — pass-count audit: statically count the dataset scans
-  reachable from each sampler/estimator/detector entry point and check
-  them against the class's declared ``__n_passes__`` contract (and its
-  ``Dataset passes:`` docstring line).
 * ``RA002`` — parallel-determinism audit: no RNG calls, ambient
   recorder installation or context-variable mutation reachable from
   functions dispatched through ``repro.parallel`` workers.
@@ -39,11 +35,6 @@ graph:
   incremented in the analysed tree must be declared in the
   ``COUNTER_SCHEMA`` registry (``src/repro/obs/schema.py``), and every
   declared counter must be incremented somewhere.
-* ``RA005`` — space-complexity audit: propagate an abstract size
-  lattice (``O(1) < O(b) < O(m) < O(chunk) < O(n) < unbounded``)
-  through each audited entry point and check the per-phase bound
-  against the class's declared ``__space__`` contract (and its
-  ``Memory:`` docstring line).
 * ``RA006`` — allocation-pattern audit: no quadratic-growth
   reallocation (concatenate-family calls growing their own operand in
   a loop, per-chunk concatenation in stream loops, re-collection of a
@@ -72,7 +63,7 @@ chain of calls from the audited entry point (or dispatch/try site) to
 the offending statement. Suppression is per file, for either family:
 a comment anywhere in the file of the form
 ``# repro-audit: disable=<codes>``, with comma-separated rule codes
-such as ``RA001,RL004``, disables those rules for that file only.
+such as ``RA002,RL004``, disables those rules for that file only.
 """
 
 from __future__ import annotations
@@ -114,7 +105,7 @@ class Finding:
     col:
         0-based column offset.
     rule:
-        Rule code, e.g. ``"RA001"`` or ``"RL003"``.
+        Rule code, e.g. ``"RA002"`` or ``"RL003"``.
     message:
         Human-readable description of the contract violation.
     anchor:
@@ -245,6 +236,7 @@ def iter_rules(select: Iterable[str] | None = None) -> list[AuditRule]:
 def _load_rules() -> None:
     """Import the rule modules (registers them as a side effect)."""
     from tools.repro_audit import (  # noqa: F401
+        rules_alloc,
         rules_counters,
         rules_defaults,
         rules_docstrings,
@@ -257,11 +249,9 @@ def _load_rules() -> None:
         rules_observability,
         rules_parallel,
         rules_parallel_imports,
-        rules_passes,
         rules_races,
         rules_randomness,
         rules_rng,
-        rules_space,
     )
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "ClassNode",
     "FuncNode",
     "attr_chain",
-    "call_name",
     "decorator_names",
     "is_dispatch_call",
 ]
@@ -59,8 +58,6 @@ class ClassNode:
     node: ast.ClassDef
     #: Direct methods defined in the class body, name -> def node.
     own_methods: dict[str, ast.FunctionDef] = field(default_factory=dict)
-    #: Class-level assignments in the body, name -> value expression.
-    own_attrs: dict[str, ast.expr] = field(default_factory=dict)
 
     @property
     def name(self) -> str:
@@ -126,12 +123,6 @@ def attr_chain(expr: ast.expr) -> list[str] | None:
     return None
 
 
-def call_name(call: ast.Call) -> str | None:
-    """Dotted textual name of a call's callee, when it is a name chain."""
-    chain = attr_chain(call.func)
-    return ".".join(chain) if chain else None
-
-
 def decorator_names(node: ast.FunctionDef) -> set[str]:
     """Trailing identifiers of a def's decorators (``abstractmethod`` …)."""
     names: set[str] = set()
@@ -148,7 +139,7 @@ def is_dispatch_call(call: ast.Call) -> bool:
 
     Recognises ``parallel_map_chunks(...)`` (bare or attribute-qualified)
     and ``get_backend(...).map(...)``. Shared by every rule family that
-    reasons about parallel workers (RA001/RA002/RA005/RA007).
+    reasons about parallel workers (RA002/RA006/RA007).
     """
     chain = attr_chain(call.func)
     if chain and chain[-1] == "parallel_map_chunks":
@@ -175,7 +166,7 @@ class CallGraph:
         self._scopes: dict[str, dict[str, object]] = {}
         self._mro_cache: dict[int, list[ClassNode]] = {}
         # Shared per-run caches: one CallGraph serves every rule family
-        # (RA001-RA007), so sub-computations that used to be re-derived
+        # (RA002-RA011), so sub-computations that used to be re-derived
         # per rule are memoized here.
         self._local_types_cache: dict[tuple[int, int], dict[str, ClassNode]] = {}
         self._calls_cache: dict[int, tuple[ast.Call, ...]] = {}
@@ -195,16 +186,8 @@ class CallGraph:
         if isinstance(stmt, ast.ClassDef):
             cls = ClassNode(module=info, node=stmt)
             for item in stmt.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if isinstance(item, ast.FunctionDef):
-                        cls.own_methods[item.name] = item
-                elif isinstance(item, ast.Assign):
-                    for target in item.targets:
-                        if isinstance(target, ast.Name):
-                            cls.own_attrs[target.id] = item.value
-                elif isinstance(item, ast.AnnAssign) and item.value is not None:
-                    if isinstance(item.target, ast.Name):
-                        cls.own_attrs[item.target.id] = item.value
+                if isinstance(item, ast.FunctionDef):
+                    cls.own_methods[item.name] = item
             self.classes.append(cls)
             self.classes_by_name.setdefault(cls.name, []).append(cls)
         elif isinstance(stmt, ast.FunctionDef):
@@ -374,18 +357,6 @@ class CallGraph:
                     return found
         return None
 
-    def base_names(self, cls: ClassNode) -> set[str]:
-        """Names of every class in the inheritance chain, including
-        *unresolved* base identifiers (``ABC``, ``OSError`` …)."""
-        names: set[str] = set()
-        for node in self.mro(cls):
-            names.add(node.name)
-            for expr in node.node.bases:
-                chain = attr_chain(expr)
-                if chain:
-                    names.add(chain[-1])
-        return names
-
     def inherits_from(self, cls: ClassNode, name: str) -> bool:
         """Whether ``name`` appears in the inheritance chain above ``cls``."""
         if any(other.name == name for other in self.mro(cls)[1:]):
@@ -405,22 +376,6 @@ class CallGraph:
                 return FuncNode(module=node.module, node=fn, cls=node)
         return None
 
-    def declared_attr(self, cls: ClassNode, name: str) -> ast.expr | None:
-        """First class-level assignment of ``name`` along the MRO."""
-        for node in self.mro(cls):
-            if name in node.own_attrs:
-                return node.own_attrs[name]
-        return None
-
-    def own_or_inherited_attr_owner(
-        self, cls: ClassNode, name: str
-    ) -> ClassNode | None:
-        """The MRO class whose body declares class attribute ``name``."""
-        for node in self.mro(cls):
-            if name in node.own_attrs:
-                return node
-        return None
-
     def is_abstract(self, cls: ClassNode) -> bool:
         """Whether any abstract method is left unimplemented."""
         first_def: dict[str, ast.FunctionDef] = {}
@@ -430,10 +385,6 @@ class CallGraph:
         return any(
             "abstractmethod" in decorator_names(fn) for fn in first_def.values()
         )
-
-    def subclasses_of(self, name: str) -> list[ClassNode]:
-        """All scanned classes with ``name`` in their inheritance chain."""
-        return [cls for cls in self.classes if self.inherits_from(cls, name)]
 
     # ------------------------------------------------------------------
     # Per-function type environment and call resolution
