@@ -55,13 +55,7 @@ from repro.outliers import (
     NestedLoopOutlierDetector,
 )
 from repro.baselines import GridBiasedSampler
-from repro.faults import (
-    FaultPlan,
-    FaultyStream,
-    RetryPolicy,
-    RowQuarantine,
-    use_fault_policy,
-)
+from repro.faults import RowQuarantine, use_fault_policy
 from repro.obs import (
     Recorder,
     RunManifest,
@@ -77,8 +71,6 @@ from repro.exceptions import (
     NotFittedError,
     ParameterError,
     ReproError,
-    StreamReadError,
-    TransientIOError,
 )
 
 __version__ = "1.0.0"
@@ -111,9 +103,6 @@ __all__ = [
     "CellBasedOutlierDetector",
     "NestedLoopOutlierDetector",
     "GridBiasedSampler",
-    "FaultPlan",
-    "FaultyStream",
-    "RetryPolicy",
     "RowQuarantine",
     "use_fault_policy",
     "ApproximateClusteringPipeline",
@@ -131,7 +120,5 @@ __all__ = [
     "DataValidationError",
     "ParameterError",
     "ConvergenceWarning",
-    "StreamReadError",
-    "TransientIOError",
     "__version__",
 ]

@@ -20,6 +20,7 @@ skip loop costs a few array reads per acceptance.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ _TINY = 1e-300
 _BUFFER_SIZE = 192
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReservoirPlan:
     """Data-free acceptance plan for one reservoir pass over ``n_rows``.
 
@@ -64,26 +65,27 @@ class ReservoirPlan:
     fill:
         Rows copied verbatim during the fill phase
         (``min(capacity, n_rows)``).
-    events:
-        Post-fill acceptances in stream order:
-        ``(absolute row index, reservoir slot)`` pairs.
+    event_rows, event_slots:
+        Post-fill acceptances in stream order, as two read-only int64
+        arrays: the absolute row index of each replacement and the
+        reservoir slot it overwrites (16 bytes an event).
     """
 
     capacity: int
     n_rows: int
     fill: int
-    events: tuple[tuple[int, int], ...]
+    event_rows: np.ndarray
+    event_slots: np.ndarray
 
     @property
     def accepts(self) -> int:
         """Total acceptances (fill copies plus replacement events)."""
-        return self.fill + len(self.events)
+        return self.fill + self.event_rows.size
 
     def wanted_indices(self) -> np.ndarray:
         """Sorted absolute indices of every row the plan needs fetched."""
-        events = np.asarray(self.events, dtype=np.int64).reshape(-1, 2)
         fill = np.arange(self.fill, dtype=np.int64)
-        return np.concatenate([fill, events[:, 0]])
+        return np.concatenate([fill, self.event_rows])
 
     def assemble(self, indices, rows) -> np.ndarray:
         """Reservoir contents from fetched rows.
@@ -111,8 +113,7 @@ class ReservoirPlan:
         # Events overwrite slots in stream order, so each slot ends up
         # holding its last event's row: the first hit of each slot in
         # the reversed event sequence.
-        slots = np.asarray(self.events, dtype=np.int64).reshape(-1, 2)[::-1, 1]
-        slot, first = np.unique(slots, return_index=True)
+        slot, first = np.unique(self.event_slots[::-1], return_index=True)
         reservoir[slot] = planned[planned.shape[0] - 1 - first]
         return reservoir
 
@@ -233,20 +234,22 @@ class ReservoirSampler:
             raise ValueError(f"n_rows must be >= 0; got {n_rows}.")
         self._planned = True
         fill = min(self.capacity, int(n_rows))
-        events: list[tuple[int, int]] = []
+        # Packed int64 buffers: no Python object per event.
+        rows, slots = array("q"), array("q")
         self.n_seen = fill
         if fill == self.capacity:
             self._schedule_next(self.n_seen - 1)
             while self._next_accept < n_rows:
-                slot = int(self._uniform() * self.capacity)
-                events.append((self._next_accept, slot))
+                rows.append(self._next_accept)
+                slots.append(int(self._uniform() * self.capacity))
                 self._schedule_next(self._next_accept)
             self.n_seen = int(n_rows)
         return ReservoirPlan(
             capacity=self.capacity,
             n_rows=int(n_rows),
             fill=fill,
-            events=tuple(events),
+            event_rows=_read_only(rows),
+            event_slots=_read_only(slots),
         )
 
     @property
@@ -255,6 +258,13 @@ class ReservoirSampler:
         if self._reservoir is None:
             return np.empty((0, 0))
         return self._reservoir[: self._filled].copy()
+
+
+def _read_only(values: array) -> np.ndarray:
+    """A read-only int64 view of ``values`` (no copy)."""
+    view = np.frombuffer(values, dtype=np.int64)
+    view.flags.writeable = False
+    return view
 
 
 def reservoir_sample(

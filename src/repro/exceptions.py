@@ -14,8 +14,6 @@ __all__ = [
     "DataValidationError",
     "ParameterError",
     "ConvergenceWarning",
-    "TransientIOError",
-    "StreamReadError",
 ]
 
 
@@ -37,25 +35,6 @@ class DataValidationError(ReproError, ValueError):
 
 class ParameterError(ReproError, ValueError):
     """A hyper-parameter is outside its documented domain."""
-
-
-class TransientIOError(ReproError, IOError):
-    """A stream read failed in a way that is expected to succeed on retry.
-
-    Raised by the fault-injection layer (and appropriate for real
-    sources whose failures are transient — NFS hiccups, object-store
-    throttling). :class:`repro.faults.RetryPolicy` treats this, and any
-    other ``OSError``, as retryable.
-    """
-
-
-class StreamReadError(ReproError):
-    """A chunk read kept failing after the retry budget was exhausted.
-
-    Carries the final underlying error as ``__cause__``. Deliberately
-    *not* an ``OSError`` subclass so a retry loop can never catch and
-    re-retry its own give-up signal.
-    """
 
 
 class ConvergenceWarning(UserWarning):

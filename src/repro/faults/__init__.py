@@ -1,40 +1,28 @@
-"""repro.faults: fault injection and hardening for dataset streams.
+"""repro.faults: what every dataset stream does with invalid rows.
 
 The paper's pipeline is a chain of sequential dataset passes, so one
-corrupt chunk or flaky read used to kill a whole run. This package is
-both the *chaos* side and the *armor* side of fixing that:
+NaN, Inf or implausibly large row used to kill a whole run. A
+:class:`RowQuarantine` policy (strict / quarantine / repair) is applied
+by every stream to every chunk, installed globally with
+:func:`use_fault_policy` or per stream via the ``fault_policy``
+constructor argument. Degenerate input therefore either works or fails
+with a :class:`repro.exceptions.DataValidationError` that locates the
+bad row.
 
-* :class:`FaultPlan` / :class:`FaultyStream` — deterministic, seeded
-  fault injection (NaN/Inf rows, corrupted cells, short reads,
-  transient I/O errors) that replays byte-identically under a seed;
-* :class:`RowQuarantine` — the strict / quarantine / repair policy
-  every stream applies to every chunk, installed globally with
-  :func:`use_fault_policy` or per stream via the ``fault_policy``
-  constructor argument;
-* :class:`RetryPolicy` — bounded, deterministically scheduled retries
-  for transient read errors, with no wall-clock sleeps unless a
-  ``sleep`` callable is supplied.
+Example::
 
-Quick chaos run::
+    from repro.utils.filestreams import NpyFileStream
 
-    from repro.faults import FaultPlan, FaultyStream, RowQuarantine
-
-    stream = FaultyStream(
-        data,
-        FaultPlan(seed=0, nan_row_rate=0.01),
-        fault_policy=RowQuarantine("quarantine"),
-    )
+    stream = NpyFileStream("data.npy", fault_policy="quarantine")
     result = ApproximateClusteringPipeline(n_clusters=5).fit(
         None, stream=stream
     )
 
-Counters (``rows_quarantined``, ``rows_repaired``, ``retries``,
-``faults_injected``, ...) land in the ambient
-:class:`repro.obs.Recorder` and therefore in run manifests.
+Counters (``rows_quarantined``, ``rows_repaired``, ``cells_repaired``)
+land in the ambient :class:`repro.obs.Recorder` and therefore in run
+manifests.
 """
 
-from repro.faults.injection import FaultyStream
-from repro.faults.plan import ChunkFaults, FaultPlan
 from repro.faults.policy import (
     FAULT_POLICY_MODES,
     RowQuarantine,
@@ -43,15 +31,9 @@ from repro.faults.policy import (
     resolve_fault_policy,
     use_fault_policy,
 )
-from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
 __all__ = [
-    "DEFAULT_RETRY_POLICY",
     "FAULT_POLICY_MODES",
-    "ChunkFaults",
-    "FaultPlan",
-    "FaultyStream",
-    "RetryPolicy",
     "RowQuarantine",
     "STRICT_POLICY",
     "get_fault_policy",

@@ -108,31 +108,6 @@ COUNTER_SCHEMA: dict[str, CounterSpec] = {
         incremented_by="`RowQuarantine` (repair policy)",
         meaning="individual cells imputed with the chunk mean",
     ),
-    "retries": CounterSpec(
-        name="retries",
-        incremented_by="`RetryPolicy.call`",
-        meaning="transient I/O failures retried before success",
-    ),
-    "faults_injected": CounterSpec(
-        name="faults_injected",
-        incremented_by="`FaultyStream` (chaos harness)",
-        meaning="fault events injected into the stream",
-    ),
-    "fault_rows_injected": CounterSpec(
-        name="fault_rows_injected",
-        incremented_by="`FaultyStream` (chaos harness)",
-        meaning="rows corrupted by injected faults",
-    ),
-    "rows_dropped_short_read": CounterSpec(
-        name="rows_dropped_short_read",
-        incremented_by="`FaultyStream` (chaos harness)",
-        meaning="rows lost to injected short reads",
-    ),
-    "io_errors_injected": CounterSpec(
-        name="io_errors_injected",
-        incremented_by="`FaultyStream` (chaos harness)",
-        meaning="transient I/O errors injected (exercises retries)",
-    ),
     "reservoir_accepts": CounterSpec(
         name="reservoir_accepts",
         incremented_by="`ReservoirSampler.extend`, `KernelDensityEstimator.fit` (its acceptance plan)",

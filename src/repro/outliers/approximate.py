@@ -26,7 +26,8 @@ explore ``p`` and ``k`` before committing to a full run.
 Both passes consume hardened streams (see :mod:`repro.faults`): under a
 quarantine policy the detector only ever sees — and reports indices
 into — the surviving rows, and the screen/verify passes observe the
-identical survivor set because persistent faults are keyed by chunk.
+identical survivor set because the policy is a pure function of the
+chunk values.
 """
 
 from __future__ import annotations

@@ -14,10 +14,9 @@ in-memory stream:
   longer reach the samplers unchecked (strict raises a typed error
   naming the pass and chunk offset; quarantine drops and counts;
   repair imputes from chunk statistics);
-* chunk reads go through a :class:`repro.faults.RetryPolicy`, so
-  transient ``OSError``/``TransientIOError`` failures are retried with
-  a deterministic backoff schedule before the run is abandoned with a
-  :class:`repro.exceptions.StreamReadError`;
+* a chunk read is a plain slice of the memory map (``.npy``) or a
+  plain ``open`` of the file (CSV): an ``OSError`` from the file
+  system propagates unchanged, with nothing retried or wrapped;
 * under the quarantine policy a construction-time pre-scan counts the
   invalid rows, so ``n_points`` equals the surviving-row count before
   the first pass — the invariant offset-keyed consumers rely on. The
@@ -57,9 +56,6 @@ class NpyFileStream(DataStream):
         Invalid-row handling: a mode name, a
         :class:`repro.faults.RowQuarantine`, or ``None`` for the
         ambient policy (default strict).
-    retry_policy:
-        Retry budget for chunk reads; ``None`` uses the shared
-        sleepless 3-retry default.
     """
 
     def __init__(
@@ -67,10 +63,8 @@ class NpyFileStream(DataStream):
         path: str,
         chunk_size: int = 65536,
         fault_policy=None,
-        retry_policy=None,
     ) -> None:
         from repro.faults.policy import resolve_fault_policy
-        from repro.faults.retry import DEFAULT_RETRY_POLICY
 
         if not os.path.exists(path):
             raise DataValidationError(f"no data file at {path!r}.")
@@ -85,9 +79,6 @@ class NpyFileStream(DataStream):
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1; got {chunk_size}.")
         self.fault_policy = resolve_fault_policy(fault_policy)
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
-        )
         self._n_raw = mapped.shape[0]
         self.n_dims = mapped.shape[1]
         self.n_points = self._n_raw
@@ -115,12 +106,7 @@ class NpyFileStream(DataStream):
 
     def _read_chunk(self, start: int) -> np.ndarray:
         stop = min(start + self.chunk_size, self._n_raw)
-        return self.retry_policy.call(
-            lambda attempt: np.asarray(
-                self._mapped[start:stop], dtype=np.float64
-            ),
-            describe=f"read of rows [{start}, {stop}) from {self.path!r}",
-        )
+        return np.asarray(self._mapped[start:stop], dtype=np.float64)
 
     def materialize(self) -> np.ndarray:
         """All surviving rows as one array (counts as one pass)."""
@@ -212,9 +198,12 @@ class CsvFileStream(DataStream):
         Invalid-row handling: a mode name, a
         :class:`repro.faults.RowQuarantine`, or ``None`` for the
         ambient policy (default strict).
-    retry_policy:
-        Retry budget for opening the file at the start of each pass;
-        ``None`` uses the shared sleepless 3-retry default.
+
+    Notes
+    -----
+    Every traversal opens the file with a plain ``open``, so an
+    ``OSError`` raised there (a file removed or made unreadable between
+    passes, say) propagates unchanged.
     """
 
     def __init__(
@@ -223,10 +212,8 @@ class CsvFileStream(DataStream):
         chunk_size: int = 65536,
         delimiter: str = ",",
         fault_policy=None,
-        retry_policy=None,
     ) -> None:
         from repro.faults.policy import resolve_fault_policy
-        from repro.faults.retry import DEFAULT_RETRY_POLICY
 
         if not os.path.exists(path):
             raise DataValidationError(f"no data file at {path!r}.")
@@ -236,12 +223,9 @@ class CsvFileStream(DataStream):
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1; got {chunk_size}.")
         self.fault_policy = resolve_fault_policy(fault_policy)
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
-        )
         n_points = 0
         n_dims = None
-        with self._open() as handle:
+        with open(self.path) as handle:
             for line in handle:
                 if not line.strip():
                     continue
@@ -273,17 +257,11 @@ class CsvFileStream(DataStream):
                     "no valid rows under the configured fault policy."
                 )
 
-    def _open(self):
-        return self.retry_policy.call(
-            lambda attempt: open(self.path),
-            describe=f"open of {self.path!r}",
-        )
-
     def _raw_chunks(self):
         """(raw row offset, parsed chunk) pairs for one file traversal."""
         buffer: list[str] = []
         start = 0
-        with self._open() as handle:
+        with open(self.path) as handle:
             for line in handle:
                 if not line.strip():
                     continue

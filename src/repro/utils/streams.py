@@ -70,8 +70,8 @@ class DataStream:
     def __init__(
         self, data, chunk_size: int = 65536, fault_policy=None
     ) -> None:
-        # Imported lazily: repro.faults wraps streams, so importing it at
-        # module scope would be circular.
+        # Imported lazily: repro.faults imports repro.utils.validation,
+        # which loads this package, so a module-scope import is circular.
         from repro.faults.policy import resolve_fault_policy
 
         if chunk_size < 1:

@@ -1,17 +1,16 @@
-"""Chaos suite: fault injection, hardening policies, and retry behaviour.
+"""Fault-policy suite: strict, quarantine and repair over planted bad rows.
 
-Every test here drives the *real* code path — the same RowQuarantine /
-RetryPolicy layer production streams apply — under seeded, replayable
-faults from a FaultPlan. The suite asserts the three contracts the
-hardening layer advertises:
+Every test here drives the *real* code path — the RowQuarantine policy
+every stream applies — over data whose NaN, +/-inf or 1e30 rows are
+planted directly in the array or in a ``.npy`` file. The suite asserts
+the three contracts the policy layer advertises:
 
 * typed failures: strict mode raises DataValidationError naming the
-  offending pass and chunk offset; exhausted retries raise
-  StreamReadError;
-* exact accounting: ``rows_quarantined`` equals the injected
-  invalid-row count, per the run manifest;
+  offending pass and chunk offset;
+* exact accounting: every pass over a quarantining stream counts each
+  planted invalid row once under ``rows_quarantined``;
 * determinism: byte-identical results for a fixed seed across repeated
-  runs and across ``n_jobs`` in {1, 2}.
+  runs, across ``n_jobs`` in {1, 2} and across shard counts.
 """
 
 import numpy as np
@@ -22,16 +21,8 @@ from repro.clustering import CureClustering
 from repro.core import DensityBiasedSampler
 from repro.datasets import cure_dataset1
 from repro.evaluation import count_found_clusters
-from repro.exceptions import (
-    DataValidationError,
-    ParameterError,
-    StreamReadError,
-    TransientIOError,
-)
+from repro.exceptions import DataValidationError, ParameterError
 from repro.faults import (
-    FaultPlan,
-    FaultyStream,
-    RetryPolicy,
     RowQuarantine,
     get_fault_policy,
     resolve_fault_policy,
@@ -39,147 +30,48 @@ from repro.faults import (
 )
 from repro.obs import Recorder, RunManifest, use_recorder
 from repro.sharding import use_shards
+from repro.utils.filestreams import NpyFileStream
 from repro.utils.streams import DataStream
 
-pytestmark = pytest.mark.chaos
+
+def plant(data, seed, nan_rate=0.0, inf_rate=0.0, corrupt_rate=0.0):
+    """A copy of ``data`` with seeded bad rows and the rows planted.
+
+    NaN and +/-inf rows are disjoint and fill every cell of their row;
+    a corrupt cell holds finite garbage of magnitude 1e30, which only a
+    ``max_abs`` bound detects. Returns ``(dirty, nonfinite, corrupt)``:
+    the array and the sorted indices of the rows holding a non-finite
+    value and of the rows holding a corrupt cell.
+    """
+    rng = np.random.default_rng(seed)
+    dirty = np.array(data, dtype=np.float64)
+    n, d = dirty.shape
+    order = rng.permutation(n)
+    n_nan, n_inf = int(nan_rate * n), int(inf_rate * n)
+    nan_rows = order[:n_nan]
+    inf_rows = order[n_nan : n_nan + n_inf]
+    dirty[nan_rows] = np.nan
+    signs = np.where(rng.random(n_inf) < 0.5, -1.0, 1.0)
+    dirty[inf_rows] = signs[:, np.newaxis] * np.inf
+    n_cells = int(corrupt_rate * n * d)
+    cells = rng.choice(n * d, size=n_cells, replace=False)
+    rows, cols = np.divmod(cells, d)
+    dirty[rows, cols] = np.where(rng.random(n_cells) < 0.5, -1e30, 1e30)
+    nonfinite = np.union1d(nan_rows, inf_rows)
+    corrupt = np.setdiff1d(rows, nonfinite)
+    return dirty, nonfinite, corrupt
+
+
+def save(tmp_path, data, name="planted.npy"):
+    path = str(tmp_path / name)
+    np.save(path, data)
+    return path
 
 
 @pytest.fixture
 def clean_data():
     rng = np.random.default_rng(42)
     return rng.normal(size=(2000, 3))
-
-
-class TestFaultPlan:
-    def test_chunk_faults_deterministic(self):
-        plan = FaultPlan(
-            seed=7,
-            nan_row_rate=0.05,
-            inf_row_rate=0.05,
-            corrupt_cell_rate=0.01,
-            short_read_rate=0.3,
-        )
-        a = plan.chunk_faults(3, 500, 4)
-        b = plan.chunk_faults(3, 500, 4)
-        np.testing.assert_array_equal(a.nan_rows, b.nan_rows)
-        np.testing.assert_array_equal(a.inf_rows, b.inf_rows)
-        np.testing.assert_array_equal(a.corrupt_rows, b.corrupt_rows)
-        np.testing.assert_array_equal(a.corrupt_values, b.corrupt_values)
-        assert a.n_truncated == b.n_truncated
-
-    def test_chunks_get_independent_decisions(self):
-        plan = FaultPlan(seed=0, nan_row_rate=0.1)
-        rows = [tuple(plan.chunk_faults(i, 400, 2).nan_rows) for i in range(8)]
-        assert len(set(rows)) > 1
-
-    def test_nan_and_inf_rows_disjoint(self):
-        plan = FaultPlan(seed=1, nan_row_rate=0.4, inf_row_rate=0.4)
-        for chunk_index in range(5):
-            faults = plan.chunk_faults(chunk_index, 300, 2)
-            assert np.intersect1d(faults.nan_rows, faults.inf_rows).size == 0
-
-    def test_value_faults_only_hit_delivered_rows(self):
-        plan = FaultPlan(
-            seed=2,
-            nan_row_rate=0.2,
-            inf_row_rate=0.2,
-            corrupt_cell_rate=0.05,
-            short_read_rate=1.0,
-            short_read_fraction=0.5,
-        )
-        faults = plan.chunk_faults(0, 200, 3)
-        delivered = 200 - faults.n_truncated
-        assert faults.n_truncated == 100
-        for rows in (faults.nan_rows, faults.inf_rows, faults.corrupt_rows):
-            assert rows.size == 0 or rows.max() < delivered
-
-    def test_io_failures_keyed_by_pass_and_chunk(self):
-        plan = FaultPlan(seed=3, io_error_rate=1.0, io_failures=2)
-        assert plan.io_failures_for(1, 0) == 2
-        assert plan.io_failures_for(1, 0) == 2
-        clean = FaultPlan(seed=3, io_error_rate=0.0)
-        assert clean.io_failures_for(1, 0) == 0
-        # Mid-rate plans must not fail identically on every (pass, chunk).
-        flaky = FaultPlan(seed=4, io_error_rate=0.5)
-        outcomes = {
-            flaky.io_failures_for(p, c) for p in (1, 2, 3) for c in range(6)
-        }
-        assert outcomes == {0, 1}
-
-    def test_rates_validated(self):
-        with pytest.raises(ParameterError):
-            FaultPlan(nan_row_rate=1.5)
-        with pytest.raises(ParameterError):
-            FaultPlan(io_failures=0)
-
-    def test_corrupt_detectable_by(self):
-        plan = FaultPlan(corrupt_cell_rate=0.01, corrupt_magnitude=1e30)
-        assert not plan.corrupt_detectable_by(RowQuarantine("quarantine"))
-        assert plan.corrupt_detectable_by(
-            RowQuarantine("quarantine", max_abs=1e6)
-        )
-
-
-class TestRetryPolicy:
-    def test_deterministic_backoff_schedule(self):
-        policy = RetryPolicy(max_retries=3, base_delay=0.5, multiplier=2.0)
-        assert policy.delays() == [0.5, 1.0, 2.0]
-
-    def test_recovers_within_budget_and_counts(self):
-        policy = RetryPolicy(max_retries=3)
-        calls = []
-
-        def attempt(index):
-            calls.append(index)
-            if index < 2:
-                raise TransientIOError("flaky")
-            return "ok"
-
-        recorder = Recorder()
-        with use_recorder(recorder):
-            assert policy.call(attempt) == "ok"
-        assert calls == [0, 1, 2]
-        assert recorder.counters["retries"] == 2
-
-    def test_exhaustion_raises_stream_read_error(self):
-        policy = RetryPolicy(max_retries=2)
-
-        def attempt(index):
-            raise TransientIOError("always down")
-
-        with pytest.raises(StreamReadError) as excinfo:
-            policy.call(attempt, describe="chunk 9 read")
-        assert "chunk 9 read" in str(excinfo.value)
-        assert isinstance(excinfo.value.__cause__, TransientIOError)
-
-    def test_stream_read_error_is_not_retryable(self):
-        # The give-up signal must never match retry_on=(OSError,), or a
-        # nested retry loop would swallow its own failure.
-        assert not issubclass(StreamReadError, OSError)
-        assert issubclass(TransientIOError, IOError)
-
-    def test_non_retryable_errors_propagate(self):
-        policy = RetryPolicy(max_retries=5)
-
-        def attempt(index):
-            raise ValueError("not an IO problem")
-
-        with pytest.raises(ValueError):
-            policy.call(attempt)
-
-    def test_sleep_called_with_planned_delays(self):
-        slept = []
-        policy = RetryPolicy(
-            max_retries=3, base_delay=1.0, multiplier=3.0, sleep=slept.append
-        )
-
-        def attempt(index):
-            if index < 2:
-                raise TransientIOError("flaky")
-            return index
-
-        assert policy.call(attempt) == 2
-        assert slept == [1.0, 3.0]
 
 
 class TestRowQuarantine:
@@ -241,24 +133,25 @@ class TestRowQuarantine:
             resolve_fault_policy("lenient")
 
 
-class TestFaultyStream:
-    def test_n_points_matches_delivery_every_pass(self, clean_data):
-        stream = FaultyStream(
-            DataStream(clean_data, chunk_size=256),
-            FaultPlan(seed=11, nan_row_rate=0.02, short_read_rate=0.2),
-            fault_policy="quarantine",
+class TestPlantedFaults:
+    def test_n_points_matches_delivery_every_pass(self, clean_data, tmp_path):
+        dirty, nonfinite, _ = plant(clean_data, 11, nan_rate=0.02)
+        stream = NpyFileStream(
+            save(tmp_path, dirty), chunk_size=256, fault_policy="quarantine"
         )
         for _ in range(3):
             total = sum(chunk.shape[0] for chunk in stream)
             assert total == stream.n_points == len(stream)
-        assert stream.n_points < clean_data.shape[0]
+        assert stream.n_points == clean_data.shape[0] - nonfinite.size
+        assert nonfinite.size > 0
 
-    def test_materialize_byte_identical(self, clean_data):
+    def test_materialize_byte_identical(self, clean_data, tmp_path):
+        dirty, _, _ = plant(clean_data, 5, nan_rate=0.01)
+        path = save(tmp_path, dirty)
+
         def build():
-            return FaultyStream(
-                DataStream(clean_data, chunk_size=256),
-                FaultPlan(seed=5, nan_row_rate=0.01, io_error_rate=0.3),
-                fault_policy="quarantine",
+            return NpyFileStream(
+                path, chunk_size=256, fault_policy="quarantine"
             )
 
         first = build().materialize()
@@ -266,52 +159,26 @@ class TestFaultyStream:
         assert first.tobytes() == second.tobytes()
         assert np.isfinite(first).all()
 
-    def test_quarantined_matches_injected_exactly(self, clean_data):
+    def test_quarantined_matches_planted_exactly(self, clean_data, tmp_path):
+        dirty, nonfinite, _ = plant(
+            clean_data, 9, nan_rate=0.03, inf_rate=0.01
+        )
+        stream = NpyFileStream(
+            save(tmp_path, dirty), chunk_size=256, fault_policy="quarantine"
+        )
         recorder = Recorder()
-        stream = FaultyStream(
-            DataStream(clean_data, chunk_size=256),
-            FaultPlan(seed=9, nan_row_rate=0.03, inf_row_rate=0.01),
-            fault_policy="quarantine",
-        )
-        with use_recorder(recorder):
-            stream.materialize()
-        assert recorder.counters["rows_quarantined"] > 0
-        assert (
-            recorder.counters["rows_quarantined"]
-            == recorder.counters["fault_rows_injected"]
-        )
-
-    def test_transient_errors_recovered_within_budget(self, clean_data):
-        recorder = Recorder()
-        stream = FaultyStream(
-            DataStream(clean_data, chunk_size=512),
-            FaultPlan(seed=1, io_error_rate=1.0, io_failures=2),
-            fault_policy="strict",
-            retry_policy=RetryPolicy(max_retries=3),
-        )
         with use_recorder(recorder):
             out = stream.materialize()
-        np.testing.assert_array_equal(out, clean_data)
-        assert recorder.counters["retries"] == recorder.counters[
-            "io_errors_injected"
-        ]
-        assert recorder.counters["io_errors_injected"] == 2 * 4  # 4 chunks
+        assert recorder.counters["rows_quarantined"] == nonfinite.size > 0
+        survivors = np.delete(clean_data, nonfinite, axis=0)
+        assert out.tobytes() == survivors.tobytes()
 
-    def test_exhausted_retries_raise_stream_read_error(self, clean_data):
-        stream = FaultyStream(
-            DataStream(clean_data, chunk_size=512),
-            FaultPlan(seed=1, io_error_rate=1.0, io_failures=5),
-            fault_policy="strict",
-            retry_policy=RetryPolicy(max_retries=2),
-        )
-        with pytest.raises(StreamReadError):
-            stream.materialize()
-
-    def test_strict_raises_typed_error_with_location(self, clean_data):
-        stream = FaultyStream(
-            DataStream(clean_data, chunk_size=256),
-            FaultPlan(seed=2, nan_row_rate=0.05),
-            fault_policy="strict",
+    def test_strict_raises_typed_error_with_location(
+        self, clean_data, tmp_path
+    ):
+        dirty, _, _ = plant(clean_data, 2, nan_rate=0.05)
+        stream = NpyFileStream(
+            save(tmp_path, dirty), chunk_size=256, fault_policy="strict"
         )
         with pytest.raises(DataValidationError) as excinfo:
             list(stream)
@@ -319,49 +186,62 @@ class TestFaultyStream:
         assert "pass 1" in message
         assert "chunk offset" in message
 
-    def test_repair_keeps_every_delivered_row(self, clean_data):
-        stream = FaultyStream(
-            DataStream(clean_data, chunk_size=256),
-            FaultPlan(seed=3, nan_row_rate=0.05),
-            fault_policy="repair",
+    def test_in_memory_strict_error_locates_the_row(self, clean_data):
+        # An in-memory stream validates when it is built, so its error
+        # names the load, not a pass.
+        dirty = clean_data.copy()
+        dirty[1234, 2] = np.inf
+        with pytest.raises(DataValidationError) as excinfo:
+            DataStream(dirty, chunk_size=256, fault_policy="strict")
+        assert "data[1234, 2] is inf" in str(excinfo.value)
+
+    def test_repair_keeps_every_delivered_row(self, clean_data, tmp_path):
+        dirty, nonfinite, _ = plant(clean_data, 3, nan_rate=0.05)
+        recorder = Recorder()
+        stream = NpyFileStream(
+            save(tmp_path, dirty), chunk_size=256, fault_policy="repair"
         )
-        out = stream.materialize()
+        with use_recorder(recorder):
+            out = stream.materialize()
         assert out.shape == clean_data.shape
         assert np.isfinite(out).all()
+        assert recorder.counters["rows_repaired"] == nonfinite.size > 0
+        keep = np.setdiff1d(np.arange(clean_data.shape[0]), nonfinite)
+        np.testing.assert_array_equal(out[keep], clean_data[keep])
 
-    def test_undetectable_corruption_passes_through(self, clean_data):
+    def test_undetectable_corruption_passes_through(
+        self, clean_data, tmp_path
+    ):
         # Finite garbage with no max_abs bound: nothing to quarantine,
         # every row survives — and the accounting knows it.
-        stream = FaultyStream(
-            DataStream(clean_data, chunk_size=256),
-            FaultPlan(seed=4, corrupt_cell_rate=0.005),
-            fault_policy="quarantine",
+        dirty, _, corrupt = plant(clean_data, 4, corrupt_rate=0.005)
+        stream = NpyFileStream(
+            save(tmp_path, dirty), chunk_size=256, fault_policy="quarantine"
         )
         assert stream.n_points == clean_data.shape[0]
         out = stream.materialize()
-        assert (np.abs(out) > 1e20).any()
+        assert (np.abs(out) > 1e20).any(axis=1).sum() == corrupt.size > 0
 
-    def test_max_abs_catches_corrupt_cells(self, clean_data):
-        stream = FaultyStream(
-            DataStream(clean_data, chunk_size=256),
-            FaultPlan(seed=4, corrupt_cell_rate=0.005),
+    def test_max_abs_catches_corrupt_cells(self, clean_data, tmp_path):
+        dirty, _, corrupt = plant(clean_data, 4, corrupt_rate=0.005)
+        stream = NpyFileStream(
+            save(tmp_path, dirty),
+            chunk_size=256,
             fault_policy=RowQuarantine("quarantine", max_abs=1e6),
         )
-        assert stream.n_points < clean_data.shape[0]
+        assert stream.n_points == clean_data.shape[0] - corrupt.size
         out = stream.materialize()
         assert out.shape[0] == stream.n_points
         assert (np.abs(out) <= 1e6).all()
 
-    def test_sharded_scans_byte_identical_to_unsharded(self):
+    def test_sharded_scans_byte_identical_to_unsharded(self, tmp_path):
         data = np.random.default_rng(0).normal(size=(5000, 2))
+        dirty, nonfinite, _ = plant(data, 1, nan_rate=0.02)
+        path = save(tmp_path, dirty)
 
         def build():
-            return FaultyStream(
-                DataStream(data, chunk_size=500),
-                FaultPlan(
-                    seed=1, nan_row_rate=0.02, io_error_rate=0.3, io_failures=1
-                ),
-                fault_policy="quarantine",
+            return NpyFileStream(
+                path, chunk_size=500, fault_policy="quarantine"
             )
 
         # Shard plans split on the survivor counts, not the raw layout.
@@ -389,55 +269,54 @@ class TestFaultyStream:
         np.testing.assert_array_equal(base.indices, got.indices)
         np.testing.assert_array_equal(base.probabilities, got.probabilities)
         assert base_counters == got_counters
-        assert base_counters["io_errors_injected"] > 0
+        # Each pass quarantines every planted row once.
         assert (
             base_counters["rows_quarantined"]
-            == base_counters["fault_rows_injected"]
+            == nonfinite.size * base_counters["data_passes"]
             > 0
         )
 
-    def test_plan_leaving_no_survivors_rejected(self):
-        data = np.ones((10, 2))
-        with pytest.raises(DataValidationError):
-            FaultyStream(
-                DataStream(data),
-                FaultPlan(seed=0, nan_row_rate=1.0),
-                fault_policy="quarantine",
-            )
+    def test_no_survivors_rejected(self, tmp_path):
+        data = np.full((10, 2), np.nan)
+        with pytest.raises(DataValidationError, match="quarantined"):
+            NpyFileStream(save(tmp_path, data), fault_policy="quarantine")
+        with pytest.raises(DataValidationError, match="quarantined"):
+            DataStream(data, fault_policy="quarantine")
 
 
+#: Planted bad values per fault kind: keyword arguments for ``plant``.
 FAULT_KINDS = {
-    "nan_rows": FaultPlan(seed=21, nan_row_rate=0.02),
-    "inf_rows": FaultPlan(seed=22, inf_row_rate=0.02),
-    "corrupt_cells": FaultPlan(seed=23, corrupt_cell_rate=0.002),
-    "short_reads": FaultPlan(seed=24, short_read_rate=0.3),
-    "io_errors": FaultPlan(seed=25, io_error_rate=0.5, io_failures=1),
-    "everything": FaultPlan(
-        seed=26,
-        nan_row_rate=0.01,
-        inf_row_rate=0.01,
-        corrupt_cell_rate=0.001,
-        short_read_rate=0.2,
-        io_error_rate=0.3,
+    "nan_rows": dict(seed=21, nan_rate=0.02),
+    "inf_rows": dict(seed=22, inf_rate=0.02),
+    "corrupt_cells": dict(seed=23, corrupt_rate=0.002),
+    "everything": dict(
+        seed=26, nan_rate=0.01, inf_rate=0.01, corrupt_rate=0.001
     ),
 }
 
-#: Fault kinds that put invalid *values* in delivered rows (strict mode
-#: must reject the run; short reads and IO errors deliver clean values).
+#: Fault kinds that plant non-finite values (strict mode must reject
+#: the run; finite 1e30 garbage passes a policy without ``max_abs``).
 VALUE_FAULTS = {"nan_rows", "inf_rows", "everything"}
 
 
 class TestPipelineChaosMatrix:
+    """Every planted fault kind under every policy mode, end to end."""
+
     @pytest.fixture(scope="class")
     def dataset(self):
         return cure_dataset1(n_points=1500, random_state=0)
 
-    def _run(self, dataset, plan, policy):
-        stream = FaultyStream(
-            DataStream(dataset.points, chunk_size=256),
-            plan,
-            fault_policy=policy,
-        )
+    @pytest.fixture(scope="class")
+    def planted_paths(self, dataset, tmp_path_factory):
+        root = tmp_path_factory.mktemp("planted")
+        paths = {}
+        for kind, spec in FAULT_KINDS.items():
+            dirty, nonfinite, _ = plant(dataset.points, **spec)
+            paths[kind] = (save(root, dirty, f"{kind}.npy"), nonfinite.size)
+        return paths
+
+    def _run(self, path, policy):
+        stream = NpyFileStream(path, chunk_size=256, fault_policy=policy)
         pipeline = ApproximateClusteringPipeline(
             n_clusters=5,
             sampler=DensityBiasedSampler(
@@ -449,34 +328,45 @@ class TestPipelineChaosMatrix:
 
     @pytest.mark.parametrize("kind", sorted(FAULT_KINDS))
     @pytest.mark.parametrize("mode", ["strict", "quarantine", "repair"])
-    def test_completes_or_raises_documented_error(self, dataset, kind, mode):
-        plan = FAULT_KINDS[kind]
+    def test_completes_or_raises_documented_error(
+        self, dataset, planted_paths, kind, mode
+    ):
+        path, n_nonfinite = planted_paths[kind]
         if mode == "strict" and kind in VALUE_FAULTS:
-            with pytest.raises(DataValidationError):
-                self._run(dataset, plan, mode)
+            with pytest.raises(DataValidationError, match="chunk offset"):
+                self._run(path, mode)
             return
-        result, stream = self._run(dataset, plan, mode)
+        result, stream = self._run(path, mode)
         assert result.labels.shape[0] == stream.n_points
+        expected = dataset.points.shape[0]
+        if mode == "quarantine":
+            expected -= n_nonfinite
+        assert stream.n_points == expected
         assert np.isfinite(result.clustering.centers).all()
 
 
 class TestFig3Acceptance:
-    """The issue's acceptance scenario on the fig3 (CURE dataset1) data."""
+    """Quarantine end to end on the fig3 (CURE dataset1) data."""
 
     SEED = 0
-    PLAN = FaultPlan(seed=0, nan_row_rate=0.01)  # seeded 1% row corruption
+    NAN_RATE = 0.01  # seeded 1% row corruption
 
     @pytest.fixture(scope="class")
     def dataset(self):
         return cure_dataset1(n_points=4000, random_state=self.SEED)
 
-    def _run(self, dataset, n_jobs=None):
+    @pytest.fixture(scope="class")
+    def planted(self, dataset, tmp_path_factory):
+        dirty, nonfinite, _ = plant(
+            dataset.points, self.SEED, nan_rate=self.NAN_RATE
+        )
+        return save(tmp_path_factory.mktemp("fig3"), dirty), nonfinite.size
+
+    def _run(self, path, n_jobs=None):
         recorder = Recorder()
         with use_recorder(recorder):
-            stream = FaultyStream(
-                DataStream(dataset.points, chunk_size=512),
-                self.PLAN,
-                fault_policy="quarantine",
+            stream = NpyFileStream(
+                path, chunk_size=512, fault_policy="quarantine"
             )
             pipeline = ApproximateClusteringPipeline(
                 n_clusters=5,
@@ -489,43 +379,52 @@ class TestFig3Acceptance:
             )
             result = pipeline.fit(None, stream=stream)
         manifest = RunManifest.from_recorder(
-            recorder, name="fig3-chaos", seed=self.SEED
+            recorder, name="fig3-quarantine", seed=self.SEED
         )
         return result, manifest
 
-    def test_quarantine_run_completes_with_exact_accounting(self, dataset):
-        result, manifest = self._run(dataset)
-        assert manifest.counters["rows_quarantined"] > 0
+    def test_quarantine_run_completes_with_exact_accounting(
+        self, dataset, planted
+    ):
+        path, n_planted = planted
+        result, manifest = self._run(path)
+        assert n_planted > 0
+        # Every pass re-applies the policy and counts each planted row.
         assert (
             manifest.counters["rows_quarantined"]
-            == manifest.counters["fault_rows_injected"]
+            == n_planted * manifest.counters["data_passes"]
         )
-        assert result.labels.shape[0] < dataset.points.shape[0]
+        assert result.labels.shape[0] == dataset.points.shape[0] - n_planted
 
-    def test_cluster_recovery_survives_quarantine(self, dataset):
-        result, _ = self._run(dataset)
+    def test_one_read_quarantines_every_planted_row(self, planted):
+        path, n_planted = planted
+        recorder = Recorder()
+        with use_recorder(recorder):
+            NpyFileStream(path, fault_policy="quarantine").materialize()
+        assert recorder.counters["rows_quarantined"] == n_planted > 0
+
+    def test_cluster_recovery_survives_quarantine(self, dataset, planted):
+        result, _ = self._run(planted[0])
         found = count_found_clusters(result.clustering, dataset.clusters)
         assert found >= 4
 
-    def test_byte_identical_across_runs_and_n_jobs(self, dataset):
-        baseline, manifest1 = self._run(dataset)
-        repeat, manifest2 = self._run(dataset)
-        parallel, manifest3 = self._run(dataset, n_jobs=2)
+    def test_byte_identical_across_runs_and_n_jobs(self, planted):
+        baseline, manifest1 = self._run(planted[0])
+        repeat, manifest2 = self._run(planted[0])
+        parallel, manifest3 = self._run(planted[0], n_jobs=2)
         assert baseline.labels.tobytes() == repeat.labels.tobytes()
         assert baseline.labels.tobytes() == parallel.labels.tobytes()
         assert (
             baseline.clustering.centers.tobytes()
             == parallel.clustering.centers.tobytes()
         )
-        for key in ("rows_quarantined", "fault_rows_injected", "data_passes"):
+        for key in ("rows_quarantined", "data_passes"):
             assert manifest1.counters[key] == manifest2.counters[key]
             assert manifest1.counters[key] == manifest3.counters[key]
 
-    def test_strict_variant_raises_naming_pass_and_offset(self, dataset):
-        stream = FaultyStream(
-            DataStream(dataset.points, chunk_size=512),
-            self.PLAN,
-            fault_policy="strict",
+    def test_strict_variant_raises_naming_pass_and_offset(self, planted):
+        stream = NpyFileStream(
+            planted[0], chunk_size=512, fault_policy="strict"
         )
         pipeline = ApproximateClusteringPipeline(
             n_clusters=5, random_state=self.SEED

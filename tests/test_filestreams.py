@@ -255,35 +255,13 @@ class TestFileStreamHardening:
         stream = CsvFileStream(path, fault_policy="quarantine")
         assert stream.n_points == 2
 
-    def test_retry_recovers_from_transient_open_errors(self, csv_path):
-        from repro.faults import RetryPolicy
-
-        failures = {"left": 2}
-        real_open = open
-
-        def flaky_open(attempt_index):
-            if failures["left"] > 0:
-                failures["left"] -= 1
-                raise OSError("injected open failure")
-            return real_open(csv_path)
-
-        stream = CsvFileStream(csv_path, retry_policy=RetryPolicy())
-        # Exercise the policy directly against a flaky opener to show the
-        # stream's budget masks transient failures.
-        handle = stream.retry_policy.call(flaky_open, describe="open")
-        handle.close()
-        assert failures["left"] == 0
-
-    def test_exhausted_retries_surface_stream_read_error(self, tmp_path):
-        from repro.exceptions import StreamReadError
-        from repro.faults import RetryPolicy
-
-        def always_down(attempt_index):
-            raise OSError("disk gone")
-
-        policy = RetryPolicy(max_retries=2)
-        with pytest.raises(StreamReadError):
-            policy.call(always_down, describe="chunk read")
+    def test_open_error_propagates_unchanged(self, csv_path):
+        # A file that disappears between passes surfaces the file
+        # system's own error: nothing retries or wraps it.
+        stream = CsvFileStream(csv_path)
+        os.remove(csv_path)
+        with pytest.raises(FileNotFoundError):
+            stream.materialize()
 
 
 class TestCsvTrailingBuffer:

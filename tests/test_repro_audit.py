@@ -192,106 +192,6 @@ class TestRA002:
 
 
 # ---------------------------------------------------------------------------
-# RA003 — exception-contract audit
-# ---------------------------------------------------------------------------
-
-
-class TestRA003:
-    def test_give_up_inheriting_oserror_flagged(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            class StreamReadError(OSError):
-                pass
-            """,
-            select=["RA003"],
-        )
-        assert codes(found) == ["RA003"]
-        assert "OSError" in found[0].message
-
-    def test_give_up_outside_os_hierarchy_clean(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            class StreamReadError(Exception):
-                pass
-            """,
-            select=["RA003"],
-        )
-        assert found == []
-
-    def test_except_oserror_wrapping_give_up_flagged(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            class StreamReadError(Exception):
-                pass
-
-            def read_all(path):
-                try:
-                    raise StreamReadError("retries exhausted")
-                except OSError:
-                    return None
-            """,
-            select=["RA003"],
-        )
-        assert codes(found) == ["RA003"]
-        assert "except OSError" in found[0].message
-
-    def test_except_oserror_around_plain_io_clean(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            class StreamReadError(Exception):
-                pass
-
-            def read_all(path):
-                try:
-                    return open(path).read()
-                except OSError:
-                    return None
-            """,
-            select=["RA003"],
-        )
-        assert found == []
-
-    def test_swallowed_give_up_flagged(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            class StreamReadError(Exception):
-                pass
-
-            def read_all(path):
-                try:
-                    raise StreamReadError("retries exhausted")
-                except StreamReadError:
-                    return None
-            """,
-            select=["RA003"],
-        )
-        assert codes(found) == ["RA003"]
-        assert "swallow" in found[0].message
-
-    def test_reraised_give_up_clean(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            class StreamReadError(Exception):
-                pass
-
-            def read_all(path):
-                try:
-                    raise StreamReadError("retries exhausted")
-                except StreamReadError:
-                    raise
-            """,
-            select=["RA003"],
-        )
-        assert found == []
-
-
-# ---------------------------------------------------------------------------
 # RA004 — counter-schema audit
 # ---------------------------------------------------------------------------
 
@@ -1093,12 +993,12 @@ class TestRunner:
             tmp_path,
             """
             # repro-audit: disable=RA004
-            class StreamReadError(OSError):
-                pass
+            def f(acc=[]):
+                return acc
             """,
-            select=["RA003"],
+            select=["RL003"],
         )
-        assert codes(found) == ["RA003"]
+        assert codes(found) == ["RL003"]
 
     def test_syntax_error_reported_not_fatal(self, tmp_path):
         found = audit_snippet(tmp_path, "def broken(:\n    pass\n")
@@ -1226,7 +1126,6 @@ class TestReporters:
         run = log["runs"][0]
         assert {r["id"] for r in run["tool"]["driver"]["rules"]} >= {
             "RA002",
-            "RA003",
             "RA004",
             "RA006",
             "RA007",
@@ -1249,7 +1148,7 @@ class TestReporters:
         assert run["tool"]["driver"]["name"] == "repro-audit"
         rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
         assert rule_ids == [
-            f"RA{i:03d}" for i in (2, 3, 4, 6, 7, 8, 9, 10, 11)
+            f"RA{i:03d}" for i in (2, 4, 6, 7, 8, 9, 10, 11)
         ] + [f"RL{i:03d}" for i in range(1, 9)]
         assert {r["ruleId"] for r in run["results"]} == {"RA002", "RL003"}
 
@@ -1280,9 +1179,9 @@ class TestCli:
 
     def test_findings_exit_one(self, tmp_path, capsys):
         path = tmp_path / "bad.py"
-        path.write_text("class StreamReadError(OSError):\n    pass\n")
+        path.write_text("def f(acc=[]):\n    return acc\n")
         assert main([str(path)]) == 1
-        assert "RA003" in capsys.readouterr().out
+        assert "RL003" in capsys.readouterr().out
 
     def test_unknown_rule_exits_two(self, tmp_path, capsys):
         path = tmp_path / "ok.py"
@@ -1294,7 +1193,7 @@ class TestCli:
 
     def test_sarif_output_to_file(self, tmp_path):
         path = tmp_path / "bad.py"
-        path.write_text("class StreamReadError(OSError):\n    pass\n")
+        path.write_text("def f(acc=[]):\n    return acc\n")
         out = tmp_path / "audit.sarif"
         assert (
             main(

@@ -1038,7 +1038,6 @@ class TestSourceTreeClean:
         # here would silently hollow out the gate).
         assert [r.code for r in iter_rules()] == [
             "RA002",
-            "RA003",
             "RA004",
             "RA006",
             "RA007",

@@ -1,5 +1,7 @@
 """Tests for reservoir sampling (Li's Algorithm L)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -164,13 +166,13 @@ class TestReservoirPlan:
     def test_plan_counts_accepts_like_extend(self):
         planner = ReservoirSampler(10, random_state=1)
         plan = planner.plan(200)
-        assert plan.accepts == plan.fill + len(plan.events)
+        assert plan.accepts == plan.fill + plan.event_rows.size
         assert plan.fill == 10
 
     def test_short_stream_plan_is_fill_only(self):
         plan = ReservoirSampler(10, random_state=0).plan(4)
         assert plan.fill == 4
-        assert plan.events == ()
+        assert plan.event_rows.size == plan.event_slots.size == 0
         rows = np.arange(4.0).reshape(4, 1)
         np.testing.assert_array_equal(plan.assemble(np.arange(4), rows), rows)
 
@@ -191,6 +193,23 @@ class TestReservoirPlan:
         plan = planner.plan(8)
         with pytest.raises(ValueError, match="missing"):
             plan.assemble([0], np.zeros((1, 2)))
+
+    def test_plan_stores_events_in_packed_arrays(self):
+        # Algorithm L replaces about capacity * ln(n / capacity) rows;
+        # each event must cost its two int64s, not a Python tuple.
+        planner = ReservoirSampler(1000, random_state=0)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            plan = planner.plan(1_280_000)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        n_events = plan.event_rows.size
+        assert n_events > 5000
+        assert plan.event_rows.dtype == plan.event_slots.dtype == np.int64
+        assert peak <= 32 * n_events
 
     def test_plan_is_frozen(self):
         plan = ReservoirSampler(3, random_state=0).plan(5)

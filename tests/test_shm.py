@@ -142,7 +142,6 @@ class TestProcessBackendIntegration:
         assert actual == expected
 
 
-@pytest.mark.chaos
 def test_no_segment_leak_across_chaos_iterations():
     """100 fan-outs with injected failures leave zero segments behind.
 

@@ -27,10 +27,6 @@ graph:
 * ``RA002`` — parallel-determinism audit: no RNG calls, ambient
   recorder installation or context-variable mutation reachable from
   functions dispatched through ``repro.parallel`` workers.
-* ``RA003`` — exception-contract audit: the retry layer's give-up
-  signal (``StreamReadError``) must stay outside the ``OSError``
-  hierarchy, must never be swallowed, and ``except OSError`` handlers
-  must not wrap the retry layer.
 * ``RA004`` — counter-schema audit: every observability counter name
   incremented in the analysed tree must be declared in the
   ``COUNTER_SCHEMA`` registry (``src/repro/obs/schema.py``), and every
@@ -241,7 +237,6 @@ def _load_rules() -> None:
         rules_defaults,
         rules_docstrings,
         rules_estimator,
-        rules_exceptions,
         rules_exports,
         rules_histograms,
         rules_lifecycle,

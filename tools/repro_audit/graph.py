@@ -357,17 +357,6 @@ class CallGraph:
                     return found
         return None
 
-    def inherits_from(self, cls: ClassNode, name: str) -> bool:
-        """Whether ``name`` appears in the inheritance chain above ``cls``."""
-        if any(other.name == name for other in self.mro(cls)[1:]):
-            return True
-        for node in self.mro(cls):
-            for expr in node.node.bases:
-                chain = attr_chain(expr)
-                if chain and chain[-1] == name:
-                    return True
-        return False
-
     def lookup_method(self, cls: ClassNode, name: str) -> FuncNode | None:
         """First definition of method ``name`` along the MRO."""
         for node in self.mro(cls):
