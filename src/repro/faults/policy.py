@@ -25,7 +25,11 @@ inside the block — including the ones samplers construct internally via
 Determinism contract: a policy is bound to a stream at construction and
 is a pure function of the chunk values, so every pass over the same
 stream quarantines (or repairs) exactly the same rows. Downstream code
-may therefore keep indexing by stream offsets across passes.
+may therefore keep indexing by stream offsets across passes. The fault
+counters are recorded once per stream, when it is built
+(:meth:`RowQuarantine.apply`); the passes call the recording-free
+:meth:`RowQuarantine.harden`, so an in-memory and a file stream over
+the same rows count the same, whatever the number of passes or shards.
 """
 
 from __future__ import annotations
@@ -112,22 +116,9 @@ class RowQuarantine:
             bad |= np.abs(chunk) > self.max_abs
         return bad
 
-    def count_invalid_rows(self, chunk: np.ndarray) -> int:
-        """Number of rows of ``chunk`` holding at least one invalid cell.
-
-        Pure (no recorder side effects): used by streams that need the
-        surviving-row count up front, before any counted pass runs.
-
-        Parameters
-        ----------
-        chunk:
-            A ``(n, d)`` float chunk.
-        """
-        return int(self.invalid_cells(np.asarray(chunk)).any(axis=1).sum())
-
     # -- application ---------------------------------------------------------
 
-    def apply(
+    def harden(
         self,
         chunk: np.ndarray,
         *,
@@ -135,7 +126,7 @@ class RowQuarantine:
         pass_index: int | None = None,
         start: int = 0,
     ) -> np.ndarray:
-        """Harden one chunk according to the policy mode.
+        """Harden one chunk according to the policy mode, recording nothing.
 
         Parameters
         ----------
@@ -155,8 +146,8 @@ class RowQuarantine:
         -------
         numpy.ndarray
             The chunk with invalid rows dropped (quarantine), imputed
-            (repair), or unchanged (no invalid cells). Strict mode
-            raises instead of returning when invalid cells exist.
+            (repair), or the input itself (no invalid cells). Strict
+            mode raises instead of returning when invalid cells exist.
 
         Raises
         ------
@@ -170,22 +161,50 @@ class RowQuarantine:
         if not bad_cells.any():
             return chunk
         bad_rows = bad_cells.any(axis=1)
-        n_bad = int(bad_rows.sum())
-        recorder = get_recorder()
         if self.mode == "strict":
             raise DataValidationError(
                 self._strict_message(
-                    chunk, bad_rows, n_bad, origin, pass_index, start,
-                    recorder.current_phase,
+                    chunk, bad_rows, int(bad_rows.sum()), origin,
+                    pass_index, start, get_recorder().current_phase,
                 )
             )
         if self.mode == "quarantine":
+            return chunk[~bad_rows]
+        return self._repair(chunk, bad_cells)
+
+    def apply(
+        self,
+        chunk: np.ndarray,
+        *,
+        origin: str = "data",
+        pass_index: int | None = None,
+        start: int = 0,
+    ) -> np.ndarray:
+        """:meth:`harden` one chunk (same arguments and result) and count
+        its invalid rows.
+
+        Quarantine counts ``rows_quarantined`` and observes
+        ``quarantine_batch_rows``; repair counts ``rows_repaired`` and
+        ``cells_repaired``. Every stream calls this once per raw chunk,
+        when it is built, so each bad row is counted once per stream;
+        the passes themselves call :meth:`harden`.
+        """
+        chunk = np.asarray(chunk, dtype=np.float64)
+        clean = self.harden(
+            chunk, origin=origin, pass_index=pass_index, start=start
+        )
+        if clean is chunk:
+            return clean
+        bad_cells = self.invalid_cells(chunk)
+        n_bad = int(bad_cells.any(axis=1).sum())
+        recorder = get_recorder()
+        if self.mode == "quarantine":
             recorder.count("rows_quarantined", n_bad)
             recorder.observe("quarantine_batch_rows", n_bad)
-            return chunk[~bad_rows]
-        recorder.count("rows_repaired", n_bad)
-        recorder.count("cells_repaired", int(bad_cells.sum()))
-        return self._repair(chunk, bad_cells)
+        else:
+            recorder.count("rows_repaired", n_bad)
+            recorder.count("cells_repaired", int(bad_cells.sum()))
+        return clean
 
     def _strict_message(
         self, chunk, bad_rows, n_bad, origin, pass_index, start, phase

@@ -23,18 +23,8 @@ from __future__ import annotations
 from bisect import bisect_left
 
 __all__ = [
-    "DEFAULT_BOUNDS",
     "Histogram",
 ]
-
-#: Fallback bucket bounds for metrics observed under a name that is not
-#: registered in ``HISTOGRAM_SCHEMA`` (the RA008 audit flags such names
-#: statically; the runtime stays permissive so a typo cannot crash a
-#: production run).
-DEFAULT_BOUNDS: tuple[float, ...] = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0,
-    1000.0, 10000.0, 100000.0, 1000000.0,
-)
 
 
 class Histogram:

@@ -29,6 +29,13 @@ site when disabled. Install a live recorder for a block of code with
 variable keeps concurrently running recorders isolated per thread and
 per async task.
 
+A live recorder only accepts names from the closed registries in
+:mod:`repro.obs.schema`: ``count`` and ``observe`` raise
+:class:`~repro.exceptions.ParameterError` for a name missing from
+``COUNTER_SCHEMA`` or ``HISTOGRAM_SCHEMA``. Worker tasks always record
+into a live recorder (see :mod:`repro.parallel`), so names counted in
+workers are checked too, even when the caller is not tracing.
+
 Counter values are pure functions of the algorithm and its seed, so two
 runs with identical parameters record identical counters — timers and
 latency histograms, of course, are wall-clock and vary.
@@ -42,8 +49,9 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterable, Iterator
 
-from repro.obs.histogram import DEFAULT_BOUNDS, Histogram
-from repro.obs.schema import HISTOGRAM_SCHEMA
+from repro.exceptions import ParameterError
+from repro.obs.histogram import Histogram
+from repro.obs.schema import COUNTER_SCHEMA, HISTOGRAM_SCHEMA
 
 __all__ = [
     "NULL_RECORDER",
@@ -173,7 +181,13 @@ class Recorder:
     # -- counters ------------------------------------------------------------
 
     def count(self, name: str, n: float = 1) -> None:
-        """Add ``n`` to counter ``name`` (created at zero on first use)."""
+        """Add ``n`` to counter ``name`` (created at zero on first use).
+
+        Raises :class:`~repro.exceptions.ParameterError` when ``name``
+        is not a ``COUNTER_SCHEMA`` key.
+        """
+        if name not in COUNTER_SCHEMA:
+            raise _unregistered(name, "counter", "COUNTER_SCHEMA")
         self.counters[name] = self.counters.get(name, 0) + n
 
     # -- histograms ----------------------------------------------------------
@@ -181,9 +195,7 @@ class Recorder:
     def observe(self, name: str, value: float) -> None:
         """Record one observation into histogram ``name``.
 
-        Bucket bounds come from ``HISTOGRAM_SCHEMA`` (falling back to
-        :data:`repro.obs.histogram.DEFAULT_BOUNDS` for unregistered
-        names, which the RA008 audit flags statically).
+        Bucket bounds come from the name's ``HISTOGRAM_SCHEMA`` entry.
 
         Parameters
         ----------
@@ -191,12 +203,18 @@ class Recorder:
             Histogram name — a ``HISTOGRAM_SCHEMA`` key.
         value:
             The observed value, in the metric's registered unit.
+
+        Raises
+        ------
+        ParameterError
+            When ``name`` is not registered in ``HISTOGRAM_SCHEMA``.
         """
         hist = self.histograms.get(name)
         if hist is None:
             spec = HISTOGRAM_SCHEMA.get(name)
-            bounds = spec.buckets if spec is not None else DEFAULT_BOUNDS
-            hist = self.histograms[name] = Histogram(name, bounds)
+            if spec is None:
+                raise _unregistered(name, "histogram", "HISTOGRAM_SCHEMA")
+            hist = self.histograms[name] = Histogram(name, spec.buckets)
         hist.observe(value)
 
     def merge_histograms(self, histograms: dict) -> None:
@@ -345,6 +363,14 @@ class Recorder:
             "timers": self.timers,
             "spans": [span.to_dict() for span in self.spans],
         }
+
+
+def _unregistered(name: str, kind: str, registry: str) -> ParameterError:
+    """The error a live recorder raises for a name outside its registry."""
+    return ParameterError(
+        f"{kind} {name!r} is not registered in {registry} "
+        f"(repro.obs.schema); register it there before recording it."
+    )
 
 
 class _NullSpan:

@@ -4,18 +4,21 @@ Run manifests are only comparable across machines, versions and CI runs
 if the set of metric names is closed — a typo'd or ad-hoc name would
 silently fork the metrics vocabulary. ``COUNTER_SCHEMA`` and
 ``HISTOGRAM_SCHEMA`` are those closed sets and the single sources of
-truth derived from by:
+truth for:
 
+* the live :class:`~repro.obs.Recorder` — ``count`` and ``observe``
+  raise :class:`~repro.exceptions.ParameterError` for a name that is
+  not a key here, so an unregistered name fails the first test that
+  reaches its call site; ``tests/test_obs.py`` runs three small entry
+  points and requires them to fire exactly the registered names, so a
+  metric nothing records any more fails too;
 * the README counter/histogram tables — regenerated by
   ``python tools/gen_counter_docs.py`` (``--check`` in CI fails on
-  drift);
-* the static auditor — ``repro-audit`` rule RA004 fails CI when a
-  counter is incremented under an unregistered name, or registered but
-  never incremented; RA008 enforces the same two-way contract for
-  histogram ``observe`` sites against ``HISTOGRAM_SCHEMA``.
+  drift).
 
-Adding a metric is therefore a three-line change: record it at the
-call site, register it here, regenerate the README tables. Histogram
+Adding a metric therefore takes four steps: record it at the call
+site, register it here, regenerate the README tables, and make sure an
+entry point of that test reaches it. Histogram
 bucket bounds live in the registry (not at call sites) because
 histograms merge across :mod:`repro.parallel` workers bucket-by-bucket,
 which is only sound when every recorder of a metric uses identical
@@ -55,8 +58,8 @@ class CounterSpec:
     meaning: str
 
 
-#: All registered counters, keyed by name. Keys must be string literals:
-#: the RA004 audit reads this dict *statically* (without importing).
+#: All registered counters, keyed by name; ``Recorder.count`` accepts
+#: only these.
 COUNTER_SCHEMA: dict[str, CounterSpec] = {
     "data_passes": CounterSpec(
         name="data_passes",
@@ -95,18 +98,18 @@ COUNTER_SCHEMA: dict[str, CounterSpec] = {
     ),
     "rows_quarantined": CounterSpec(
         name="rows_quarantined",
-        incremented_by="`RowQuarantine` (drop/repair policies)",
-        meaning="rows removed by the fault policy before sampling",
+        incremented_by="`RowQuarantine.apply` (quarantine policy), when a stream is built",
+        meaning="rows removed by the fault policy before sampling, once per stream",
     ),
     "rows_repaired": CounterSpec(
         name="rows_repaired",
-        incremented_by="`RowQuarantine` (repair policy)",
-        meaning="rows kept after imputing non-finite cells",
+        incremented_by="`RowQuarantine.apply` (repair policy), when a stream is built",
+        meaning="rows kept after imputing invalid cells, once per stream",
     ),
     "cells_repaired": CounterSpec(
         name="cells_repaired",
-        incremented_by="`RowQuarantine` (repair policy)",
-        meaning="individual cells imputed with the chunk mean",
+        incremented_by="`RowQuarantine.apply` (repair policy), when a stream is built",
+        meaning="individual cells imputed with the chunk mean, once per stream",
     ),
     "reservoir_accepts": CounterSpec(
         name="reservoir_accepts",
@@ -173,8 +176,8 @@ class HistogramSpec:
     meaning: str
 
 
-#: All registered histograms, keyed by name. Keys must be string
-#: literals: the RA008 audit reads this dict *statically*.
+#: All registered histograms, keyed by name; ``Recorder.observe``
+#: accepts only these, and takes its bucket bounds from here.
 HISTOGRAM_SCHEMA: dict[str, HistogramSpec] = {
     "kde_eval_chunk_seconds": HistogramSpec(
         name="kde_eval_chunk_seconds",
@@ -211,8 +214,8 @@ HISTOGRAM_SCHEMA: dict[str, HistogramSpec] = {
             10000.0,
         ),
         unit="rows",
-        observed_by="`RowQuarantine.apply` (quarantine mode)",
-        meaning="invalid rows dropped per chunk (deterministic)",
+        observed_by="`RowQuarantine.apply` (quarantine mode), when a stream is built",
+        meaning="invalid rows dropped per chunk, once per stream (deterministic)",
     ),
     "draw_batch_rows": HistogramSpec(
         name="draw_batch_rows",

@@ -11,8 +11,10 @@ Two contracts make parallelism invisible to the rest of the system:
 * **Determinism** — tasks must be pure functions of their chunk (all
   random draws stay on the caller's single generator), so the merged
   output is identical for every ``n_jobs``.
-* **Observability** — each task runs under a private
-  :class:`repro.obs.Recorder`; its counter deltas (``kernel_evals``,
+* **Observability** — each task runs under a private live
+  :class:`repro.obs.Recorder`, even when the caller is not tracing, so
+  a metric name counted in a worker meets the same registry check as
+  on the coordinator; its counter deltas (``kernel_evals``,
   ``distance_evals``, ...) are merged back into the caller's ambient
   recorder after the fan-in, inside whatever phase span is currently
   open. When the caller is actively tracing, each task's span tree

@@ -17,11 +17,15 @@ in-memory stream:
 * a chunk read is a plain slice of the memory map (``.npy``) or a
   plain ``open`` of the file (CSV): an ``OSError`` from the file
   system propagates unchanged, with nothing retried or wrapped;
-* under the quarantine policy a construction-time pre-scan counts the
-  invalid rows, so ``n_points`` equals the surviving-row count before
-  the first pass — the invariant offset-keyed consumers rely on. The
-  pre-scan is bookkeeping, not an algorithmic pass: it is not counted
-  in ``passes`` or the ``data_passes`` counter.
+* under the quarantine and repair policies a construction-time
+  pre-scan applies the policy once to every chunk. It records the fault
+  counters (``rows_quarantined``, ``rows_repaired``, ...) once per
+  stream, exactly as the in-memory stream does when it is built, and
+  under quarantine it makes ``n_points`` equal the surviving-row count
+  before the first pass — the invariant offset-keyed consumers rely on.
+  The passes then harden each chunk without recording. The pre-scan is
+  bookkeeping, not an algorithmic pass: it is not counted in
+  ``passes`` or the ``data_passes`` counter.
 """
 
 from __future__ import annotations
@@ -81,28 +85,14 @@ class NpyFileStream(DataStream):
         self.fault_policy = resolve_fault_policy(fault_policy)
         self._n_raw = mapped.shape[0]
         self.n_dims = mapped.shape[1]
-        self.n_points = self._n_raw
-        self._chunk_invalid: tuple[int, ...] | None = None
-        if self.fault_policy.mode == "quarantine":
-            self._chunk_invalid = self._prescan_invalid_rows()
-            self.n_points = self._n_raw - sum(self._chunk_invalid)
-            if self.n_points == 0:
-                raise DataValidationError(
-                    f"every row of {path!r} was quarantined; the file holds "
-                    "no valid rows under the configured fault policy."
-                )
+        self._sizes = _survivor_sizes(self)
+        self.n_points = sum(self._sizes)
         self.passes = 0
 
-    def _prescan_invalid_rows(self) -> tuple[int, ...]:
-        """Per-chunk invalid-row counts (no recorder effects)."""
-        counts = []
+    def _raw_chunks(self):
+        """(raw row offset, chunk) pairs for one traversal of the map."""
         for start in range(0, self._n_raw, self.chunk_size):
-            chunk = np.asarray(
-                self._mapped[start : start + self.chunk_size],
-                dtype=np.float64,
-            )
-            counts.append(self.fault_policy.count_invalid_rows(chunk))
-        return tuple(counts)
+            yield start, self._read_chunk(start)
 
     def _read_chunk(self, start: int) -> np.ndarray:
         stop = min(start + self.chunk_size, self._n_raw)
@@ -124,15 +114,7 @@ class NpyFileStream(DataStream):
         the construction-time pre-scan; otherwise every raw row
         survives (strict raises mid-pass instead of dropping).
         """
-        raw = [
-            min(self.chunk_size, self._n_raw - start)
-            for start in range(0, self._n_raw, self.chunk_size)
-        ]
-        if self._chunk_invalid is not None:
-            return tuple(
-                size - bad for size, bad in zip(raw, self._chunk_invalid)
-            )
-        return tuple(raw)
+        return self._sizes
 
     def iter_chunk_range(self, lo: int, hi: int):
         """Yield ``(offset, chunk)`` for raw chunk indices ``[lo, hi)``.
@@ -148,7 +130,7 @@ class NpyFileStream(DataStream):
         out = sum(sizes[:lo])
         for index in range(lo, min(hi, len(sizes))):
             start = index * self.chunk_size
-            clean = self.fault_policy.apply(
+            clean = self.fault_policy.harden(
                 self._read_chunk(start),
                 origin=self.path,
                 pass_index=self.passes,
@@ -178,8 +160,9 @@ class CsvFileStream(DataStream):
     Rows are parsed lazily per pass; the whole file is never resident.
     A pre-pass at construction counts rows and validates the column
     count (analogous to a database knowing its cardinality). Under the
-    quarantine policy the pre-pass additionally parses the file once to
-    count invalid rows, so ``n_points`` is exact up front.
+    quarantine and repair policies the pre-scan then parses the file
+    once more to apply the policy, so the fault counters are recorded
+    once and ``n_points`` is exact up front.
 
     Non-numeric cells are a fatal, typed error under the strict policy
     (as they always were); under quarantine/repair they are treated as
@@ -242,20 +225,9 @@ class CsvFileStream(DataStream):
             raise DataValidationError(f"{path!r} holds no data rows.")
         self._n_raw = n_points
         self.n_dims = n_dims
-        self.n_points = n_points
+        self._sizes = _survivor_sizes(self)
+        self.n_points = sum(self._sizes)
         self.passes = 0
-        self._chunk_invalid: tuple[int, ...] | None = None
-        if self.fault_policy.mode == "quarantine":
-            self._chunk_invalid = tuple(
-                self.fault_policy.count_invalid_rows(chunk)
-                for _, chunk in self._raw_chunks()
-            )
-            self.n_points = n_points - sum(self._chunk_invalid)
-            if self.n_points == 0:
-                raise DataValidationError(
-                    f"every row of {path!r} was quarantined; the file holds "
-                    "no valid rows under the configured fault policy."
-                )
 
     def _raw_chunks(self):
         """(raw row offset, parsed chunk) pairs for one file traversal."""
@@ -308,18 +280,10 @@ class CsvFileStream(DataStream):
         """Surviving-row count of every chunk one pass would yield.
 
         Bookkeeping, not a scan: derived from the construction-time
-        pre-pass (row count, and per-chunk invalid counts under
+        pre-pass (row count, and per-chunk survivor counts under
         quarantine), so no file traversal happens here.
         """
-        raw = [
-            min(self.chunk_size, self._n_raw - start)
-            for start in range(0, self._n_raw, self.chunk_size)
-        ]
-        if self._chunk_invalid is not None:
-            return tuple(
-                size - bad for size, bad in zip(raw, self._chunk_invalid)
-            )
-        return tuple(raw)
+        return self._sizes
 
     def iter_chunk_range(self, lo: int, hi: int):
         """Yield ``(offset, chunk)`` for raw chunk indices ``[lo, hi)``.
@@ -339,7 +303,7 @@ class CsvFileStream(DataStream):
                 break
             if index < lo:
                 continue
-            clean = self.fault_policy.apply(
+            clean = self.fault_policy.harden(
                 chunk,
                 origin=self.path,
                 pass_index=self.passes,
@@ -350,6 +314,32 @@ class CsvFileStream(DataStream):
                 recorder.observe("stream_chunk_rows", clean.shape[0])
                 yield out, clean
                 out += clean.shape[0]
+
+
+def _survivor_sizes(stream) -> tuple[int, ...]:
+    """Surviving-row count of every chunk of a file stream's passes.
+
+    Under quarantine or repair this is the stream's pre-scan: it applies
+    the policy once to every raw chunk, which records the fault counters
+    once per stream. Strict keeps every raw row (it raises mid-pass
+    instead), so it needs no scan.
+    """
+    policy = stream.fault_policy
+    if policy.mode == "strict":
+        n_raw, size = stream._n_raw, stream.chunk_size
+        return tuple(
+            min(size, n_raw - start) for start in range(0, n_raw, size)
+        )
+    sizes = tuple(
+        policy.apply(chunk, origin=stream.path, start=start).shape[0]
+        for start, chunk in stream._raw_chunks()
+    )
+    if policy.mode == "quarantine" and not sum(sizes):
+        raise DataValidationError(
+            f"every row of {stream.path!r} was quarantined; the file holds "
+            "no valid rows under the configured fault policy."
+        )
+    return sizes
 
 
 def _float_or_nan(cell: str) -> float:

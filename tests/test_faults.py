@@ -7,8 +7,8 @@ the three contracts the policy layer advertises:
 
 * typed failures: strict mode raises DataValidationError naming the
   offending pass and chunk offset;
-* exact accounting: every pass over a quarantining stream counts each
-  planted invalid row once under ``rows_quarantined``;
+* exact accounting: a quarantining stream counts each planted invalid
+  row once under ``rows_quarantined``, however many passes it serves;
 * determinism: byte-identical results for a fixed seed across repeated
   runs, across ``n_jobs`` in {1, 2} and across shard counts.
 """
@@ -30,7 +30,7 @@ from repro.faults import (
 )
 from repro.obs import Recorder, RunManifest, use_recorder
 from repro.sharding import use_shards
-from repro.utils.filestreams import NpyFileStream
+from repro.utils.filestreams import CsvFileStream, NpyFileStream
 from repro.utils.streams import DataStream
 
 
@@ -116,10 +116,10 @@ class TestRowQuarantine:
     def test_max_abs_flags_finite_garbage(self):
         chunk = np.array([[1.0, 2.0], [1e12, 3.0], [4.0, 5.0]])
         policy = RowQuarantine("quarantine", max_abs=1e9)
-        assert policy.count_invalid_rows(chunk) == 1
+        assert policy.invalid_cells(chunk).any(axis=1).sum() == 1
         clean = policy.apply(chunk)
         assert clean.shape == (2, 2)
-        assert RowQuarantine("quarantine").count_invalid_rows(chunk) == 0
+        assert not RowQuarantine("quarantine").invalid_cells(chunk).any()
 
     def test_ambient_policy_context(self):
         assert get_fault_policy().mode == "strict"
@@ -163,12 +163,13 @@ class TestPlantedFaults:
         dirty, nonfinite, _ = plant(
             clean_data, 9, nan_rate=0.03, inf_rate=0.01
         )
-        stream = NpyFileStream(
-            save(tmp_path, dirty), chunk_size=256, fault_policy="quarantine"
-        )
         recorder = Recorder()
         with use_recorder(recorder):
+            stream = NpyFileStream(
+                save(tmp_path, dirty), chunk_size=256, fault_policy="quarantine"
+            )
             out = stream.materialize()
+            stream.materialize()
         assert recorder.counters["rows_quarantined"] == nonfinite.size > 0
         survivors = np.delete(clean_data, nonfinite, axis=0)
         assert out.tobytes() == survivors.tobytes()
@@ -198,11 +199,12 @@ class TestPlantedFaults:
     def test_repair_keeps_every_delivered_row(self, clean_data, tmp_path):
         dirty, nonfinite, _ = plant(clean_data, 3, nan_rate=0.05)
         recorder = Recorder()
-        stream = NpyFileStream(
-            save(tmp_path, dirty), chunk_size=256, fault_policy="repair"
-        )
         with use_recorder(recorder):
+            stream = NpyFileStream(
+                save(tmp_path, dirty), chunk_size=256, fault_policy="repair"
+            )
             out = stream.materialize()
+            stream.materialize()
         assert out.shape == clean_data.shape
         assert np.isfinite(out).all()
         assert recorder.counters["rows_repaired"] == nonfinite.size > 0
@@ -269,12 +271,9 @@ class TestPlantedFaults:
         np.testing.assert_array_equal(base.indices, got.indices)
         np.testing.assert_array_equal(base.probabilities, got.probabilities)
         assert base_counters == got_counters
-        # Each pass quarantines every planted row once.
-        assert (
-            base_counters["rows_quarantined"]
-            == nonfinite.size * base_counters["data_passes"]
-            > 0
-        )
+        # The stream counts every planted row once, over all its passes.
+        assert base_counters["data_passes"] > 1
+        assert base_counters["rows_quarantined"] == nonfinite.size > 0
 
     def test_no_survivors_rejected(self, tmp_path):
         data = np.full((10, 2), np.nan)
@@ -282,6 +281,64 @@ class TestPlantedFaults:
             NpyFileStream(save(tmp_path, data), fault_policy="quarantine")
         with pytest.raises(DataValidationError, match="quarantined"):
             DataStream(data, fault_policy="quarantine")
+
+
+class TestFaultCountersOncePerStream:
+    """Every stream type counts each planted row once, whatever the shape."""
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("mode", ["quarantine", "repair"])
+    def test_every_stream_type_counts_the_same(
+        self, clean_data, tmp_path, mode, shards
+    ):
+        dirty, nonfinite, _ = plant(clean_data, 7, nan_rate=0.02, inf_rate=0.01)
+        npy = save(tmp_path, dirty)
+        csv = str(tmp_path / "planted.csv")
+        np.savetxt(csv, dirty, delimiter=",")
+        builders = {
+            "memory": lambda: DataStream(
+                dirty, chunk_size=256, fault_policy=mode
+            ),
+            "npy": lambda: NpyFileStream(
+                npy, chunk_size=256, fault_policy=mode
+            ),
+            "csv": lambda: CsvFileStream(
+                csv, chunk_size=256, fault_policy=mode
+            ),
+        }
+        seen = {}
+        for kind, build in builders.items():
+            recorder = Recorder()
+            sampler = DensityBiasedSampler(
+                sample_size=200, exponent=0.5, random_state=0
+            )
+            with use_recorder(recorder), use_shards(shards):
+                sampler.sample(stream=build())
+            assert recorder.counters["data_passes"] > 1
+            batches = recorder.histograms.get("quarantine_batch_rows")
+            seen[kind] = (
+                {
+                    name: recorder.counters.get(name, 0)
+                    for name in (
+                        "rows_quarantined", "rows_repaired", "cells_repaired"
+                    )
+                },
+                batches.counts if batches is not None else None,
+            )
+        n_bad = nonfinite.size
+        expected = (
+            {"rows_quarantined": n_bad, "rows_repaired": 0, "cells_repaired": 0}
+            if mode == "quarantine"
+            else {
+                "rows_quarantined": 0,
+                "rows_repaired": n_bad,
+                "cells_repaired": n_bad * clean_data.shape[1],
+            }
+        )
+        assert n_bad > 0
+        assert seen["memory"][0] == expected
+        assert seen["npy"] == seen["memory"]
+        assert seen["csv"] == seen["memory"]
 
 
 #: Planted bad values per fault kind: keyword arguments for ``plant``.
@@ -389,11 +446,9 @@ class TestFig3Acceptance:
         path, n_planted = planted
         result, manifest = self._run(path)
         assert n_planted > 0
-        # Every pass re-applies the policy and counts each planted row.
-        assert (
-            manifest.counters["rows_quarantined"]
-            == n_planted * manifest.counters["data_passes"]
-        )
+        # Each planted row is counted once, however many passes run.
+        assert manifest.counters["data_passes"] > 1
+        assert manifest.counters["rows_quarantined"] == n_planted
         assert result.labels.shape[0] == dataset.points.shape[0] - n_planted
 
     def test_one_read_quarantines_every_planted_row(self, planted):

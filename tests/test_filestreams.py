@@ -162,13 +162,13 @@ class TestFileStreamHardening:
     def test_npy_quarantine_drops_and_counts(self, dirty_npy_path):
         from repro.obs import Recorder, use_recorder
 
-        stream = NpyFileStream(
-            dirty_npy_path, chunk_size=100, fault_policy="quarantine"
-        )
-        assert stream.n_points == 257 - 3
         recorder = Recorder()
         with use_recorder(recorder):
+            stream = NpyFileStream(
+                dirty_npy_path, chunk_size=100, fault_policy="quarantine"
+            )
             out = stream.materialize()
+        assert stream.n_points == 257 - 3
         assert out.shape == (254, 3)
         assert np.isfinite(out).all()
         assert recorder.counters["rows_quarantined"] == 3

@@ -10,8 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ApproximateClusteringPipeline
-from repro.core import DensityBiasedSampler
+from repro.config import use_config
+from repro.core import DensityBiasedSampler, OnePassBiasedSampler
+from repro.datasets import make_fig5_dataset, make_outlier_dataset
+from repro.density import KernelDensityEstimator, TreeDensityEstimator
+from repro.exceptions import ParameterError
 from repro.obs import (
+    COUNTER_SCHEMA,
     HISTOGRAM_SCHEMA,
     NULL_RECORDER,
     SCHEMA_VERSION,
@@ -26,6 +31,8 @@ from repro.obs import (
     recording,
     use_recorder,
 )
+from repro.outliers import ApproximateOutlierDetector
+from repro.utils.streams import DataStream
 
 
 @pytest.fixture
@@ -63,18 +70,18 @@ class TestRecorder:
         rec = Recorder()
         with rec.phase("outer"):
             with rec.phase("inner_a"):
-                rec.count("x", 1)
+                rec.count("sample_size", 1)
             with rec.phase("inner_b"):
-                rec.count("x", 2)
+                rec.count("sample_size", 2)
         (outer,) = rec.spans
         assert [c.name for c in outer.children] == ["inner_a", "inner_b"]
-        assert outer.counters == {"x": 3}
-        assert outer.children[0].counters == {"x": 1}
-        assert outer.children[1].counters == {"x": 2}
+        assert outer.counters == {"sample_size": 3}
+        assert outer.children[0].counters == {"sample_size": 1}
+        assert outer.children[1].counters == {"sample_size": 2}
 
     def test_unchanged_counters_not_in_span_delta(self):
         rec = Recorder()
-        rec.count("before", 3)
+        rec.count("heap_pushes", 3)
         with rec.phase("quiet"):
             pass
         assert rec.spans[0].counters == {}
@@ -94,24 +101,24 @@ class TestRecorder:
         rec = Recorder()
         with pytest.raises(ValueError):
             with rec.phase("boom"):
-                rec.count("x")
+                rec.count("sample_size")
                 raise ValueError("boom")
         assert rec._stack == []
-        assert rec.spans[0].counters == {"x": 1}
+        assert rec.spans[0].counters == {"sample_size": 1}
 
     def test_snapshot_shape(self):
         rec = Recorder()
         with rec.phase("p"):
-            rec.count("n", 2)
+            rec.count("points_seen", 2)
         snap = rec.snapshot()
         assert set(snap) == {"counters", "histograms", "timers", "spans"}
         assert snap["spans"][0]["name"] == "p"
-        assert snap["spans"][0]["counters"] == {"n": 2}
+        assert snap["spans"][0]["counters"] == {"points_seen": 2}
 
     @given(
         st.lists(
             st.tuples(
-                st.sampled_from(["kernel_evals", "distance_evals", "x"]),
+                st.sampled_from(["kernel_evals", "distance_evals", "heap_pushes"]),
                 st.integers(min_value=0, max_value=1000),
             ),
             max_size=30,
@@ -169,17 +176,17 @@ class TestAmbientRecorder:
 
     def test_recording_shorthand(self):
         with recording() as rec:
-            get_recorder().count("x", 2)
-        assert rec.counters == {"x": 2}
+            get_recorder().count("sample_size", 2)
+        assert rec.counters == {"sample_size": 2}
 
     def test_nested_recorders_restore_outer(self):
         outer, inner = Recorder(), Recorder()
         with use_recorder(outer):
             outer_seen = get_recorder()
             with use_recorder(inner):
-                get_recorder().count("x")
+                get_recorder().count("sample_size")
             assert get_recorder() is outer_seen
-        assert inner.counters == {"x": 1}
+        assert inner.counters == {"sample_size": 1}
         assert outer.counters == {}
 
     def test_threads_are_isolated(self):
@@ -197,14 +204,17 @@ class TestAmbientRecorder:
             results[tag] = dict(rec.counters)
 
         threads = [
-            threading.Thread(target=work, args=("a", 11)),
-            threading.Thread(target=work, args=("b", 7)),
+            threading.Thread(target=work, args=("kernel_evals", 11)),
+            threading.Thread(target=work, args=("distance_evals", 7)),
         ]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert results == {"a": {"a": 11}, "b": {"b": 7}}
+        assert results == {
+            "kernel_evals": {"kernel_evals": 11},
+            "distance_evals": {"distance_evals": 7},
+        }
         assert get_recorder() is NULL_RECORDER
 
 
@@ -423,6 +433,60 @@ class TestHistogram:
             {n: h.to_dict() for n, h in worker.histograms.items()}
         )
         assert rec.histograms["stream_chunk_rows"].count == 2
+
+
+# ---------------------------------------------------------------------------
+# Closed metric registries
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("method", ["count", "observe"])
+def test_unregistered_metric_raises(method):
+    rec = Recorder()
+    registry = "COUNTER_SCHEMA" if method == "count" else "HISTOGRAM_SCHEMA"
+    with pytest.raises(ParameterError, match=f"'not_registered'.*{registry}"):
+        getattr(rec, method)("not_registered", 1)
+    assert rec.counters == {} and rec.histograms == {}
+    # The disabled recorder stays a pure no-op.
+    getattr(NULL_RECORDER, method)("not_registered", 1)
+
+
+def test_every_registered_metric_fires():
+    """Three small entry points fire exactly the registered metrics.
+
+    The default KDE pipeline over a quarantining stream, sharded over
+    two workers; the one-pass tree pipeline over a repairing stream;
+    the DB(p,k) outlier detector. A registry entry that nothing records
+    any more fails here; a name outside the registries fails at its
+    call site.
+    """
+    dirty = make_fig5_dataset(n_points=4000, random_state=0).points.copy()
+    dirty[::97] = np.nan
+    outliers = make_outlier_dataset(n_points=4000, random_state=0)
+    with recording() as rec:
+        with use_config(shards=3, n_jobs=2):
+            ApproximateClusteringPipeline(n_clusters=10, random_state=0).fit(
+                None,
+                stream=DataStream(
+                    dirty, chunk_size=512, fault_policy="quarantine"
+                ),
+            )
+        ApproximateClusteringPipeline(
+            n_clusters=10,
+            sampler=OnePassBiasedSampler(
+                sample_size=200,
+                exponent=-0.5,
+                estimator=TreeDensityEstimator(random_state=0),
+                random_state=0,
+            ),
+        ).fit(None, stream=DataStream(dirty, fault_policy="repair"))
+        ApproximateOutlierDetector(
+            k=outliers.guaranteed_radius,
+            p=5,
+            estimator=KernelDensityEstimator(n_kernels=500, random_state=0),
+        ).detect(outliers.points)
+    assert set(rec.counters) == set(COUNTER_SCHEMA)
+    assert set(rec.histograms) == set(HISTOGRAM_SCHEMA)
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ def _square(x):
 
 
 def _count_and_double(chunk):
-    get_recorder().count("rows_seen", int(chunk.shape[0]))
+    get_recorder().count("points_seen", int(chunk.shape[0]))
     return chunk * 2.0
 
 
@@ -133,7 +133,7 @@ class TestParallelMapChunks:
         recorder = Recorder()
         with use_recorder(recorder):
             parallel_map_chunks(_count_and_double, chunks, n_jobs=n_jobs)
-        assert recorder.counters["rows_seen"] == 23
+        assert recorder.counters["points_seen"] == 23
 
     def test_process_backend_smoke(self, clean_env):
         chunks = [np.arange(4, dtype=float), np.arange(4, 9, dtype=float)]

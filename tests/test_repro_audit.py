@@ -192,162 +192,6 @@ class TestRA002:
 
 
 # ---------------------------------------------------------------------------
-# RA004 — counter-schema audit
-# ---------------------------------------------------------------------------
-
-
-class TestRA004:
-    def test_unregistered_increment_flagged(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            COUNTER_SCHEMA = {"rows_seen": None}
-
-            def f(rec):
-                rec.count("rows_seen", 1)
-                rec.count("mystery_counter", 1)
-            """,
-            select=["RA004"],
-        )
-        assert codes(found) == ["RA004"]
-        assert "mystery_counter" in found[0].message
-        assert found[0].anchor == "mystery_counter"
-        assert found[0].trace  # names the incrementing function
-
-    def test_dead_registry_entry_flagged(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            COUNTER_SCHEMA = {"rows_seen": None, "never_bumped": None}
-
-            def f(rec):
-                rec.count("rows_seen", 1)
-            """,
-            select=["RA004"],
-        )
-        assert codes(found) == ["RA004"]
-        assert "never_bumped" in found[0].message
-
-    def test_missing_registry_flagged_once(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            def f(rec):
-                rec.count("rows_seen", 1)
-                rec.count("cols_seen", 1)
-            """,
-            select=["RA004"],
-        )
-        assert codes(found) == ["RA004"]
-        assert "no COUNTER_SCHEMA" in found[0].message
-
-    def test_annotated_registry_binding_recognised(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            COUNTER_SCHEMA: dict = {"rows_seen": None}
-
-            def f(rec):
-                rec.count("rows_seen", 1)
-            """,
-            select=["RA004"],
-        )
-        assert found == []
-
-    def test_str_count_lookalike_ignored(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            COUNTER_SCHEMA = {"rows_seen": None}
-
-            def f(rec, text):
-                rec.count("rows_seen", 1)
-                return "abc".count("a") + [1, 2].count(1)
-            """,
-            select=["RA004"],
-        )
-        assert found == []
-
-
-# ---------------------------------------------------------------------------
-# RA008 — histogram-schema audit
-# ---------------------------------------------------------------------------
-
-
-class TestRA008:
-    def test_unregistered_observation_flagged(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            HISTOGRAM_SCHEMA = {"chunk_seconds": None}
-
-            def f(rec):
-                rec.observe("chunk_seconds", 0.1)
-                rec.observe("mystery_histogram", 0.1)
-            """,
-            select=["RA008"],
-        )
-        assert codes(found) == ["RA008"]
-        assert "mystery_histogram" in found[0].message
-        assert found[0].anchor == "mystery_histogram"
-        assert found[0].trace  # names the observing function
-
-    def test_dead_registry_entry_flagged(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            HISTOGRAM_SCHEMA = {"chunk_seconds": None, "never_observed": None}
-
-            def f(rec):
-                rec.observe("chunk_seconds", 0.1)
-            """,
-            select=["RA008"],
-        )
-        assert codes(found) == ["RA008"]
-        assert "never_observed" in found[0].message
-
-    def test_missing_registry_flagged_once(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            def f(rec):
-                rec.observe("chunk_seconds", 0.1)
-                rec.observe("chunk_rows", 4)
-            """,
-            select=["RA008"],
-        )
-        assert codes(found) == ["RA008"]
-        assert "no HISTOGRAM_SCHEMA" in found[0].message
-
-    def test_registered_observation_clean(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            HISTOGRAM_SCHEMA = {"chunk_seconds": None}
-
-            def f(rec):
-                rec.observe("chunk_seconds", 0.1)
-            """,
-            select=["RA008"],
-        )
-        assert found == []
-
-    def test_suppression_comment_honoured(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            # repro-audit: disable=RA008
-            HISTOGRAM_SCHEMA = {"chunk_seconds": None}
-
-            def f(rec):
-                rec.observe("off_the_books", 0.1)
-            """,
-            select=["RA008"],
-        )
-        assert found == []
-
-
-# ---------------------------------------------------------------------------
 # Declarations — RA005's bound parser and declaration fixtures, now
 # checked by the runtime contract test's declaration check
 # ---------------------------------------------------------------------------
@@ -497,152 +341,6 @@ class TestRA006:
                 return out
             """,
             select=["RA006"],
-        )
-        assert found == []
-
-
-# ---------------------------------------------------------------------------
-# RA007 — merge-safety contract audit
-# ---------------------------------------------------------------------------
-
-
-class TestRA007:
-    def test_worker_mutation_without_combiner_flagged(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            class Estimator:
-                def evaluate(self, chunk):
-                    self.last_ = chunk
-                    return chunk
-
-            def run(est, blocks):
-                return parallel_map_chunks(est.evaluate, blocks)
-            """,
-            select=["RA007"],
-        )
-        assert codes(found) == ["RA007"]
-        assert "no merge-style combiner" in found[0].message
-        assert "self.last_" in found[0].message
-
-    def test_uncalled_combiner_flagged(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            class Estimator:
-                def evaluate(self, chunk):
-                    self.seen_ = chunk
-                    return chunk
-
-                def merge(self, other):
-                    self.seen_ = self.seen_ + other.seen_
-
-            def run(est, blocks):
-                return parallel_map_chunks(est.evaluate, blocks)
-            """,
-            select=["RA007"],
-        )
-        assert codes(found) == ["RA007"]
-        assert "never called" in found[0].message
-
-    def test_called_combiner_clean(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            class Estimator:
-                def evaluate(self, chunk):
-                    self.seen_ = chunk
-                    return chunk
-
-                def merge(self, other):
-                    self.seen_ = self.seen_ + other.seen_
-
-            def run(est, blocks):
-                results = parallel_map_chunks(est.evaluate, blocks)
-                for shard in results:
-                    est.merge(shard)
-                return est
-            """,
-            select=["RA007"],
-        )
-        assert found == []
-
-    def test_pure_worker_clean(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            class Estimator:
-                def evaluate(self, chunk):
-                    return chunk * 2.0
-
-            def run(est, blocks):
-                return parallel_map_chunks(est.evaluate, blocks)
-            """,
-            select=["RA007"],
-        )
-        assert found == []
-
-    def test_dynamic_counter_name_in_worker_flagged(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            class Worker:
-                def evaluate(self, chunk):
-                    get_recorder().count(self.counter_name, chunk.shape[0])
-                    return chunk
-
-            def run(w, blocks):
-                return parallel_map_chunks(w.evaluate, blocks)
-            """,
-            select=["RA007"],
-        )
-        assert codes(found) == ["RA007"]
-        assert "dynamic name" in found[0].message
-
-    def test_literal_counter_name_in_worker_clean(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            class Worker:
-                def evaluate(self, chunk):
-                    get_recorder().count("kernel_evals", chunk.shape[0])
-                    return chunk
-
-            def run(w, blocks):
-                return parallel_map_chunks(w.evaluate, blocks)
-            """,
-            select=["RA007"],
-        )
-        assert found == []
-
-    def test_no_dispatch_sites_no_findings(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            class Estimator:
-                def evaluate(self, chunk):
-                    self.seen_ = chunk
-                    return chunk
-            """,
-            select=["RA007"],
-        )
-        assert found == []
-
-    def test_suppression(self, tmp_path):
-        found = audit_snippet(
-            tmp_path,
-            """
-            # justified: fixture exercises the auditor itself
-            # repro-audit: disable=RA007
-            class Estimator:
-                def evaluate(self, chunk):
-                    self.last_ = chunk
-                    return chunk
-
-            def run(est, blocks):
-                return parallel_map_chunks(est.evaluate, blocks)
-            """,
-            select=["RA007"],
         )
         assert found == []
 
@@ -992,7 +690,7 @@ class TestRunner:
         found = audit_snippet(
             tmp_path,
             """
-            # repro-audit: disable=RA004
+            # repro-audit: disable=RA009
             def f(acc=[]):
                 return acc
             """,
@@ -1126,10 +824,7 @@ class TestReporters:
         run = log["runs"][0]
         assert {r["id"] for r in run["tool"]["driver"]["rules"]} >= {
             "RA002",
-            "RA004",
             "RA006",
-            "RA007",
-            "RA008",
             "RA009",
             "RA010",
             "RA011",
@@ -1148,7 +843,7 @@ class TestReporters:
         assert run["tool"]["driver"]["name"] == "repro-audit"
         rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
         assert rule_ids == [
-            f"RA{i:03d}" for i in (2, 4, 6, 7, 8, 9, 10, 11)
+            f"RA{i:03d}" for i in (2, 6, 9, 10, 11)
         ] + [f"RL{i:03d}" for i in range(1, 9)]
         assert {r["ruleId"] for r in run["results"]} == {"RA002", "RL003"}
 

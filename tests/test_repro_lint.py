@@ -1038,10 +1038,7 @@ class TestSourceTreeClean:
         # here would silently hollow out the gate).
         assert [r.code for r in iter_rules()] == [
             "RA002",
-            "RA004",
             "RA006",
-            "RA007",
-            "RA008",
             "RA009",
             "RA010",
             "RA011",

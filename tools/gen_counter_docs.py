@@ -1,8 +1,9 @@
 """Regenerate the README metric tables from ``repro.obs`` registries.
 
 The registries in ``src/repro/obs/schema.py`` are the single source of
-truth for the observability vocabulary — ``COUNTER_SCHEMA`` (see RA004
-in ``tools/repro_audit``) and ``HISTOGRAM_SCHEMA`` (RA008). This script
+truth for the observability vocabulary — ``COUNTER_SCHEMA`` and
+``HISTOGRAM_SCHEMA``, which a live ``Recorder`` enforces at run time
+(an unregistered name raises ``ParameterError``). This script
 rewrites the markdown tables between the
 ``<!-- counter-table:begin -->`` / ``<!-- counter-table:end -->`` and
 ``<!-- histogram-table:begin -->`` / ``<!-- histogram-table:end -->``

@@ -28,8 +28,8 @@ def main(argv: list[str] | None = None) -> int:
         description=(
             "Static audit of the repo's contracts: per-file determinism, "
             "observability and estimator-API discipline (RL001-RL008) and "
-            "whole-program allocation, parallel-determinism, exception, "
-            "counter-schema and lifecycle rules (RA002-RA004, RA006-RA011)."
+            "whole-program allocation, parallel-determinism, race, RNG-order "
+            "and lifecycle rules (RA002, RA006, RA009-RA011)."
         ),
     )
     parser.add_argument(

@@ -27,24 +27,14 @@ graph:
 * ``RA002`` — parallel-determinism audit: no RNG calls, ambient
   recorder installation or context-variable mutation reachable from
   functions dispatched through ``repro.parallel`` workers.
-* ``RA004`` — counter-schema audit: every observability counter name
-  incremented in the analysed tree must be declared in the
-  ``COUNTER_SCHEMA`` registry (``src/repro/obs/schema.py``), and every
-  declared counter must be incremented somewhere.
 * ``RA006`` — allocation-pattern audit: no quadratic-growth
   reallocation (concatenate-family calls growing their own operand in
   a loop, per-chunk concatenation in stream loops, re-collection of a
   parallel fan-out whose length is known up front).
-* ``RA007`` — merge-safety audit: worker-mutated per-shard state needs
-  a called merge-style combiner, and worker counters must round-trip
-  through the harness's dynamic re-emission loop.
-* ``RA008`` — histogram-schema audit: every observed histogram name
-  is registered in ``HISTOGRAM_SCHEMA``, and every registered one is
-  observed somewhere.
 * ``RA009`` — shared-state race audit: per-function effect summaries
   prove dispatched workers never write coordinator-visible state
   (globals, closures, mutable defaults, shipped objects, read-only
-  shared views) outside the RA007 merge channel.
+  shared views).
 * ``RA010`` — RNG consumption-order prover: every generator draw
   reachable from a ``fit``/``draw``/``plan``/``sample`` entry point
   executes on the coordinator, never under order-nondeterministic
@@ -233,14 +223,11 @@ def _load_rules() -> None:
     """Import the rule modules (registers them as a side effect)."""
     from tools.repro_audit import (  # noqa: F401
         rules_alloc,
-        rules_counters,
         rules_defaults,
         rules_docstrings,
         rules_estimator,
         rules_exports,
-        rules_histograms,
         rules_lifecycle,
-        rules_merge,
         rules_observability,
         rules_parallel,
         rules_parallel_imports,

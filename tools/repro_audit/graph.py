@@ -139,7 +139,7 @@ def is_dispatch_call(call: ast.Call) -> bool:
 
     Recognises ``parallel_map_chunks(...)`` (bare or attribute-qualified)
     and ``get_backend(...).map(...)``. Shared by every rule family that
-    reasons about parallel workers (RA002/RA006/RA007).
+    reasons about parallel workers (RA002/RA006/RA009/RA010).
     """
     chain = attr_chain(call.func)
     if chain and chain[-1] == "parallel_map_chunks":
@@ -438,8 +438,8 @@ class CallGraph:
         """Every ``repro.parallel`` fan-out call site in the project.
 
         Built once per run and shared by the rule families that audit
-        parallel workers (RA002 determinism, RA007 merge contracts) and
-        allocation patterns around dispatch (RA006).
+        parallel workers (RA002 determinism, RA009 races, RA010 RNG
+        ordering) and allocation patterns around dispatch (RA006).
         """
         if self._dispatch_sites is None:
             sites: list[tuple[FuncNode, ast.Call]] = []

@@ -68,7 +68,7 @@ _MAX_EXPANSION = 24
 def expand_dynamic(graph: CallGraph, expr: ast.expr) -> list[CallTarget]:
     """Expand a dynamic ``obj.method`` worker reference over every
     concrete scanned class defining that method (capped). Shared by the
-    worker-rooted rules (RA002 determinism, RA007 merge contracts)."""
+    worker-rooted rules through :func:`worker_roots`."""
     if isinstance(expr, ast.Call):
         chain = attr_chain(expr.func)
         if chain and chain[-1] == "partial" and expr.args:
@@ -148,8 +148,8 @@ def worker_roots(
 ) -> list[tuple[FuncNode, CallTarget, tuple[str, ...]]]:
     """``(dispatcher, worker, trace)`` per ``repro.parallel`` dispatch.
 
-    Shared by the worker-rooted rule families (RA002 determinism, RA007
-    merge contracts, RA009 races, RA010 RNG ordering). Worker
+    Shared by the worker-rooted rule families (RA002 determinism,
+    RA009 races, RA010 RNG ordering). Worker
     references are resolved directly (``unwrap_callable``), expanded
     over concrete classes when dynamically typed (``expand_dynamic``),
     and — when the dispatch site forwards one of its own parameters —

@@ -7,7 +7,7 @@ state the coordinator (or a sibling task) can see breaks the promise —
 as a data race under threads, as silently-dropped mutation under
 processes. This rule computes a per-function *effect summary* for every
 function reachable from a dispatch site (worker discovery shared with
-RA002/RA007 via :func:`~tools.repro_audit.rules_parallel.worker_roots`)
+RA002 and RA010 via :func:`~tools.repro_audit.rules_parallel.worker_roots`)
 and flags coordinator-visible write effects:
 
 * ``global``/``nonlocal`` rebinding — the write lands in module or
@@ -17,17 +17,14 @@ and flags coordinator-visible write effects:
 * mutation through a *mutable default argument* — one shared object
   per process, invisible partial state across tasks;
 * attribute writes on a *shipped object* (a parameter of the worker) —
-  mutated copies die with the process backend's worker, unless the
-  parameter is annotated with a class declaring an RA007 merge-style
-  combiner (``merge``/``merge_with``/``combine``), the sanctioned
-  partial-state channel;
+  mutated copies die with the process backend's worker;
 * element writes into a shared read-only view — a local obtained from
   ``resolve_chunk(...)`` / ``SharedArray.open(...)`` maps the
   coordinator's segment ``mode="r"``; writing through it faults at
   runtime and is flagged here statically.
 
-``self``/``cls`` attribute mutation is deliberately *not* flagged: that
-is per-shard partial state, owned by RA007's combiner contract. The
+``self``/``cls`` attribute mutation is deliberately *not* flagged: a
+worker method's receiver is treated as its own task-local state. The
 ``repro.parallel`` harness itself is exempt (it installs worker-local
 context on purpose) but is still traversed.
 """
@@ -41,11 +38,9 @@ from tools.repro_audit.core import AuditRule, Finding, register
 from tools.repro_audit.graph import (
     CallGraph,
     CallTarget,
-    ClassNode,
     FuncNode,
     attr_chain,
 )
-from tools.repro_audit.rules_merge import COMBINER_NAMES
 from tools.repro_audit.rules_parallel import (
     CONTEXT_INSTALLERS,
     HARNESS_PREFIX,
@@ -171,7 +166,7 @@ class SharedStateRaceAudit(AuditRule):
     summary = (
         "parallel workers never write coordinator-visible state (globals, "
         "closures, mutable defaults, shipped objects, shared read-only "
-        "views) outside a declared merge contract"
+        "views)"
     )
 
     def check(self, graph: CallGraph) -> Iterator[Finding]:
@@ -204,7 +199,7 @@ class SharedStateRaceAudit(AuditRule):
         yield from self._scope_rebindings(func, trace)
         yield from self._module_container_mutations(graph, func, trace)
         yield from self._mutable_default_mutations(func, trace)
-        yield from self._shipped_object_writes(graph, func, trace)
+        yield from self._shipped_object_writes(func, trace)
         yield from self._shared_view_writes(func, trace)
 
     def _scope_rebindings(
@@ -332,23 +327,17 @@ class SharedStateRaceAudit(AuditRule):
                     yield flag(target_expr.value.id, node)
 
     def _shipped_object_writes(
-        self, graph: CallGraph, func: FuncNode, trace: tuple[str, ...]
+        self, func: FuncNode, trace: tuple[str, ...]
     ) -> Iterator[Finding]:
-        if func.name in COMBINER_NAMES:
-            # A combiner folding its argument into self is the merge
-            # contract itself; RA007 audits that channel.
-            return
         params = _param_names(func.node) - {"self", "cls"}
         if not params:
             return
-        exempt = self._combiner_typed_params(graph, func)
         for node in _shallow_walk(func.node):
             for target_expr in _write_targets(node):
                 if (
                     isinstance(target_expr, ast.Attribute)
                     and isinstance(target_expr.value, ast.Name)
                     and target_expr.value.id in params
-                    and target_expr.value.id not in exempt
                 ):
                     name = target_expr.value.id
                     yield self.finding(
@@ -357,42 +346,14 @@ class SharedStateRaceAudit(AuditRule):
                         f"worker-reachable {func.qualname} writes "
                         f"attribute {name}.{target_expr.attr} on a "
                         "shipped object — the mutation dies with the "
-                        "process-backend worker (annotate the parameter "
-                        "with a merge-contract class or return the "
-                        "partial state instead)",
+                        "process-backend worker (return the partial state "
+                        "instead)",
                         anchor=(
                             f"{func.qualname}:shipped-write:"
                             f"{name}.{target_expr.attr}"
                         ),
                         trace=trace + (func.frame(node.lineno),),
                     )
-
-    def _combiner_typed_params(
-        self, graph: CallGraph, func: FuncNode
-    ) -> set[str]:
-        """Parameters annotated with a class declaring a combiner."""
-        scope = graph.scope(func.module)
-        exempt: set[str] = set()
-        args = func.node.args
-        for arg in args.posonlyargs + args.args + args.kwonlyargs:
-            ann = arg.annotation
-            if ann is None:
-                continue
-            name: str | None = None
-            if isinstance(ann, ast.Name):
-                name = ann.id
-            elif isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-                name = ann.value.strip().strip('"').strip("'")
-            if name is None:
-                continue
-            entity = scope.get(name)
-            if isinstance(entity, ClassNode) and any(
-                combiner in node.own_methods
-                for node in graph.mro(entity)
-                for combiner in COMBINER_NAMES
-            ):
-                exempt.add(arg.arg)
-        return exempt
 
     def _shared_view_writes(
         self, func: FuncNode, trace: tuple[str, ...]

@@ -11,7 +11,7 @@ globals, the same lexicon as RA002):
 1. **coordinator-only** — no draw site may be both reachable from a
    public entry point (any ``fit``/``draw``/``plan``/``sample``
    function or method) and reachable from a dispatched parallel worker
-   (discovery shared with RA002/RA007 via
+   (discovery shared with RA002 and RA009 via
    :func:`~tools.repro_audit.rules_parallel.worker_roots`): such a draw
    would execute on a worker with scheduling-dependent order.
 2. **deterministic iteration** — a draw inside a loop over an
